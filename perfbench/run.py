@@ -17,11 +17,15 @@ standard output is one JSON object with ``correct``, ``attempted``,
 ``failed`` and ``metrics``.
 
 Set-up (interpreter start, ``import bfokit``, seeded input generation and
-a warm-up call) runs in a fresh child process several times; ``setup_s``
-is the median wall of those children. The bounded times (``setup_s``,
-``wall_p10_s`` and the ``items_per_s`` derived from it) are scaled by
-REFERENCE_KERNEL_S over the fastest decile of a fixed speed kernel timed
-between requests; the raw figures are printed above the JSON line.
+a warm-up call) runs in a fresh child process several times, each right
+after a reference child (see REFERENCE_CHILD); ``setup_s`` is the median
+of the set-up walls, each scaled by its reference. ``wall_p10_s`` is the
+fastest decile of each request kind's walls, summed over the kinds in one
+round, so every CLI subcommand counts on ``cold_cli``; it is scaled by the
+fastest decile of the reference work run after each request.
+``items_per_s`` is the work of one round over the same sum taken at each
+kind's median request, each request scaled by the reference run right
+after it. The raw figures are printed above the JSON line.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ import argparse
 import json
 import math
 import os
-import resource
 import shutil
 import statistics
 import subprocess
@@ -38,15 +41,26 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
+from cli_child import peak_rss_kb
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 NAMES = ["cold_cli", "dense_sweep", "reference_flights"]
-SETUP_REPS = {"full": 5, "tiny": 1}
+SETUP_REPS = {"full": 11, "tiny": 1}
 MODULES = ["import", "cli", "config", "ingest", "geodesy", "satellite", "bfo_model", "track_sweep",
            "stats", "trend", "warmup", "descent"]
-# speed_kernel()'s fastest decile on the machine perfbench/baseline.json was
-# recorded on, in a quiet period. Bounded times are scaled to this speed.
-REFERENCE_KERNEL_S = 0.0028
+# Bounded times are scaled by the time of reference work that no change to
+# bfokit can move, timed on the same machine at about the same moment, so
+# that they read as seconds on the machine perfbench/baseline.json was
+# recorded on, in a quiet period. In-process requests use kernel_time(),
+# which took REFERENCE_KERNEL_S there. Set-up and cold CLI calls are mostly
+# interpreter start and imports, which a busy machine slows far more than it
+# slows speed_kernel(); they use REFERENCE_CHILD, a fresh interpreter that
+# imports numpy, which took REFERENCE_CHILD_S there.
+KERNEL_RUNS = 20
+REFERENCE_KERNEL_S = 0.056
+REFERENCE_CHILD = [sys.executable, "-c", "import numpy"]
+REFERENCE_CHILD_S = 0.12
 COUNTED_CALLS = ["satellite.satellite_state_at", "satellite.deterministic_correction_at", "bfo_model.predict_bfo"]
 
 
@@ -58,8 +72,6 @@ def parse_args(argv):
     p.add_argument("--trace", type=int, choices=[0, 1], default=0)
     p.add_argument("--size", choices=["full", "tiny"], default="full",
                    help="tiny shrinks the inputs for the benchmark's own self-check")
-    p.add_argument("--golden-dir", type=Path, default=ROOT / "tests" / "golden",
-                   help="expected descent-bounds tables for cold_cli")
     p.add_argument("--setup-only", type=Path, metavar="DIR", help=argparse.SUPPRESS)
     return p.parse_args(argv)
 
@@ -84,28 +96,35 @@ def tail(values):
     return ordered[n - 11], 100.0 * (n - 10) / n
 
 
-def peak_rss_mb() -> float:
-    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    return max(own, children) / 1024.0
+def fastest_decile(values) -> float:
+    return sorted(values)[len(values) // 10]
 
 
-def measure_setup(args, workdir: Path) -> float:
-    walls = []
+def timed_child(cmd) -> float:
+    start = perf_counter()
+    # Captured pipes make the wait end at the child's exit; a bare wait
+    # with a timeout polls in steps of up to 50 ms.
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=170)
+    wall = perf_counter() - start
+    if proc.returncode != 0:
+        raise RuntimeError(f"{cmd[1:3]} failed: {proc.stderr.strip()[-2000:]}")
+    return wall
+
+
+def measure_setup(args, workdir: Path):
+    """Set-up time: the median, over the set-up children, of each child's
+    wall over its reference child's, times REFERENCE_CHILD_S; and the raw
+    median wall."""
+    walls, ratios = [], []
     for rep in range(SETUP_REPS[args.size]):
+        reference = timed_child(REFERENCE_CHILD)
         target = workdir / f"setup{rep}"
         target.mkdir()
-        cmd = [sys.executable, str(Path(__file__).resolve()), "--workload", args.workload,
-               "--seed", str(args.seed), "--size", args.size, "--setup-only", str(target)]
-        start = perf_counter()
-        # Captured pipes make the wait end at the child's exit; a bare
-        # wait with a timeout polls in steps of up to 50 ms.
-        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=170)
-        walls.append(perf_counter() - start)
-        if proc.returncode != 0:
-            raise RuntimeError(f"set-up failed: {proc.stderr.strip()[-2000:]}")
+        walls.append(timed_child([sys.executable, str(Path(__file__).resolve()), "--workload", args.workload,
+                                  "--seed", str(args.seed), "--size", args.size, "--setup-only", str(target)]))
+        ratios.append(walls[-1] / reference)
         shutil.rmtree(target)
-    return statistics.median(walls)
+    return statistics.median(ratios) * REFERENCE_CHILD_S, statistics.median(walls)
 
 
 def speed_kernel() -> float:
@@ -121,18 +140,28 @@ def speed_kernel() -> float:
     return acc + len(text) + len(table)
 
 
-def kernel_samples(count: int = 3) -> list:
-    samples = []
-    for _ in range(count):
-        start = perf_counter()
+def kernel_time() -> float:
+    """Wall of KERNEL_RUNS speed kernels in a row: long enough to see the
+    machine's average speed over a while, not its best instant."""
+    start = perf_counter()
+    for _ in range(KERNEL_RUNS):
         speed_kernel()
-        samples.append(perf_counter() - start)
-    return samples
+    return perf_counter() - start
 
 
-def run_round(wl, traced: bool, tracer=None, kernel=None):
+def reference_for(wl):
+    """The reference work paired with each request, and its time on the
+    baseline machine in a quiet period: a fresh interpreter for a cold CLI
+    call, the speed kernel for an in-process request."""
+    if wl.name == "cold_cli":
+        return (lambda: timed_child(REFERENCE_CHILD)), REFERENCE_CHILD_S
+    return kernel_time, REFERENCE_KERNEL_S
+
+
+def run_round(wl, traced: bool, tracer=None, reference=None):
     """One closed-loop round; an exception is a failed request. With a
-    ``kernel`` list, speed-kernel samples follow each request."""
+    ``reference``, it runs right after each request, before the check, and
+    its time goes into the request's ``reference_s``."""
     import workloads
 
     outs = []
@@ -146,6 +175,8 @@ def run_round(wl, traced: bool, tracer=None, kernel=None):
         finally:
             if tracer is not None:
                 tracer.restore()
+        if reference is not None:
+            out.reference_s = reference()
         if out.check is not None:
             try:
                 out.check(out.failures)
@@ -153,41 +184,58 @@ def run_round(wl, traced: bool, tracer=None, kernel=None):
                 out.failures.append(f"{kind}: check raised {e!r}")
             out.check = None  # let the request's outputs go
         outs.append(out)
-        if kernel is not None:
-            kernel += kernel_samples()
     return outs
 
 
-def run_untraced(wl, args, setup_s: float):
-    outs, kernel = [], []
+def run_untraced(wl, args, setup):
+    reference, reference_s = reference_for(wl)
+    outs = []
+    harness_kb = peak_rss_kb()
     start = perf_counter()
     while True:
-        outs += run_round(wl, False, kernel=kernel)
+        outs += run_round(wl, False, reference=reference)
         if perf_counter() - start >= args.seconds:
             break
     ok = [o for o in outs if not o.failures]
     walls = sorted(o.wall_s for o in ok) or [float("nan")]
+    by_kind = {}
+    for o in ok:
+        by_kind.setdefault(o.kind, []).append(o)
     # Other tenants of the machine add delays that come and go, within a run
     # and for minutes at a time. The fastest decile drops the first; the
-    # speed kernel, timed the same way between requests, scales out the second.
-    kernel_p10 = sorted(kernel)[len(kernel) // 10]
-    scale = REFERENCE_KERNEL_S / kernel_p10
-    fast = walls[len(walls) // 10] * scale
+    # fastest decile of the reference work, timed the same way, scales out
+    # the second.
+    reference_p10 = fastest_decile([o.reference_s for o in outs])
+    raw_fast = sum(fastest_decile([o.wall_s for o in hits]) for hits in by_kind.values()) if ok else float("nan")
+    fast = raw_fast * reference_s / reference_p10
+    # items_per_s instead scales each request by the reference work run
+    # right after it, which tracks the machine's speed at that moment, and
+    # takes the median request.
+    paired = sum(statistics.median([o.wall_s * reference_s / o.reference_s for o in hits])
+                 for hits in by_kind.values())
+    items = sum(statistics.median(o.items for o in hits) for hits in by_kind.values())
+    # A cold CLI call runs in its own interpreter, so its peak is its own.
+    # An in-process request shares the harness's high-water mark, which
+    # only grows, so only the first reading, taken before any check ran,
+    # is free of the checks.
+    peak_kb = max(o.rss_kb for o in outs) if wl.name == "cold_cli" else outs[0].rss_kb
+    setup_s, raw_setup_s = setup
     metrics = {
-        "setup_s": (setup_s * scale, "s"),
+        "setup_s": (setup_s, "s"),
         "wall_p10_s": (fast, "s"),
-        "items_per_s": (statistics.median(o.items for o in ok) / fast if ok else float("nan"), "1/s"),
-        "peak_rss_mb": (peak_rss_mb(), "MB"),
+        "items_per_s": (items / paired if ok else float("nan"), "1/s"),
+        "peak_rss_mb": (peak_kb / 1024.0, "MB"),
     }
     tail_s, pct = tail(walls)
     notes = [
         f"requests {len(outs)} ({len(ok)} ok)",
-        f"{'raw_setup_s':52s} {setup_s:>16.6g} s",
-        f"{'raw_wall_p10_s':52s} {walls[len(walls) // 10]:>16.6g} s",
-        f"{'speed_kernel_p10_s':52s} {kernel_p10:>16.6g} s (reference {REFERENCE_KERNEL_S})",
+        f"{'raw_setup_s':52s} {raw_setup_s:>16.6g} s",
+        f"{'raw_wall_p10_s':52s} {raw_fast:>16.6g} s",
+        f"{'reference_p10_s':52s} {reference_p10:>16.6g} s (baseline {reference_s})",
         f"{'wall_median_s':52s} {statistics.median(walls):>16.6g} s",
         f"{'wall_tail_s':52s} {tail_s:>16.6g} s (p{pct:.1f} of {len(walls)} walls)",
         f"{'items_per_s_mean':52s} {sum(o.items for o in ok) / sum(walls) if ok else float('nan'):>16.6g} 1/s",
+        f"{'harness_rss_mb':52s} {harness_kb / 1024.0:>16.6g} MB (before the first request)",
     ]
     return outs, metrics, notes
 
@@ -208,7 +256,7 @@ def run_traced(wl, args):
 
     cli_rounds = traced if wl.name == "cold_cli" else []
     if not cli_rounds:
-        ctx = workloads.Context(ROOT, wl.ctx.workdir / "cli_probe", args.seed, args.size, args.golden_dir)
+        ctx = workloads.Context(ROOT, wl.ctx.workdir / "cli_probe", args.seed, args.size)
         ctx.workdir.mkdir()
         cold = workloads.ColdCli(ctx)
         cold.setup()
@@ -252,8 +300,7 @@ def run_all(args) -> int:
     results, code = {}, 0
     for name in NAMES:
         cmd = [sys.executable, str(Path(__file__).resolve()), "--workload", name, "--seed", str(args.seed),
-               "--seconds", repr(args.seconds), "--trace", str(args.trace), "--size", args.size,
-               "--golden-dir", str(args.golden_dir)]
+               "--seconds", repr(args.seconds), "--trace", str(args.trace), "--size", args.size]
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=900)
         lines = proc.stdout.strip().splitlines()
         if proc.returncode != 0 or not lines:
@@ -278,20 +325,20 @@ def main(argv=None) -> int:
     import workloads
 
     if args.setup_only:
-        ctx = workloads.Context(ROOT, args.setup_only, args.seed, args.size, args.golden_dir)
+        ctx = workloads.Context(ROOT, args.setup_only, args.seed, args.size)
         workloads.WORKLOADS[args.workload](ctx).setup()
         return 0
     if args.workload == "cold_cli" or args.trace:
-        missing = [n for n in workloads.GOLDEN_FILES if not (args.golden_dir / n).is_file()]
+        golden = ROOT / workloads.GOLDEN_DIR
+        missing = [n for n in workloads.GOLDEN_FILES if not (golden / n).is_file()]
         if missing:
-            print(f"bench: golden tables missing from {args.golden_dir}: {missing}", file=sys.stderr)
+            print(f"bench: golden tables missing from {golden}: {missing}", file=sys.stderr)
             return 2
 
     workdir = ROOT / ".bench_work" / f"{args.workload}-{args.seed}-{os.getpid()}"
     workdir.mkdir(parents=True)
     try:
-        setup_s = measure_setup(args, workdir)
-        ctx = workloads.Context(ROOT, workdir / "run", args.seed, args.size, args.golden_dir)
+        ctx = workloads.Context(ROOT, workdir / "run", args.seed, args.size)
         ctx.workdir.mkdir()
         wl = workloads.WORKLOADS[args.workload](ctx)
         wl.setup()
@@ -299,7 +346,7 @@ def main(argv=None) -> int:
         if args.trace:
             outs, metrics, notes = run_traced(wl, args)
         else:
-            outs, metrics, notes = run_untraced(wl, args, setup_s)
+            outs, metrics, notes = run_untraced(wl, args, measure_setup(args, workdir))
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
         if workdir.parent.exists() and not any(workdir.parent.iterdir()):

@@ -45,15 +45,22 @@ def test_tiny_run_passes_its_checks(workload, trace):
         assert r["metrics"][m["name"]]["unit"] == m["unit"]
 
 
-def test_corrupted_golden_table_counts_as_failure():
-    r = result(bench("--workload", "cold_cli", "--trace", "0", "--golden-dir", str(HERE / "corrupt_golden")))
+def copy_benchmark(root: Path) -> Path:
+    shutil.copy(ROOT / "BENCHMARK.json", root)
+    shutil.copytree(BENCH_DIR, root / BENCH_DIR.name, ignore=shutil.ignore_patterns("__pycache__"))
+    return root / BENCH_DIR.name / "run.py"
+
+
+def test_corrupted_golden_table_counts_as_failure(tmp_path):
+    run = copy_benchmark(tmp_path)
+    (tmp_path / "src").symlink_to(ROOT / "src", target_is_directory=True)
+    shutil.copytree(HERE / "corrupt_golden", tmp_path / "tests" / "golden")
+    r = result(bench("--workload", "cold_cli", "--trace", "0", run=run))
     assert r["correct"] is False
     assert r["failed"] / r["attempted"] > 0
 
 
 def test_refuses_to_run_without_sources(tmp_path):
-    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
-    shutil.copytree(BENCH_DIR, tmp_path / BENCH_DIR.name, ignore=shutil.ignore_patterns("__pycache__"))
-    proc = bench("--workload", WORKLOADS[0], "--trace", "0", run=tmp_path / BENCH_DIR.name / "run.py")
+    proc = bench("--workload", WORKLOADS[0], "--trace", "0", run=copy_benchmark(tmp_path))
     assert proc.returncode != 0
     assert not proc.stdout.strip()

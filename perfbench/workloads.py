@@ -37,6 +37,7 @@ from pathlib import Path
 from time import perf_counter
 
 import gen
+from cli_child import peak_rss_kb
 from bfokit import bfo_model, cli, config, descent, geodesy, ingest, satellite, stats, track_sweep, trend, warmup
 from bfokit.bfo_model import AircraftState
 from bfokit.geodesy import GeodeticPosition, GroundKinematics
@@ -48,6 +49,7 @@ EXPECTED_DRIFT = {
     "ack_minus_settled_hz": [17.0, 130.0],
     "ack_below_logon_hz": [0.0, 6.0],
 }
+GOLDEN_DIR = Path("tests") / "golden"
 GOLDEN_FILES = ["adjusted_bfo_power_outage.csv", "adjusted_bfo_other_cause.csv",
                 "descent_rates_power_outage.csv", "descent_rates_other_cause.csv",
                 "descent_rates_combined.csv", "acceleration.json"]
@@ -61,7 +63,9 @@ SIZES = {
 
 @dataclass
 class Outcome:
-    """One request: timed wall, work items, failures and (if traced) spans.
+    """One request: timed wall, work items, failures, (if traced) spans,
+    the peak RSS of the process that served it, in KiB, and (if untraced)
+    the time of the reference work run right after it.
 
     ``check`` verifies the request's output; the runner calls it after
     tracing is switched off, so checks add no spans.
@@ -73,6 +77,8 @@ class Outcome:
     failures: list = field(default_factory=list)
     spans: dict | None = None
     check: object = None
+    rss_kb: int = 0
+    reference_s: float = float("nan")
 
 
 @dataclass
@@ -81,7 +87,6 @@ class Context:
     workdir: Path
     seed: int
     size: str
-    golden_dir: Path
 
 
 def ols(times, values, t0):
@@ -144,20 +149,20 @@ def python_env(root: Path) -> dict:
     return env
 
 
-def run_cli_cold(root: Path, argv, trace_path: Path | None):
-    """One CLI call in a fresh interpreter; returns (wall_s, completed, spans)."""
-    if trace_path is None:
-        cmd = [sys.executable, "-m", "bfokit.cli", *argv]
-    else:
-        cmd = [sys.executable, str(HERE / "cli_child.py"), str(trace_path), *argv]
+def run_cli_cold(root: Path, workdir: Path, argv, traced: bool):
+    """One CLI call in a fresh interpreter (see cli_child.py); returns
+    (wall_s, completed, spans, peak RSS of that interpreter in KiB)."""
+    report = workdir / "cli_report.json"
+    cmd = [sys.executable, str(HERE / "cli_child.py"), str(report), "1" if traced else "0", *argv]
     start = perf_counter()
     proc = subprocess.run(cmd, capture_output=True, text=True, env=python_env(root), timeout=120)
     wall = perf_counter() - start
-    spans = None
-    if trace_path is not None and trace_path.exists():
-        spans = json.loads(trace_path.read_text(encoding="utf-8"))
-        trace_path.unlink()
-    return wall, proc, spans
+    spans, rss_kb = None, 0
+    if report.exists():
+        got = json.loads(report.read_text(encoding="utf-8"))
+        report.unlink()
+        spans, rss_kb = got["spans"], got["rss_kb"]
+    return wall, proc, spans, rss_kb
 
 
 # ---------------------------------------------------------------------------
@@ -192,16 +197,15 @@ class ColdCli:
                 residuals.append(m.bfo_hz - bfo_model.predict_bfo(state, sat, self.corr, 0.0, cfg.channel, cfg.slot)[0])
         self.want_bias = statistics.fmean(residuals)
         self.want_bias_used = len(residuals)
-        self.golden = {name: (self.ctx.golden_dir / name).read_bytes() for name in GOLDEN_FILES}
+        self.golden = {name: (self.ctx.root / GOLDEN_DIR / name).read_bytes() for name in GOLDEN_FILES}
 
     def round(self):
         return [(kind, lambda traced, argv=argv, kind=kind: self.request(kind, argv, traced))
                 for kind, argv in self.inp.requests]
 
     def request(self, kind: str, argv, traced: bool) -> Outcome:
-        trace_path = self.ctx.workdir / "trace.json" if traced else None
-        wall, proc, spans = run_cli_cold(self.ctx.root, argv, trace_path)
-        out = Outcome(kind, wall, 1, spans=spans)
+        wall, proc, spans, rss_kb = run_cli_cold(self.ctx.root, self.ctx.workdir, argv, traced)
+        out = Outcome(kind, wall, 1, spans=spans, rss_kb=rss_kb)
         if proc.returncode != 0:
             out.failures.append(f"{kind}: exit {proc.returncode}: {proc.stderr.strip()[-300:]}")
             return out
@@ -292,7 +296,7 @@ class DenseSweep:
             code = cli.main(argv)
             wall = perf_counter() - start
         points = int(round(360.0 / step)) + 1
-        out = Outcome("track_sweep", wall, points * len(speeds))
+        out = Outcome("track_sweep", wall, points * len(speeds), rss_kb=peak_rss_kb())
         if code != 0:
             out.failures.append(f"track-sweep exit {code}")
             return out
@@ -363,7 +367,7 @@ class ReferenceFlights:
         back = ingest.load_log_csv(copy)
         wall = perf_counter() - start
 
-        out = Outcome("pipeline", wall, len(ms))
+        out = Outcome("pipeline", wall, len(ms), rss_kb=peak_rss_kb())
 
         def check(f):
             if records.rejected or back.rejected:
