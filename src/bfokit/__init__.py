@@ -10,6 +10,7 @@ from .bfo_model import (
     descent_sensitivity,
     downlink_doppler,
     predict_bfo,
+    predict_bfo_batch,
     uplink_doppler,
     vertical_doppler,
 )

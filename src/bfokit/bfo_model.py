@@ -8,20 +8,28 @@ per-flight oscillator bias. The terminal's pre-compensation is computed
 the way the terminal itself computes it: from track angle and ground
 speed only (vertical speed assumed zero), with the aircraft at sea level
 and the satellite at its nominal slot.
+
+The model is written once, as a component-wise kernel over a math
+backend: ``math`` for one state (:func:`predict_bfo`), ``numpy`` for
+arrays of states that share one time (:func:`predict_bfo_batch`). The
+per-term functions use the same term helpers as the kernel.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError
 from .geodesy import (
-    EcefVector,
     GeodeticPosition,
     GroundKinematics,
-    geodetic_to_ecef,
-    kinematics_to_ecef_velocity,
+    _east_north,
+    _ecef_position,
+    _ecef_velocity,
+    _frame,
 )
 from .satellite import (
     CorrectionTable,
@@ -68,7 +76,11 @@ class AircraftState:
 
 @dataclass(frozen=True)
 class BfoTerms:
-    """Additive decomposition of one predicted BFO, Hz."""
+    """Additive decomposition of a predicted BFO, Hz.
+
+    From :func:`predict_bfo_batch` the fields are numpy arrays, or floats
+    for the terms shared by the whole batch, and ``total_hz`` broadcasts.
+    """
 
     uplink_doppler_hz: float
     downlink_doppler_hz: float
@@ -96,13 +108,104 @@ class BfoTerms:
         }
 
 
-def _los_projection(velocity: EcefVector, from_pos: EcefVector, to_pos: EcefVector) -> float:
-    """Component of ``velocity`` along the from->to line of sight."""
-    los = to_pos - from_pos
-    r = los.norm()
-    if r < 1e-6:
+def _any(mask) -> bool:
+    """Reduce an elementwise test from either math backend to one bool."""
+    return bool(mask.any()) if isinstance(mask, (np.ndarray, np.generic)) else mask
+
+
+def _all(mask) -> bool:
+    return bool(mask.all()) if isinstance(mask, (np.ndarray, np.generic)) else mask
+
+
+def _finite(xp, value, what: str):
+    if not _all(xp.isfinite(value)):
+        raise DomainError(f"{what} is not finite")
+    return value
+
+
+def _los_rate(xp, velocity, from_pos, to_pos):
+    """Component of ``velocity`` along the from->to line of sight. Each
+    argument is an (x, y, z) of floats or arrays."""
+    lx, ly, lz = to_pos[0] - from_pos[0], to_pos[1] - from_pos[1], to_pos[2] - from_pos[2]
+    r = xp.sqrt(lx * lx + ly * ly + lz * lz)
+    if _any(r < 1e-6):
         raise DomainError("line-of-sight endpoints coincide")
-    return velocity.dot(los) / r
+    return (velocity[0] * lx + velocity[1] * ly + velocity[2] * lz) / r
+
+
+def _uplink(xp, frame, altitude_m, ve, vn, vertical_rate_mps, sat, cfg):
+    """(F_up/c) * (v_s - v_x) . (p_x - p_s) / |p_x - p_s|."""
+    vx, vy, vz = _ecef_velocity(frame, ve, vn, vertical_rate_mps)
+    s_v = sat.velocity
+    rel = (s_v.x - vx, s_v.y - vy, s_v.z - vz)
+    return cfg.uplink_hz / cfg.speed_of_light_mps * _los_rate(
+        xp, rel, sat.position.as_tuple(), _ecef_position(frame, altitude_m)
+    )
+
+
+def _compensation(xp, frame, ve, vn, slot, cfg):
+    """The terminal's own estimate: level flight at sea level, satellite
+    fixed at the nominal slot."""
+    return cfg.uplink_hz / cfg.speed_of_light_mps * _los_rate(
+        xp,
+        _ecef_velocity(frame, ve, vn, 0.0),
+        nominal_satellite_position(slot).as_tuple(),
+        _ecef_position(frame, 0.0),
+    )
+
+
+def _downlink(sat, cfg):
+    """Satellite motion along the satellite -> ground-station line of sight."""
+    g = cfg.ges_position
+    p_ges = _ecef_position(_frame(math, g.latitude_deg, g.longitude_deg), g.altitude_m)
+    return cfg.downlink_hz / cfg.speed_of_light_mps * _los_rate(
+        math, sat.velocity.as_tuple(), sat.position.as_tuple(), p_ges
+    )
+
+
+def _bfo_terms(
+    xp,
+    latitude_deg,
+    longitude_deg,
+    altitude_m,
+    ground_speed_mps,
+    track_angle_deg,
+    vertical_rate_mps,
+    t: float,
+    sat: SatelliteState,
+    corrections: CorrectionTable,
+    bias_hz: float,
+    cfg: ChannelConfig,
+    slot: NominalSlot,
+) -> BfoTerms:
+    """The forward model, component-wise over the math backend ``xp``
+    (``math`` for floats, ``numpy`` for arrays).
+
+    The aircraft arguments broadcast against each other. Everything else
+    is shared, so the terms that do not depend on the aircraft (downlink
+    Doppler, correction, bias) are computed once, as floats.
+    """
+    if _any(ground_speed_mps < 0):
+        raise DomainError("ground speed must be >= 0")
+    frame = _frame(xp, latitude_deg, longitude_deg)
+    ve, vn = _east_north(xp, ground_speed_mps, track_angle_deg)
+    terms = BfoTerms(
+        uplink_doppler_hz=_uplink(xp, frame, altitude_m, ve, vn, vertical_rate_mps, sat, cfg),
+        downlink_doppler_hz=_downlink(sat, cfg),
+        aes_compensation_hz=_compensation(xp, frame, ve, vn, slot, cfg),
+        sat_plus_afc_hz=deterministic_correction_at(t, corrections),
+        bias_hz=bias_hz,
+    )
+    _finite(xp, terms.total_hz, "predicted BFO")
+    return terms
+
+
+def _scalar_motion(aircraft: AircraftState):
+    p, k = aircraft.position, aircraft.kinematics
+    return (
+        _frame(math, p.latitude_deg, p.longitude_deg),
+        *_east_north(math, k.ground_speed_mps, k.track_angle_deg),
+    )
 
 
 def uplink_doppler(aircraft: AircraftState, sat: SatelliteState, cfg: ChannelConfig) -> float:
@@ -112,10 +215,10 @@ def uplink_doppler(aircraft: AircraftState, sat: SatelliteState, cfg: ChannelCon
     (range decreasing) gives a positive shift: a climb directly beneath
     the satellite raises the BFO.
     """
-    p_x = geodetic_to_ecef(aircraft.position)
-    v_x = kinematics_to_ecef_velocity(aircraft.position, aircraft.kinematics)
-    rel = sat.velocity - v_x
-    return cfg.uplink_hz / cfg.speed_of_light_mps * _los_projection(rel, sat.position, p_x)
+    frame, ve, vn = _scalar_motion(aircraft)
+    p, k = aircraft.position, aircraft.kinematics
+    value = _uplink(math, frame, p.altitude_m, ve, vn, k.vertical_rate_mps, sat, cfg)
+    return _finite(math, value, "uplink Doppler")
 
 
 def aes_compensation(aircraft: AircraftState, slot: NominalSlot, cfg: ChannelConfig) -> float:
@@ -124,21 +227,14 @@ def aes_compensation(aircraft: AircraftState, slot: NominalSlot, cfg: ChannelCon
     Uses the terminal's own approximations: horizontal velocity only,
     aircraft at sea level, satellite fixed at the nominal slot.
     """
-    k_flat = replace(aircraft.kinematics, vertical_rate_mps=0.0)
-    p_flat = replace(aircraft.position, altitude_m=0.0)
-    v_hat = kinematics_to_ecef_velocity(aircraft.position, k_flat)
-    p_hat = geodetic_to_ecef(p_flat)
-    s_hat = nominal_satellite_position(slot)
-    return cfg.uplink_hz / cfg.speed_of_light_mps * _los_projection(v_hat, s_hat, p_hat)
+    frame, ve, vn = _scalar_motion(aircraft)
+    return _finite(math, _compensation(math, frame, ve, vn, slot, cfg), "AES compensation")
 
 
 def downlink_doppler(sat: SatelliteState, cfg: ChannelConfig) -> float:
     """Downlink Doppler shift, Hz: satellite motion projected onto the
     satellite -> ground-station line of sight. Independent of the aircraft."""
-    p_ges = geodetic_to_ecef(cfg.ges_position)
-    return cfg.downlink_hz / cfg.speed_of_light_mps * _los_projection(
-        sat.velocity, sat.position, p_ges
-    )
+    return _finite(math, _downlink(sat, cfg), "downlink Doppler")
 
 
 def predict_bfo(
@@ -150,14 +246,49 @@ def predict_bfo(
     slot: NominalSlot = NominalSlot(),
 ) -> tuple[float, BfoTerms]:
     """Predicted BFO (Hz) and its exact additive decomposition."""
-    terms = BfoTerms(
-        uplink_doppler_hz=uplink_doppler(aircraft, sat, cfg),
-        downlink_doppler_hz=downlink_doppler(sat, cfg),
-        aes_compensation_hz=aes_compensation(aircraft, slot, cfg),
-        sat_plus_afc_hz=deterministic_correction_at(aircraft.timestamp, corrections),
-        bias_hz=bias_hz,
+    p, k = aircraft.position, aircraft.kinematics
+    terms = _bfo_terms(
+        math, p.latitude_deg, p.longitude_deg, p.altitude_m,
+        k.ground_speed_mps, k.track_angle_deg, k.vertical_rate_mps,
+        aircraft.timestamp, sat, corrections, bias_hz, cfg, slot,
     )
     return terms.total_hz, terms
+
+
+def predict_bfo_batch(
+    latitude_deg,
+    longitude_deg,
+    altitude_m,
+    ground_speed_mps,
+    track_angle_deg,
+    vertical_rate_mps,
+    t: float,
+    sat: SatelliteState,
+    corrections: CorrectionTable,
+    bias_hz: float,
+    cfg: ChannelConfig,
+    slot: NominalSlot = NominalSlot(),
+) -> BfoTerms:
+    """Predicted BFO terms for many aircraft states at one UTC second ``t``.
+
+    The six aircraft arguments are floats or numpy arrays that broadcast
+    against each other; track angles may lie outside [0, 360). ``sat`` is
+    the satellite state at ``t``. Work that depends only on the position
+    or only on ``t`` is done once per call: with a scalar position, the
+    ECEF position and local frame are computed once, and the downlink
+    Doppler, correction and bias terms are floats. The result's
+    ``total_hz`` is the predicted BFO, elementwise.
+    """
+    state = [
+        np.asarray(x, dtype=float)
+        for x in (latitude_deg, longitude_deg, altitude_m, ground_speed_mps, track_angle_deg,
+                  vertical_rate_mps)
+    ]
+    if _any(np.abs(state[0]) > 90.0):
+        raise DomainError("latitude outside [-90, 90]")
+    # Non-finite inputs raise DomainError in the kernel, without numpy's warnings.
+    with np.errstate(invalid="ignore", over="ignore"):
+        return _bfo_terms(np, *state, t, sat, corrections, bias_hz, cfg, slot)
 
 
 def vertical_doppler(vz_mps: float, elevation_deg: float, cfg: ChannelConfig) -> float:

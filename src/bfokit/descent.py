@@ -178,8 +178,8 @@ def estimate_downward_acceleration(
     ``method`` picks the representative rate per timestamp: the midpoint
     of the outer bounds (default), or the shared minima/maxima.
     """
-    if t1 == t2:
-        raise DomainError("need two distinct timestamps")
+    if not t2 > t1:
+        raise DomainError(f"need t2 after t1, got t1={t1}, t2={t2}")
     r1, r2 = bounds.row(t1).outer_fpm, bounds.row(t2).outer_fpm
     pick = {
         "midpoint": lambda r: (r[0] + r[1]) / 2.0,

@@ -87,18 +87,60 @@ class GroundKinematics:
             raise DomainError(f"track angle {self.track_angle_deg} outside [0, 360)")
 
 
+def _frame(xp, latitude_deg, longitude_deg):
+    """Sines and cosines of geodetic latitude and longitude, and the
+    prime-vertical radius of curvature, at one point or elementwise.
+
+    ``xp`` is the math backend: ``math`` for floats, ``numpy`` for arrays.
+    The ``_frame``-based helpers below are the single implementation
+    behind both the scalar geodesy API and the array forward model.
+    """
+    lat = xp.radians(latitude_deg)
+    lon = xp.radians(longitude_deg)
+    sinp = xp.sin(lat)
+    n = WGS84_A / xp.sqrt(1.0 - WGS84_E2 * sinp * sinp)
+    return sinp, xp.cos(lat), xp.sin(lon), xp.cos(lon), n
+
+
+def _ecef_position(frame, altitude_m):
+    """ECEF (x, y, z) of the point ``altitude_m`` above the ellipsoid."""
+    sinp, cosp, sinl, cosl, n = frame
+    return (
+        (n + altitude_m) * cosp * cosl,
+        (n + altitude_m) * cosp * sinl,
+        (n * (1.0 - WGS84_E2) + altitude_m) * sinp,
+    )
+
+
+def _enu_axes(frame):
+    """ECEF (x, y, z) of the local east, north and up unit vectors."""
+    sinp, cosp, sinl, cosl, _ = frame
+    return (
+        (-sinl, cosl, 0.0),
+        (-sinp * cosl, -sinp * sinl, cosp),
+        (cosp * cosl, cosp * sinl, sinp),
+    )
+
+
+def _east_north(xp, ground_speed_mps, track_angle_deg):
+    """Local east and north components of a ground velocity."""
+    track = xp.radians(track_angle_deg)
+    return ground_speed_mps * xp.sin(track), ground_speed_mps * xp.cos(track)
+
+
+def _ecef_velocity(frame, east, north, up):
+    """ECEF (x, y, z) of the local vector with components (east, north, up)."""
+    (ex, ey, ez), (nx, ny, nz), (ux, uy, uz) = _enu_axes(frame)
+    return (
+        east * ex + north * nx + up * ux,
+        east * ey + north * ny + up * uy,
+        east * ez + north * nz + up * uz,
+    )
+
+
 def geodetic_to_ecef(p: GeodeticPosition) -> EcefVector:
     """Convert a geodetic position to an ECEF position vector."""
-    lat = math.radians(p.latitude_deg)
-    lon = math.radians(p.longitude_deg)
-    sinp, cosp = math.sin(lat), math.cos(lat)
-    sinl, cosl = math.sin(lon), math.cos(lon)
-    n = WGS84_A / math.sqrt(1.0 - WGS84_E2 * sinp * sinp)
-    return EcefVector(
-        (n + p.altitude_m) * cosp * cosl,
-        (n + p.altitude_m) * cosp * sinl,
-        (n * (1.0 - WGS84_E2) + p.altitude_m) * sinp,
-    )
+    return EcefVector(*_ecef_position(_frame(math, p.latitude_deg, p.longitude_deg), p.altitude_m))
 
 
 def ecef_to_geodetic(v: EcefVector) -> GeodeticPosition:
@@ -141,14 +183,8 @@ def enu_basis(p: GeodeticPosition) -> tuple[EcefVector, EcefVector, EcefVector]:
 
     Up is the ellipsoidal normal, not the geocentric radial.
     """
-    lat = math.radians(p.latitude_deg)
-    lon = math.radians(p.longitude_deg)
-    sinp, cosp = math.sin(lat), math.cos(lat)
-    sinl, cosl = math.sin(lon), math.cos(lon)
-    east = EcefVector(-sinl, cosl, 0.0)
-    north = EcefVector(-sinp * cosl, -sinp * sinl, cosp)
-    up = EcefVector(cosp * cosl, cosp * sinl, sinp)
-    return east, north, up
+    east, north, up = _enu_axes(_frame(math, p.latitude_deg, p.longitude_deg))
+    return EcefVector(*east), EcefVector(*north), EcefVector(*up)
 
 
 def kinematics_to_ecef_velocity(p: GeodeticPosition, k: GroundKinematics) -> EcefVector:
@@ -157,11 +193,9 @@ def kinematics_to_ecef_velocity(p: GeodeticPosition, k: GroundKinematics) -> Ece
     Local east/north components are ground_speed * sin/cos(track); the
     local up component is the vertical rate.
     """
-    east, north, up = enu_basis(p)
-    track = math.radians(k.track_angle_deg)
-    ve = k.ground_speed_mps * math.sin(track)
-    vn = k.ground_speed_mps * math.cos(track)
-    return ve * east + vn * north + k.vertical_rate_mps * up
+    ve, vn = _east_north(math, k.ground_speed_mps, k.track_angle_deg)
+    frame = _frame(math, p.latitude_deg, p.longitude_deg)
+    return EcefVector(*_ecef_velocity(frame, ve, vn, k.vertical_rate_mps))
 
 
 def elevation_angle(aircraft: GeodeticPosition, satellite_pos: EcefVector) -> float:

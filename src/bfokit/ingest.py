@@ -21,6 +21,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
+from itertools import chain, islice
 from pathlib import Path
 
 from .errors import DomainError, ParseError
@@ -126,9 +127,11 @@ def _check_header(path, header, expected) -> None:
 
 
 def _write_csv(path, provenance, header, rows) -> None:
-    lines = list(provenance) + [",".join(header)]
-    lines += [",".join(r) for r in rows]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write in blocks of lines, so a large table is never held as one string."""
+    lines = chain(provenance, [",".join(header)], (",".join(r) for r in rows))
+    with open(path, "w", encoding="utf-8") as f:
+        while block := list(islice(lines, 1024)):
+            f.write("\n".join(block) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +354,7 @@ def write_logon_csv(path, sequences, provenance=()) -> None:
 # sweep curves and error samples
 
 def write_curve_csv(path, curve, provenance=()) -> None:
-    rows = [[_fmt(a), repr(float(e))] for a, e in curve]
+    rows = ((_fmt(a), repr(float(e))) for a, e in curve)
     _write_csv(path, provenance, CURVE_COLUMNS, rows)
 
 

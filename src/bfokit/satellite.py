@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from bisect import bisect_right
 
 import numpy as np
 
@@ -97,11 +96,11 @@ class CorrectionTable:
 
 
 def _segment_index(times, t) -> int:
-    if t < times[0] or t > times[-1]:
+    if not times[0] <= t <= times[-1]:  # also rejects NaN
         raise DomainError(
             f"time {t} outside table span [{times[0]}, {times[-1]}] (no extrapolation)"
         )
-    i = bisect_right(times.tolist(), t) - 1
+    i = int(np.searchsorted(times, t, side="right")) - 1
     return min(i, len(times) - 2)
 
 
@@ -130,7 +129,7 @@ def satellite_state_at(t: float, e: EphemerisTable) -> SatelliteState:
     d11 = 3 * s**2 - 2 * s
     vel = (d00 * p0 + d01 * p1) / dt + d10 * v0 + d11 * v1
 
-    return SatelliteState(EcefVector(*pos), EcefVector(*vel))
+    return SatelliteState(EcefVector(*pos.tolist()), EcefVector(*vel.tolist()))
 
 
 def nominal_satellite_position(slot: NominalSlot) -> EcefVector:

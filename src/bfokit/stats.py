@@ -52,8 +52,10 @@ class BfoMeasurement:
     def __post_init__(self):
         if not math.isfinite(self.bfo_hz):
             raise DomainError("BFO must be finite")
-        if self.ber < 0:
-            raise DomainError("BER must be >= 0")
+        if not (math.isfinite(self.ber) and self.ber >= 0):
+            raise DomainError("BER must be finite and >= 0")
+        if not math.isfinite(self.cn0_dbhz):
+            raise DomainError("C/N0 must be finite")
 
 
 @dataclass(frozen=True)
@@ -109,13 +111,13 @@ def flag_outliers(
     excluded). Zero-BER bursts are never flagged.
     """
     ms = list(measurements)
-    half = window // 2
+    half = max(window // 2, 0)
     flags = []
     for i, m in enumerate(ms):
         if m.ber <= 0:
             flags.append(False)
             continue
-        neighbors = [x.cn0_dbhz for j, x in enumerate(ms) if j != i and abs(j - i) <= half]
+        neighbors = [x.cn0_dbhz for x in ms[max(0, i - half) : i] + ms[i + 1 : i + 1 + half]]
         if not neighbors:
             flags.append(False)
             continue

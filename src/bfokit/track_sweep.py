@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .bfo_model import AircraftState, ChannelConfig, predict_bfo
+import numpy as np
+
+from .bfo_model import ChannelConfig, predict_bfo_batch
 from .errors import DomainError
-from .geodesy import GeodeticPosition, GroundKinematics
+from .geodesy import GeodeticPosition
 from .satellite import CorrectionTable, EphemerisTable, NominalSlot, satellite_state_at
 
 KNOTS_TO_MPS = 0.514444
@@ -47,18 +49,22 @@ def bfo_error_vs_track(
     if abs(steps - round(steps)) > 1e-9:
         raise DomainError(f"step {step_deg} does not divide 360")
 
-    sat = satellite_state_at(t, ephemeris)
-    curve = []
-    for k in range(int(round(steps)) + 1):
-        track = k * step_deg
-        state = AircraftState(
-            position=crossing,
-            kinematics=GroundKinematics(ground_speed_mps, track % 360.0, 0.0),
-            timestamp=t,
-        )
-        predicted, _ = predict_bfo(state, sat, corrections, bias_hz, cfg, slot)
-        curve.append((track, predicted - measured_bfo_hz))
-    return curve
+    tracks = np.arange(int(round(steps)) + 1) * step_deg
+    terms = predict_bfo_batch(
+        crossing.latitude_deg,
+        crossing.longitude_deg,
+        crossing.altitude_m,
+        ground_speed_mps,
+        tracks % 360.0,
+        0.0,
+        t,
+        satellite_state_at(t, ephemeris),
+        corrections,
+        bias_hz,
+        cfg,
+        slot,
+    )
+    return list(zip(tracks.tolist(), (terms.total_hz - measured_bfo_hz).tolist()))
 
 
 def peak_to_peak(curve) -> float:

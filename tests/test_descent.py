@@ -199,3 +199,8 @@ class TestAcceleration:
         combined = combine_hypotheses(*reference_tables())
         with pytest.raises(DomainError):
             estimate_downward_acceleration(combined, T29, T29)
+
+    def test_reversed_timestamps_rejected(self):
+        combined = combine_hypotheses(*reference_tables())
+        with pytest.raises(DomainError):
+            estimate_downward_acceleration(combined, T37, T29)

@@ -6,6 +6,7 @@ import pytest
 from bfokit.errors import DomainError
 from bfokit.satellite import (
     GEO_RADIUS_M,
+    _segment_index,
     CorrectionTable,
     EphemerisTable,
     NominalSlot,
@@ -93,6 +94,30 @@ class TestEphemerisInterpolation:
             EphemerisTable(
                 [0.0, 1.0], [[7e6, 0, 0], [7e6, 0, 0]], [[0, 0, 0], [0, 0, 0]]
             )  # LEO radius, outside the geosynchronous shell
+
+
+class TestSegmentIndex:
+    TIMES = np.array([0.0, 10.0, 20.0, 30.0])
+
+    def test_first_knot_is_first_segment(self):
+        assert _segment_index(self.TIMES, 0.0) == 0
+
+    def test_last_knot_clamps_to_last_segment(self):
+        assert _segment_index(self.TIMES, 30.0) == 2
+
+    def test_interior_knot_starts_its_segment(self):
+        assert _segment_index(self.TIMES, 10.0) == 1
+        assert _segment_index(self.TIMES, 20.0) == 2
+        assert _segment_index(self.TIMES, np.nextafter(20.0, 0.0)) == 1
+
+    def test_out_of_span_and_nan_rejected(self):
+        for t in (-1e-9, 30.0 + 1e-9, math.nan):
+            with pytest.raises(DomainError):
+                _segment_index(self.TIMES, t)
+
+    def test_knot_values_exact(self):
+        c = CorrectionTable(self.TIMES, [1.0, 2.5, -4.0, 7.0])
+        assert [deterministic_correction_at(float(t), c) for t in self.TIMES] == [1.0, 2.5, -4.0, 7.0]
 
 
 class TestNominalPosition:

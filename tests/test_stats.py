@@ -1,7 +1,10 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bfokit.errors import DomainError
 from bfokit.fixtures import fixture_path
@@ -107,6 +110,45 @@ class TestFlagOutliers:
     def test_nonzero_ber_without_cn0_drop(self):
         ms = [burst(0, cn0=41.7), burst(1, ber=2.0, cn0=41.7), burst(2, cn0=41.7)]
         assert flag_outliers(ms) == [False, False, False]
+
+
+    @staticmethod
+    def quadratic_oracle(ms, threshold, window):
+        """The definition, scanning every burst for each neighborhood."""
+        half = window // 2
+        flags = []
+        for i, m in enumerate(ms):
+            neighbors = [x.cn0_dbhz for j, x in enumerate(ms) if j != i and abs(j - i) <= half]
+            if m.ber <= 0 or not neighbors:
+                flags.append(False)
+                continue
+            flags.append(statistics.median(neighbors) - m.cn0_dbhz >= threshold)
+        return flags
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from([0.0, 0.0, 1e-4, 2.0]), st.floats(20.0, 50.0, allow_nan=False)),
+            max_size=40,
+        ),
+        st.floats(0.0, 10.0),
+        st.integers(-2, 12),
+    )
+    def test_matches_quadratic_definition(self, rows, threshold, window):
+        ms = [burst(i, ber=b, cn0=c) for i, (b, c) in enumerate(rows)]
+        assert flag_outliers(ms, threshold, window) == self.quadratic_oracle(ms, threshold, window)
+
+
+class TestMeasurementValidation:
+    @pytest.mark.parametrize("field", ["ber", "cn0_dbhz"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_quality_rejected(self, field, bad):
+        with pytest.raises(DomainError):
+            BfoMeasurement(0.0, Channel.R, MessageType.DATA, 100.0, **{field: bad})
+
+    def test_negative_ber_rejected(self):
+        with pytest.raises(DomainError):
+            BfoMeasurement(0.0, Channel.R, MessageType.DATA, 100.0, ber=-0.1)
 
 
 class TestNoiseBounds:
