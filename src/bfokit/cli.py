@@ -20,6 +20,7 @@ from pathlib import Path
 from .bfo_model import AircraftState, descent_sensitivity, predict_bfo, calibrate_bias
 from .config import load_config
 from .descent import (
+    FPM_TO_MPS,
     DescentBoundsTable,
     Hypothesis,
     adjusted_bfo_range,
@@ -30,14 +31,16 @@ from .descent import (
 )
 from .errors import BfokitError, ConfigError, DomainError, ParseError
 from .geodesy import GeodeticPosition, GroundKinematics, elevation_angle
-from .ingest import format_time_utc, write_curve_csv
+from .ingest import _fmt, _write_csv, format_time_utc, write_curve_csv
 from .satellite import satellite_state_at
 from .stats import MessageType
 from .track_sweep import KNOTS_TO_MPS, TrackSector, bfo_error_vs_track, peak_to_peak, track_offset
 from .trend import extrapolate, fit_linear_trend
 from .warmup import extract_drift_bounds
 
-FPM_TO_MPS = 0.00508
+# Longest plausible gap between a log-on request and its acknowledgment;
+# the historical log-on sequences show 6-8 s.
+MAX_LOGON_ACK_GAP_S = 60.0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,16 +66,18 @@ def _emit(payload, fmt: str) -> None:
     walk(payload)
 
 
-def _thousands(v: float) -> str:
-    return f"{int(v):,}"
-
-
 def _fmt_cell(v: float, pretty: bool) -> str:
     if pretty and float(v) == int(v) and abs(v) >= 1000:
-        return _thousands(v)
-    if float(v) == int(v):
-        return str(int(v))
-    return repr(float(v))
+        return f"{int(v):,}"
+    return _fmt(v)
+
+
+def _load_log(cfg):
+    """The config's burst log, with one stderr warning per rejected row."""
+    records = cfg.load_log()
+    for lineno, reason in records.rejected:
+        print(f"bfokit: warning: {cfg.log_csv}: rejected line {lineno}: {reason}", file=sys.stderr)
+    return records.measurements
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +103,7 @@ def _cmd_predict_bfo(args) -> dict:
 
 
 def _measured_bfo_at(cfg, t: float) -> float:
-    hits = [m for m in cfg.load_log().measurements if m.timestamp == t]
+    hits = [m for m in _load_log(cfg) if m.timestamp == t]
     if not hits:
         raise DomainError(
             f"no logged measurement at {format_time_utc(t)}; pass --measured-bfo"
@@ -155,7 +160,7 @@ def _cmd_trend(args) -> dict:
         window = (cfg.parse_time(start_text), cfg.parse_time(end_text))
     else:
         window = cfg.fit_window
-    model = fit_linear_trend(cfg.load_log().measurements, window)
+    model = fit_linear_trend(_load_log(cfg), window)
     out = {
         "slope_hz_per_hour": model.slope_hz_per_hour,
         "intercept_hz": model.intercept_hz,
@@ -175,13 +180,24 @@ def _cmd_logon_drift(args) -> dict:
     return drift.as_dict()
 
 
-def _final_logon_pair(cfg):
-    ms = cfg.load_log().measurements
-    logons = [m for m in ms if m.message_type is MessageType.LOGON_REQUEST]
+def _final_logon_pair(ms):
+    """The last log-on acknowledgment and the last request before it."""
     acks = [m for m in ms if m.message_type is MessageType.LOGON_ACK]
-    if not logons or not acks:
-        raise DomainError("log holds no final log-on request/acknowledgment pair")
-    return logons[-1], acks[-1]
+    if not acks:
+        raise DomainError("log holds no log-on acknowledgment")
+    ack = acks[-1]
+    requests = [
+        m for m in ms if m.message_type is MessageType.LOGON_REQUEST and m.timestamp < ack.timestamp
+    ]
+    if not requests:
+        raise DomainError("log holds no log-on request before its last acknowledgment")
+    request = requests[-1]
+    if ack.timestamp - request.timestamp > MAX_LOGON_ACK_GAP_S:
+        raise DomainError(
+            f"final log-on acknowledgment at {format_time_utc(ack.timestamp)} comes more than"
+            f" {MAX_LOGON_ACK_GAP_S:g} s after the last request, at {format_time_utc(request.timestamp)}"
+        )
+    return request, ack
 
 
 def _rates_rows(times, table: DescentBoundsTable, pretty: bool):
@@ -199,15 +215,9 @@ def _rates_rows(times, table: DescentBoundsTable, pretty: bool):
     return rows
 
 
-def _write_table(path: Path, header: list[str], rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)] + [",".join(r) for r in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def _cmd_descent_bounds(args) -> dict:
     cfg = load_config(args.config)
-    logon, ack = _final_logon_pair(cfg)
+    logon, ack = _final_logon_pair(_load_log(cfg))
     times = (logon.timestamp, ack.timestamp)
     recorded = (logon.bfo_hz, ack.bfo_hz)
 
@@ -237,6 +247,8 @@ def _cmd_descent_bounds(args) -> dict:
         out["drift_bounds"] = drift.as_dict()
 
     out_dir = Path(args.out_dir) if args.out_dir else None
+    if out_dir:
+        out_dir.mkdir(parents=True, exist_ok=True)
     tables: dict[Hypothesis, DescentBoundsTable] = {}
     slug = {Hypothesis.POWER_OUTAGE: "power_outage", Hypothesis.OTHER_CAUSE: "other_cause"}
 
@@ -247,13 +259,13 @@ def _cmd_descent_bounds(args) -> dict:
         for message, t, rec in zip(("logon", "ack"), times, recorded):
             adj = adjusted_bfo_range(rec, message, hyp, drift, cfg.noise)
             rates.append(descent_rate_bounds(cfg.expected_south_hz, cfg.expected_north_hz, adj, sensitivity))
-            row = [format_time_utc(t), _fmt_cell(rec, False)]
+            row = [format_time_utc(t), _fmt(rec)]
             entry = {"recorded_bfo_hz": rec}
             if hyp is Hypothesis.POWER_OUTAGE:
                 rem = drift_removed_range(rec, message, drift)
-                row += [_fmt_cell(rem.lower_hz, False), _fmt_cell(rem.upper_hz, False)]
+                row += [_fmt(rem.lower_hz), _fmt(rem.upper_hz)]
                 entry["drift_removed_hz"] = [rem.lower_hz, rem.upper_hz]
-            row += [_fmt_cell(adj.lower_hz, False), _fmt_cell(adj.upper_hz, False)]
+            row += [_fmt(adj.lower_hz), _fmt(adj.upper_hz)]
             entry["noise_extended_hz"] = [adj.lower_hz, adj.upper_hz]
             adjusted_rows.append(row)
             adjusted_json[message] = entry
@@ -276,9 +288,9 @@ def _cmd_descent_bounds(args) -> dict:
                 ]
             else:
                 adj_header = ["time_utc", "recorded_bfo_hz", "noise_low_hz", "noise_high_hz"]
-            _write_table(out_dir / f"adjusted_bfo_{slug[hyp]}.csv", adj_header, adjusted_rows)
-            _write_table(
-                out_dir / f"descent_rates_{slug[hyp]}.csv",
+            _write_csv(out_dir / f"adjusted_bfo_{slug[hyp]}.csv", (), adj_header, adjusted_rows)
+            _write_csv(
+                out_dir / f"descent_rates_{slug[hyp]}.csv", (),
                 ["time_utc", "min_south_fpm", "min_north_fpm", "max_south_fpm", "max_north_fpm"],
                 _rates_rows(times, table, pretty),
             )
@@ -295,8 +307,8 @@ def _cmd_descent_bounds(args) -> dict:
             "g": accel.g,
         }
         if out_dir:
-            _write_table(
-                out_dir / "descent_rates_combined.csv",
+            _write_csv(
+                out_dir / "descent_rates_combined.csv", (),
                 ["time_utc", "min_fpm", "max_fpm"],
                 [
                     [format_time_utc(t), _fmt_cell(r.outer_fpm[0], pretty), _fmt_cell(r.outer_fpm[1], pretty)]
@@ -321,7 +333,7 @@ def _cmd_calibrate_bias(args) -> dict:
     static = GroundKinematics(0.0, 0.0, 0.0)
     pairs = [
         (m, AircraftState(cfg.tarmac, static, m.timestamp))
-        for m in cfg.load_log().measurements
+        for m in _load_log(cfg)
         if t0 <= m.timestamp <= t1
     ]
     bias = calibrate_bias(pairs, cfg.load_ephemeris(), cfg.load_corrections(), cfg.channel, cfg.slot)

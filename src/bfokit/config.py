@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import date
 from pathlib import Path
 
 from .bfo_model import ChannelConfig
+from .descent import DEFAULT_EXPECTED_NORTH_HZ, DEFAULT_EXPECTED_SOUTH_HZ, DEFAULT_SENSITIVITY_HZ_PER_100FPM
 from .errors import ConfigError, DomainError
 from .geodesy import GeodeticPosition
 from .ingest import (
@@ -24,7 +25,7 @@ from .ingest import (
     parse_time_utc,
 )
 from .satellite import NominalSlot
-from .stats import NoiseBounds
+from .stats import DEFAULT_NOISE_BOUNDS, NoiseBounds
 
 CONFIG_ENV_VAR = "BFOKIT_CONFIG"
 
@@ -114,13 +115,13 @@ def load_config(path=None) -> AnalysisConfig:
             if "ges" in ch
             else ChannelConfig().ges_position,
         )
-        slot_raw = raw.get("nominal_slot", {})
+        slot_raw, default_slot = raw.get("nominal_slot", {}), NominalSlot()
         slot = NominalSlot(
-            longitude_deg=float(slot_raw.get("longitude_deg", 64.5)),
-            latitude_deg=float(slot_raw.get("latitude_deg", 0.0)),
-            radius_m=float(slot_raw.get("radius_m", NominalSlot().radius_m)),
+            longitude_deg=float(slot_raw.get("longitude_deg", default_slot.longitude_deg)),
+            latitude_deg=float(slot_raw.get("latitude_deg", default_slot.latitude_deg)),
+            radius_m=float(slot_raw.get("radius_m", default_slot.radius_m)),
         )
-        nb = raw.get("noise_bounds", {"lower_hz": -28.0, "upper_hz": 18.0})
+        nb = raw.get("noise_bounds", asdict(DEFAULT_NOISE_BOUNDS))
         noise = NoiseBounds(float(nb["lower_hz"]), float(nb["upper_hz"]))
         expected = raw.get("expected_bfo", {})
         window_raw = raw.get("fit_window")
@@ -143,14 +144,16 @@ def load_config(path=None) -> AnalysisConfig:
             channel=channel,
             slot=slot,
             noise=noise,
-            expected_south_hz=float(expected.get("south_hz", 260.0)),
-            expected_north_hz=float(expected.get("north_hz", 280.0)),
+            expected_south_hz=float(expected.get("south_hz", DEFAULT_EXPECTED_SOUTH_HZ)),
+            expected_north_hz=float(expected.get("north_hz", DEFAULT_EXPECTED_NORTH_HZ)),
             arc_crossing=_position(raw["arc_crossing"], "arc crossing"),
             fit_window=window,
             bias_hz=float(raw.get("bias_hz", 0.0)),
             reference_date=reference,
             tarmac=_position(raw["tarmac"], "tarmac") if "tarmac" in raw else None,
-            sensitivity_hz_per_100fpm=float(raw.get("sensitivity_hz_per_100fpm", 1.7)),
+            sensitivity_hz_per_100fpm=float(
+                raw.get("sensitivity_hz_per_100fpm", DEFAULT_SENSITIVITY_HZ_PER_100FPM)
+            ),
         )
     except ConfigError:
         raise

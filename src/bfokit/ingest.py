@@ -4,18 +4,14 @@ All files are UTF-8 CSV with ISO-8601 Zulu timestamps and an optional
 block of leading ``#`` provenance lines, which loaders capture and
 writers re-emit so that read-write round trips are byte identical.
 
-Schemas:
-  log:        time_utc,channel,msg_type,bfo_hz,bto_us,ber,cn0_dbhz,signal_db
-  ephemeris:  time_utc,x_m,y_m,z_m,vx_mps,vy_mps,vz_mps
-  correction: time_utc,delta_f_hz
-  log-ons:    seq_id,time_utc,msg_type,bfo_hz,ber,cn0_dbhz,comp_mode
-  sweep:      track_deg,bfo_error_hz
+Each table has a schema: an ordered ``{column: parser}`` mapping. One
+reader, :func:`_load_table`, reads every table by column name, so any
+column order loads the same table; writers emit the schema's key order.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import warnings
@@ -28,13 +24,6 @@ from .errors import DomainError, ParseError
 from .satellite import CorrectionTable, EphemerisTable
 from .stats import BfoMeasurement, Channel, MessageType
 from .warmup import CompensationMode, LogonSequence
-
-LOG_COLUMNS = ["time_utc", "channel", "msg_type", "bfo_hz", "bto_us", "ber", "cn0_dbhz", "signal_db"]
-EPHEMERIS_COLUMNS = ["time_utc", "x_m", "y_m", "z_m", "vx_mps", "vy_mps", "vz_mps"]
-CORRECTION_COLUMNS = ["time_utc", "delta_f_hz"]
-LOGON_COLUMNS = ["seq_id", "time_utc", "msg_type", "bfo_hz", "ber", "cn0_dbhz", "comp_mode"]
-CURVE_COLUMNS = ["track_deg", "bfo_error_hz"]
-ERROR_COLUMNS = ["bfo_error_hz"]
 
 
 # ---------------------------------------------------------------------------
@@ -74,8 +63,9 @@ def parse_time_utc(text: str, reference_date: date | None = None) -> float:
 
 
 def format_time_utc(t: float) -> str:
+    """ISO-8601 Zulu text of ``t``, rounded to the microsecond."""
     dt = datetime.fromtimestamp(t, tz=timezone.utc)
-    if abs(t - round(t)) < 1e-6:
+    if not dt.microsecond:
         return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
     return dt.strftime("%Y-%m-%dT%H:%M:%S.%f").rstrip("0") + "Z"
 
@@ -90,40 +80,98 @@ def _fmt(v) -> str:
 
 
 # ---------------------------------------------------------------------------
-# generic CSV plumbing
+# schemas: {column: parser}, in write order. Parsers get the stripped cell.
 
-def _read_rows(path) -> tuple[list[str], list[str], list[tuple[int, list[str]]]]:
-    """Return (provenance lines, header fields, [(line_number, fields)])."""
-    text = Path(path).read_text(encoding="utf-8")
+def _float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
+def _optional(text: str) -> float | None:
+    return _float(text) if text else None
+
+
+# Columns in BfoMeasurement's field order, so a parsed row is its arguments.
+LOG_SCHEMA = {
+    "time_utc": parse_time_utc, "channel": Channel, "msg_type": MessageType, "bfo_hz": _float,
+    "bto_us": _optional, "ber": _float, "cn0_dbhz": _float, "signal_db": _optional,
+}
+EPHEMERIS_SCHEMA = {
+    "time_utc": parse_time_utc,
+    **dict.fromkeys(["x_m", "y_m", "z_m", "vx_mps", "vy_mps", "vz_mps"], _float),
+}
+CORRECTION_SCHEMA = {"time_utc": parse_time_utc, "delta_f_hz": _float}
+LOGON_SCHEMA = {
+    "seq_id": str, "time_utc": parse_time_utc, "msg_type": MessageType, "bfo_hz": _float,
+    "ber": _float, "cn0_dbhz": _float, "comp_mode": CompensationMode,
+}
+ERROR_SCHEMA = {"bfo_error_hz": _float}
+
+
+# ---------------------------------------------------------------------------
+# the one CSV reader and the one CSV writer
+
+def _load_table(path, schema, make):
+    """Read a CSV table by column name, in any column order.
+
+    Returns ``(provenance, items, problems)``: the leading ``#`` lines,
+    ``make(*cells)`` for each good row (cells parsed, in schema order) and
+    a ``(line, message)`` pair for each bad row: a wrong field count, a
+    cell its parser rejects (the message starts with the column name) or
+    a ``make`` that raises :class:`DomainError`. A header with unknown,
+    missing or repeated columns raises :class:`ParseError` at its line.
+    A file without a header is an empty table.
+    """
+    data = Path(path).read_bytes()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        raise ParseError(path, [(data.count(b"\n", 0, e.start) + 1, "not UTF-8 text")]) from e
     provenance: list[str] = []
-    header: list[str] | None = None
-    rows: list[tuple[int, list[str]]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    items: list = []
+    problems: list[tuple[int, str]] = []
+    columns = None
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        if header is None and line.lstrip().startswith("#"):
-            provenance.append(line.rstrip("\n"))
+        if columns is None and line.lstrip().startswith("#"):
+            provenance.append(line)
             continue
-        fields = next(csv.reader(io.StringIO(line)))
-        if header is None:
-            header = [f.strip() for f in fields]
+        try:
+            fields = next(csv.reader((line,)))
+        except csv.Error as e:  # a field beyond the csv module's size limit
+            raise ParseError(path, [(lineno, str(e))]) from e
+        if columns is None:
+            names = [f.strip() for f in fields]
+            bad = {
+                "unknown": [c for c in names if c not in schema],
+                "missing": [c for c in schema if c not in names],
+                "repeated": list(dict.fromkeys(c for c in names if names.count(c) > 1)),
+            }
+            if any(bad.values()):
+                raise ParseError(
+                    path, [(lineno, f"{k} column(s): {', '.join(v)}") for k, v in bad.items() if v]
+                )
+            columns = [(names.index(c), c, parse) for c, parse in schema.items()]
+            continue
+        if len(fields) != len(columns):
+            problems.append((lineno, f"expected {len(columns)} fields, got {len(fields)}"))
+            continue
+        cells = []
+        for i, column, parse in columns:
+            try:
+                cells.append(parse(fields[i].strip()))
+            except ValueError as e:
+                problems.append((lineno, f"{column}: {e}"))
+                break
         else:
-            rows.append((lineno, fields))
-    return provenance, header or [], rows
-
-
-def _check_header(path, header, expected) -> None:
-    if not header:
-        return
-    problems = []
-    unknown = [c for c in header if c not in expected]
-    missing = [c for c in expected if c not in header]
-    if unknown:
-        problems.append((1, f"unknown column(s): {', '.join(unknown)}"))
-    if missing:
-        problems.append((1, f"missing column(s): {', '.join(missing)}"))
-    if problems:
-        raise ParseError(path, problems)
+            try:
+                items.append(make(*cells))
+            except DomainError as e:
+                problems.append((lineno, str(e)))
+    return provenance, items, problems
 
 
 def _write_csv(path, provenance, header, rows) -> None:
@@ -145,50 +193,15 @@ class LogRecords:
 
 
 def load_log_csv(path) -> LogRecords:
-    """Parse a burst log. Structural problems (unknown columns, bad
-    timestamps) raise :class:`ParseError`; rows with bad numeric or enum
-    fields are rejected and reported in ``rejected``."""
-    provenance, header, rows = _read_rows(path)
-    _check_header(path, header, LOG_COLUMNS)
-    idx = {c: header.index(c) for c in header}
-
-    fatal: list[tuple[int, str]] = []
-    rejected: list[tuple[int, str]] = []
-    measurements: list[BfoMeasurement] = []
-    for lineno, fields in rows:
-        if len(fields) != len(header):
-            rejected.append((lineno, f"expected {len(header)} fields, got {len(fields)}"))
-            continue
-        try:
-            t = parse_time_utc(fields[idx["time_utc"]])
-        except DomainError as e:
-            fatal.append((lineno, str(e)))
-            continue
-        try:
-            bfo = float(fields[idx["bfo_hz"]])
-            if not math.isfinite(bfo):
-                raise ValueError(f"bfo_hz {fields[idx['bfo_hz']]!r} is not finite")
-            bto_text = fields[idx["bto_us"]].strip()
-            signal_text = fields[idx["signal_db"]].strip()
-            m = BfoMeasurement(
-                timestamp=t,
-                channel=Channel(fields[idx["channel"]].strip()),
-                message_type=MessageType(fields[idx["msg_type"]].strip()),
-                bfo_hz=bfo,
-                bto_us=float(bto_text) if bto_text else None,
-                ber=float(fields[idx["ber"]]),
-                cn0_dbhz=float(fields[idx["cn0_dbhz"]]),
-                signal_db=float(signal_text) if signal_text else None,
-            )
-        except (ValueError, DomainError) as e:
-            rejected.append((lineno, str(e)))
-            continue
-        measurements.append(m)
-
+    """Parse a burst log. A bad header or any bad timestamp raises one
+    :class:`ParseError` listing every bad line; other bad rows are
+    rejected and reported in ``rejected``."""
+    provenance, measurements, problems = _load_table(path, LOG_SCHEMA, BfoMeasurement)
+    fatal = [p for p in problems if p[1].startswith("time_utc: ")]
     if fatal:
         raise ParseError(path, fatal)
     measurements.sort(key=lambda m: m.timestamp)
-    return LogRecords(tuple(measurements), tuple(provenance), tuple(rejected))
+    return LogRecords(tuple(measurements), tuple(provenance), tuple(problems))
 
 
 def ingest_logs(path) -> list[BfoMeasurement]:
@@ -205,7 +218,7 @@ def ingest_logs(path) -> list[BfoMeasurement]:
 
 
 def write_log_csv(path, measurements, provenance=()) -> None:
-    rows = [
+    rows = (
         [
             format_time_utc(m.timestamp),
             m.channel.value,
@@ -217,59 +230,42 @@ def write_log_csv(path, measurements, provenance=()) -> None:
             _fmt(m.signal_db),
         ]
         for m in measurements
-    ]
-    _write_csv(path, provenance, LOG_COLUMNS, rows)
+    )
+    _write_csv(path, provenance, LOG_SCHEMA, rows)
 
 
 # ---------------------------------------------------------------------------
 # ephemeris and corrections
 
 def load_ephemeris_csv(path) -> EphemerisTable:
-    provenance, header, rows = _read_rows(path)
-    _check_header(path, header, EPHEMERIS_COLUMNS)
-    times, positions, velocities = [], [], []
-    problems = []
-    for lineno, fields in rows:
-        try:
-            times.append(parse_time_utc(fields[0]))
-            positions.append([float(v) for v in fields[1:4]])
-            velocities.append([float(v) for v in fields[4:7]])
-        except (ValueError, IndexError, DomainError) as e:
-            problems.append((lineno, str(e)))
+    provenance, rows, problems = _load_table(path, EPHEMERIS_SCHEMA, lambda *row: row)
     if problems:
         raise ParseError(path, problems)
-    return EphemerisTable(times, positions, velocities, provenance)
+    return EphemerisTable(
+        [r[0] for r in rows], [r[1:4] for r in rows], [r[4:] for r in rows], provenance
+    )
 
 
 def write_ephemeris_csv(path, table: EphemerisTable) -> None:
-    rows = []
-    for i in range(len(table)):
-        t, p, v = table.row(i)
-        rows.append([format_time_utc(t)] + [_fmt(x) for x in (*p.as_tuple(), *v.as_tuple())])
-    _write_csv(path, table.provenance, EPHEMERIS_COLUMNS, rows)
+    rows = (
+        [format_time_utc(t)] + [_fmt(x) for x in (*p, *v)]
+        for t, p, v in zip(table.times.tolist(), table.positions.tolist(), table.velocities.tolist())
+    )
+    _write_csv(path, table.provenance, EPHEMERIS_SCHEMA, rows)
 
 
 def load_correction_csv(path) -> CorrectionTable:
-    provenance, header, rows = _read_rows(path)
-    _check_header(path, header, CORRECTION_COLUMNS)
-    times, values, problems = [], [], []
-    for lineno, fields in rows:
-        try:
-            times.append(parse_time_utc(fields[0]))
-            values.append(float(fields[1]))
-        except (ValueError, IndexError, DomainError) as e:
-            problems.append((lineno, str(e)))
+    provenance, rows, problems = _load_table(path, CORRECTION_SCHEMA, lambda *row: row)
     if problems:
         raise ParseError(path, problems)
-    return CorrectionTable(times, values, provenance)
+    return CorrectionTable([t for t, _ in rows], [v for _, v in rows], provenance)
 
 
 def write_correction_csv(path, table: CorrectionTable) -> None:
-    rows = [
-        [format_time_utc(float(t)), _fmt(float(v))]
-        for t, v in zip(table.times, table.values)
-    ]
-    _write_csv(path, table.provenance, CORRECTION_COLUMNS, rows)
+    rows = (
+        [format_time_utc(t), _fmt(v)] for t, v in zip(table.times.tolist(), table.values.tolist())
+    )
+    _write_csv(path, table.provenance, CORRECTION_SCHEMA, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -285,34 +281,20 @@ def load_logon_csv(path, meta=None) -> list[LogonSequence]:
     if meta is not None and not isinstance(meta, dict):
         meta = json.loads(Path(meta).read_text(encoding="utf-8"))
     meta = meta or {}
+    modes: dict[str, CompensationMode] = {}
 
-    provenance, header, rows = _read_rows(path)
-    _check_header(path, header, LOGON_COLUMNS)
-    problems = []
-    by_seq: dict[str, list] = {}
-    modes: dict[str, str] = {}
-    for lineno, fields in rows:
-        try:
-            seq_id = fields[0].strip()
-            m = BfoMeasurement(
-                timestamp=parse_time_utc(fields[1]),
-                channel=Channel.R,
-                message_type=MessageType(fields[2].strip()),
-                bfo_hz=float(fields[3]),
-                ber=float(fields[4]),
-                cn0_dbhz=float(fields[5]),
-            )
-            mode = fields[6].strip()
-            CompensationMode(mode)
-        except (ValueError, IndexError, DomainError) as e:
-            problems.append((lineno, str(e)))
-            continue
-        if modes.setdefault(seq_id, mode) != mode:
-            problems.append((lineno, f"sequence {seq_id} mixes compensation modes"))
-            continue
-        by_seq.setdefault(seq_id, []).append(m)
+    def row(seq_id, t, msg_type, bfo_hz, ber, cn0_dbhz, mode):
+        m = BfoMeasurement(t, Channel.R, msg_type, bfo_hz, ber=ber, cn0_dbhz=cn0_dbhz)
+        if modes.setdefault(seq_id, mode) is not mode:
+            raise DomainError(f"sequence {seq_id} mixes compensation modes")
+        return seq_id, m
+
+    _, rows, problems = _load_table(path, LOGON_SCHEMA, row)
     if problems:
         raise ParseError(path, problems)
+    by_seq: dict[str, list] = {}
+    for seq_id, m in rows:
+        by_seq.setdefault(seq_id, []).append(m)
 
     sequences = []
     for seq_id, ms in by_seq.items():
@@ -323,7 +305,7 @@ def load_logon_csv(path, meta=None) -> list[LogonSequence]:
                 id=seq_id,
                 logon_time=ms[0].timestamp,
                 measurements=tuple(ms),
-                compensation_mode=CompensationMode(modes[seq_id]),
+                compensation_mode=modes[seq_id],
                 outage_bounds_min=tuple(outage) if outage else None,
                 notes=info.get("notes", ""),
                 settled_proxy=bool(info.get("settled_proxy", False)),
@@ -333,21 +315,20 @@ def load_logon_csv(path, meta=None) -> list[LogonSequence]:
 
 
 def write_logon_csv(path, sequences, provenance=()) -> None:
-    rows = []
-    for seq in sequences:
-        for m in seq.measurements:
-            rows.append(
-                [
-                    seq.id,
-                    format_time_utc(m.timestamp),
-                    m.message_type.value,
-                    _fmt(m.bfo_hz),
-                    _fmt(m.ber),
-                    _fmt(m.cn0_dbhz),
-                    seq.compensation_mode.value,
-                ]
-            )
-    _write_csv(path, provenance, LOGON_COLUMNS, rows)
+    rows = (
+        [
+            seq.id,
+            format_time_utc(m.timestamp),
+            m.message_type.value,
+            _fmt(m.bfo_hz),
+            _fmt(m.ber),
+            _fmt(m.cn0_dbhz),
+            seq.compensation_mode.value,
+        ]
+        for seq in sequences
+        for m in seq.measurements
+    )
+    _write_csv(path, provenance, LOGON_SCHEMA, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -355,23 +336,16 @@ def write_logon_csv(path, sequences, provenance=()) -> None:
 
 def write_curve_csv(path, curve, provenance=()) -> None:
     rows = ((_fmt(a), repr(float(e))) for a, e in curve)
-    _write_csv(path, provenance, CURVE_COLUMNS, rows)
+    _write_csv(path, provenance, ("track_deg", "bfo_error_hz"), rows)
 
 
 def load_error_samples_csv(path) -> tuple[list[float], tuple[str, ...]]:
     """One-column CSV of BFO error samples (Hz); returns (values, provenance)."""
-    provenance, header, rows = _read_rows(path)
-    _check_header(path, header, ERROR_COLUMNS)
-    values, problems = [], []
-    for lineno, fields in rows:
-        try:
-            values.append(float(fields[0]))
-        except (ValueError, IndexError) as e:
-            problems.append((lineno, str(e)))
+    provenance, values, problems = _load_table(path, ERROR_SCHEMA, float)
     if problems:
         raise ParseError(path, problems)
     return values, tuple(provenance)
 
 
 def write_error_samples_csv(path, values, provenance=()) -> None:
-    _write_csv(path, provenance, ERROR_COLUMNS, [[repr(float(v))] for v in values])
+    _write_csv(path, provenance, ERROR_SCHEMA, ([repr(float(v))] for v in values))

@@ -86,6 +86,8 @@ class CorrectionTable:
             raise DomainError("correction table needs matching, non-empty columns")
         if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):
             raise DomainError("correction timestamps must be strictly increasing")
+        if not (np.all(np.isfinite(self.times)) and np.all(np.isfinite(self.values))):
+            raise DomainError("correction rows must be finite")
 
     def __len__(self):
         return len(self.times)

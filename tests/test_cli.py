@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -239,3 +240,86 @@ def _static_world_config(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     return path
+
+
+def _edited_fixtures(tmp_path, edit_log):
+    """A copy of the bundled fixtures whose burst-log lines pass through ``edit_log``."""
+    d = tmp_path / "fixtures"
+    shutil.copytree(bundled_config_path().parent, d)
+    log = d / "mh370_bfo_log.csv"
+    log.write_text("\n".join(edit_log(log.read_text().splitlines())) + "\n")
+    return d / "mh370_analysis.json", log
+
+
+class TestFinalLogonPair:
+    def test_request_hours_before_the_ack_is_exit_3(self, capsys, tmp_path):
+        def edit(lines):
+            lines = [l for l in lines if not l.startswith("2014-03-08T00:19:29Z")]
+            return lines + ["2014-03-07T16:00:00Z,R,logon_request,150,,0,41.7,"]
+
+        config, _ = _edited_fixtures(tmp_path, edit)
+        code, out, err = run(capsys, "descent-bounds", "--config", str(config))
+        assert code == 3
+        assert "2014-03-07T16:00:00Z" in err and "acceleration" not in out
+
+    def test_ack_without_an_earlier_request_is_exit_3(self, capsys, tmp_path):
+        def edit(lines):
+            return [l.replace("logon_request", "data") for l in lines]
+
+        config, _ = _edited_fixtures(tmp_path, edit)
+        code, out, err = run(capsys, "descent-bounds", "--config", str(config))
+        assert code == 3
+
+    def test_last_ack_pairs_with_the_request_just_before_it(self, capsys, tmp_path):
+        def edit(lines):  # a later, unanswered request must not be picked
+            return lines + ["2014-03-08T00:30:00Z,R,logon_request,150,,0,41.7,"]
+
+        config, _ = _edited_fixtures(tmp_path, edit)
+        code, payload, _ = run_json(capsys, "descent-bounds", "--config", str(config))
+        assert code == 0
+        assert payload["recorded"]["logon"] == {"time_utc": "2014-03-08T00:19:29Z", "bfo_hz": 182.0}
+        assert payload["acceleration"]["fpm_per_s"] == pytest.approx(1337.5)
+
+
+class TestRejectedRows:
+    def test_trend_warns_once_per_rejected_row(self, capsys, tmp_path):
+        def edit(lines):
+            return [l.replace(",R,interrogation,141,", ",X,interrogation,141,") for l in lines]
+
+        config, log = _edited_fixtures(tmp_path, edit)
+        code, payload, err = run_json(capsys, "trend", "--config", str(config))
+        assert code == 0
+        assert err.splitlines() == [
+            f"bfokit: warning: {log}: rejected line 9: channel: 'X' is not a valid Channel"
+        ]
+
+    def test_clean_log_prints_no_warning(self, capsys):
+        code, _, err = run(capsys, "trend", "--config", CONFIG)
+        assert code == 0 and err == ""
+
+
+class TestConfigDefaults:
+    def test_omitted_keys_load_the_module_constants(self, tmp_path):
+        from bfokit.config import load_config
+        from bfokit.descent import (
+            DEFAULT_EXPECTED_NORTH_HZ,
+            DEFAULT_EXPECTED_SOUTH_HZ,
+            DEFAULT_SENSITIVITY_HZ_PER_100FPM,
+        )
+        from bfokit.satellite import NominalSlot
+        from bfokit.stats import DEFAULT_NOISE_BOUNDS
+
+        raw = json.loads(bundled_config_path().read_text())
+        for key in ("expected_bfo", "sensitivity_hz_per_100fpm", "nominal_slot", "noise_bounds"):
+            del raw[key]
+        for key in ("log_csv", "ephemeris_csv", "correction_csv", "logon_sequence_csv", "logon_meta_json"):
+            raw[key] = str(bundled_config_path().parent / raw[key])
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        cfg = load_config(path)
+        assert cfg.expected_south_hz == DEFAULT_EXPECTED_SOUTH_HZ == 260.0
+        assert cfg.expected_north_hz == DEFAULT_EXPECTED_NORTH_HZ == 280.0
+        assert cfg.sensitivity_hz_per_100fpm == DEFAULT_SENSITIVITY_HZ_PER_100FPM == 1.7
+        assert cfg.slot == NominalSlot() and cfg.slot.longitude_deg == 64.5
+        assert cfg.noise == DEFAULT_NOISE_BOUNDS
+        assert (cfg.noise.lower_hz, cfg.noise.upper_hz) == (-28.0, 18.0)

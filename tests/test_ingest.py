@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from bfokit.errors import DomainError, ParseError
@@ -129,21 +130,26 @@ class TestRoundTrip:
     def test_fixture_round_trips_bit_identically(self, name, tmp_path):
         src = fixture_path(name)
         out = tmp_path / name
-        if "ephemeris" in name:
-            write_ephemeris_csv(out, load_ephemeris_csv(src))
-        elif "corrections" in name:
-            write_correction_csv(out, load_correction_csv(src))
-        elif "logon" in name:
-            records = load_logon_csv(src)
-            provenance = _header_comments(src)
-            write_logon_csv(out, records, provenance)
-        elif "error_reference" in name:
-            values, provenance = load_error_samples_csv(src)
-            write_error_samples_csv(out, values, provenance)
-        else:
-            records = load_log_csv(src)
-            write_log_csv(out, records.measurements, records.provenance)
+        rewrite(name, src, out)
         assert out.read_bytes() == src.read_bytes()
+
+
+def rewrite(name, src, out):
+    """Load the fixture-kind CSV ``src`` and write it back to ``out``."""
+    if "ephemeris" in name:
+        write_ephemeris_csv(out, load_ephemeris_csv(src))
+    elif "corrections" in name:
+        write_correction_csv(out, load_correction_csv(src))
+    elif "logon" in name:
+        records = load_logon_csv(src)
+        provenance = _header_comments(src)
+        write_logon_csv(out, records, provenance)
+    elif "error_reference" in name:
+        values, provenance = load_error_samples_csv(src)
+        write_error_samples_csv(out, values, provenance)
+    else:
+        records = load_log_csv(src)
+        write_log_csv(out, records.measurements, records.provenance)
 
 
 def _header_comments(path):
@@ -183,3 +189,180 @@ class TestFixtureContent:
             fixture_path("logon_sequences.csv"), fixture_path("logon_sequences_meta.json")
         )
         assert sorted(s.id for s in sequences) == list("1234567")
+
+
+def permuted(text, order):
+    """CSV text with its header and every row put in column order ``order``."""
+    lines = []
+    for line in text.splitlines():
+        if not line.startswith("#"):
+            fields = line.split(",")
+            line = ",".join(fields[i] for i in order)
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def with_line(name, lineno, edit, tmp_path):
+    """A copy of bundled fixture ``name`` with line ``lineno`` (1-based) edited."""
+    lines = fixture_path(name).read_text().splitlines()
+    lines[lineno - 1] = edit(lines[lineno - 1])
+    p = tmp_path / name
+    p.write_text("\n".join(lines) + "\n")
+    return p
+
+
+def problem_lines(load, path):
+    with pytest.raises(ParseError) as info:
+        load(path)
+    return [n for n, _ in info.value.problems]
+
+
+LOG_HEADER = "time_utc,channel,msg_type,bfo_hz,bto_us,ber,cn0_dbhz,signal_db\n"
+
+
+class TestSchemaReader:
+    def test_ephemeris_columns_are_read_by_name(self, tmp_path):
+        src = fixture_path("ior_ephemeris_synthetic.csv")
+        p = tmp_path / "eph.csv"
+        p.write_text(permuted(src.read_text(), [0, 2, 1, 3, 4, 5, 6]))  # x_m <-> y_m
+        swapped, original = load_ephemeris_csv(p), load_ephemeris_csv(src)
+        assert np.array_equal(swapped.positions, original.positions)
+        assert np.array_equal(swapped.velocities, original.velocities)
+
+    def test_logon_columns_are_read_by_name(self, tmp_path):
+        src = fixture_path("logon_sequences.csv")
+        p = tmp_path / "logons.csv"
+        p.write_text(permuted(src.read_text(), [0, 1, 2, 4, 3, 5, 6]))  # bfo_hz <-> ber
+        assert load_logon_csv(p) == load_logon_csv(src)
+
+    @pytest.mark.parametrize(
+        "name, load",
+        [
+            ("ior_ephemeris_synthetic.csv", load_ephemeris_csv),
+            ("ior_corrections_synthetic.csv", load_correction_csv),
+            ("logon_sequences.csv", load_logon_csv),
+        ],
+    )
+    def test_extra_field_is_parse_error_at_its_line(self, name, load, tmp_path):
+        p = with_line(name, 5, lambda line: line + ",1", tmp_path)
+        with pytest.raises(ParseError) as info:
+            load(p)
+        assert len(info.value.problems) == 1
+        lineno, message = info.value.problems[0]
+        assert lineno == 5 and "fields" in message
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_correction_is_parse_error(self, value, tmp_path):
+        p = tmp_path / "corr.csv"
+        p.write_text(f"time_utc,delta_f_hz\n2014-03-07T15:30:00Z,1.5\n2014-03-07T15:40:00Z,{value}\n")
+        assert problem_lines(load_correction_csv, p) == [3]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_error_sample_is_parse_error(self, value, tmp_path):
+        p = tmp_path / "errors.csv"
+        p.write_text(f"bfo_error_hz\n1.0\n{value}\n2.0\n")
+        assert problem_lines(load_error_samples_csv, p) == [3]
+
+    @pytest.mark.parametrize("column", ["bto_us", "signal_db"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1e999"])
+    def test_non_finite_optional_log_cell_is_rejected(self, column, value, tmp_path):
+        cells = {"bto_us": "", "signal_db": "", column: value}
+        p = tmp_path / "log.csv"
+        p.write_text(
+            LOG_HEADER
+            + "2014-03-07T16:00:00Z,R,data,100,,0,41.7,\n"
+            + f"2014-03-07T16:01:00Z,R,data,100,{cells['bto_us']},0,41.7,{cells['signal_db']}\n"
+        )
+        records = load_log_csv(p)
+        assert len(records.measurements) == 1
+        assert [(n, m.split(":")[0]) for n, m in records.rejected] == [(3, column)]
+
+    def test_repeated_column_is_parse_error_at_header_line(self, tmp_path):
+        p = tmp_path / "corr.csv"
+        p.write_text("# source: test\ntime_utc,delta_f_hz,delta_f_hz\n2014-03-07T15:30:00Z,1,2\n")
+        with pytest.raises(ParseError) as info:
+            load_correction_csv(p)
+        assert info.value.problems == [(2, "repeated column(s): delta_f_hz")]
+
+    def test_header_problems_name_the_header_line(self, tmp_path):
+        p = tmp_path / "eph.csv"
+        p.write_text("# source: test\n\ntime_utc,x_m,y_m,z_m,vx_mps,vy_mps,speed\n")
+        with pytest.raises(ParseError) as info:
+            load_ephemeris_csv(p)
+        assert info.value.problems == [
+            (3, "unknown column(s): speed"),
+            (3, "missing column(s): vz_mps"),
+        ]
+
+    def test_log_rejects_bad_rows_and_keeps_good_ones(self, tmp_path):
+        p = tmp_path / "log.csv"
+        p.write_text(
+            LOG_HEADER
+            + "2014-03-07T16:00:00Z,R,data,100,,0,41.7,\n"
+            + "2014-03-07T16:01:00Z,X,data,100,,0,41.7,\n"  # unknown channel
+            + "2014-03-07T16:02:00Z,R,data,100,,0,41.7\n"  # one field short
+            + "2014-03-07T16:03:00Z,R,data,100,,-1,41.7,\n"  # negative BER
+        )
+        records = load_log_csv(p)
+        assert len(records.measurements) == 1
+        assert [n for n, _ in records.rejected] == [3, 4, 5]
+        assert records.rejected[0][1].startswith("channel: ")
+        assert records.rejected[1][1] == "expected 8 fields, got 7"
+
+    def test_log_with_bad_timestamp_lists_only_timestamp_lines(self, tmp_path):
+        p = tmp_path / "log.csv"
+        p.write_text(
+            LOG_HEADER
+            + "soon,R,data,100,,0,41.7,\n"
+            + "2014-03-07T16:01:00Z,X,data,100,,0,41.7,\n"
+            + "later,R,data,100,,0,41.7,\n"
+        )
+        assert problem_lines(load_log_csv, p) == [2, 4]
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda line: line.replace(",0,41.8,", ",-1,41.8,"),  # negative BER
+            lambda line: line.replace("closed_loop", "open_loop"),  # mixes modes
+        ],
+    )
+    def test_logon_row_domain_errors_are_parse_errors_at_their_line(self, edit, tmp_path):
+        p = with_line("logon_sequences.csv", 4, edit, tmp_path)
+        assert problem_lines(load_logon_csv, p) == [4]
+
+    def test_non_utf8_file_is_parse_error(self, tmp_path):
+        p = tmp_path / "corr.csv"
+        p.write_bytes(b"time_utc,delta_f_hz\n2014-03-07T15:30:00Z,\xff\n")
+        assert problem_lines(load_correction_csv, p) == [2]
+
+    def test_every_bad_row_is_listed(self, tmp_path):
+        p = tmp_path / "corr.csv"
+        p.write_text(
+            "time_utc,delta_f_hz\n"
+            "2014-03-07T15:30:00Z,1\n"
+            "2014-03-07T15:40:00Z,x\n"
+            "2014-03-07T15:50:00Z\n"
+            "2014-03-07T16:00:00,2\n"
+        )
+        with pytest.raises(ParseError) as info:
+            load_correction_csv(p)
+        assert [(n, m.split(":")[0]) for n, m in info.value.problems] == [
+            (3, "delta_f_hz"),
+            (4, "expected 2 fields, got 1"),
+            (5, "time_utc"),
+        ]
+
+
+class TestTimestampText:
+    @pytest.mark.parametrize(
+        "t, text",
+        [
+            (1394150400.0000012, "2014-03-07T00:00:00.000001Z"),
+            (1394150400.9999993, "2014-03-07T00:00:00.999999Z"),
+            (1394150400.9999998, "2014-03-07T00:00:01Z"),
+            (1394150400.5, "2014-03-07T00:00:00.5Z"),
+        ],
+    )
+    def test_rounds_to_the_microsecond_and_reads_back(self, t, text):
+        assert format_time_utc(t) == text
+        assert format_time_utc(parse_time_utc(text)) == text

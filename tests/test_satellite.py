@@ -186,3 +186,11 @@ class TestSyntheticModel:
                 - np.array(model.state_at(t - h).position.as_tuple())
             ) / (2 * h)
             assert np.max(np.abs(v - fd)) < 1e-4
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_correction_table_rejects_non_finite_values(bad):
+    with pytest.raises(DomainError):
+        CorrectionTable([0.0, 600.0], [1.0, bad])
+    with pytest.raises(DomainError):
+        CorrectionTable([bad], [1.0])
