@@ -14,7 +14,7 @@ acceleration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import DomainError
@@ -136,16 +136,23 @@ class DescentBoundsTable:
     times: tuple[float, ...]
     rates: tuple[DescentRates, ...]
     label: str = ""
+    _by_time: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.times) != len(self.rates):
             raise DomainError("times and rates must match")
+        by_time: dict = {}
+        for ti, r in zip(self.times, self.rates):
+            if ti == ti:  # NaN equals no time, so it gets no row
+                by_time.setdefault(ti, r)  # the first row at a time wins
+        object.__setattr__(self, "_by_time", by_time)
 
     def row(self, t: float) -> DescentRates:
-        for ti, r in zip(self.times, self.rates):
-            if ti == t:
-                return r
-        raise DomainError(f"no row at time {t}")
+        """The row whose time equals ``t`` exactly."""
+        try:
+            return self._by_time[t]
+        except KeyError:
+            raise DomainError(f"no row at time {t}") from None
 
 
 def combine_hypotheses(h1: DescentBoundsTable, h2: DescentBoundsTable) -> DescentBoundsTable:

@@ -24,11 +24,12 @@ class ParseError(BfokitError, ValueError):
     """A data file could not be parsed.
 
     ``problems`` is a list of (line_number, message) pairs; line numbers
-    are 1-based and refer to the physical file.
+    are 1-based and refer to the physical file, or None for a problem
+    with no one line (the shape of a JSON document).
     """
 
     def __init__(self, path, problems):
         self.path = str(path)
         self.problems = list(problems)
-        lines = "; ".join(f"line {n}: {msg}" for n, msg in self.problems)
+        lines = "; ".join(msg if n is None else f"line {n}: {msg}" for n, msg in self.problems)
         super().__init__(f"{self.path}: {lines}")

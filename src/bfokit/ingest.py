@@ -14,9 +14,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
+from functools import lru_cache
 from itertools import chain, islice
 from pathlib import Path
 
@@ -29,6 +31,46 @@ from .warmup import CompensationMode, LogonSequence
 # ---------------------------------------------------------------------------
 # timestamps
 
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+
+
+@lru_cache(maxsize=1024)
+def _epoch_days(ymd: str) -> int:
+    """Days from 1970-01-01 to the ASCII-digit date ``YYYY-MM-DD``; a
+    ValueError for a date that does not exist."""
+    return date(int(ymd[:4]), int(ymd[5:7]), int(ymd[8:])).toordinal() - _EPOCH_ORDINAL
+
+
+def _parse_full_form(s: str) -> float | None:
+    """UTC seconds of ``YYYY-MM-DDTHH:MM[:SS[.f{1,6}]]Z`` read at fixed
+    offsets, or None for any other text.
+
+    The integer formula is the one ``datetime.timestamp()`` uses for aware
+    datetimes, so the value is the same to the bit as the ``strptime``
+    path's.
+    """
+    n = len(s)
+    if not (n == 17 or n == 20 or 22 <= n <= 27) or s[-1] != "Z":
+        return None
+    if s[4] != "-" or s[7] != "-" or s[10] != "T" or s[13] != ":":
+        return None
+    if n > 17 and (s[16] != ":" or (n > 20 and s[19] != ".")):
+        return None
+    digits = s[:4] + s[5:7] + s[8:10] + s[11:13] + s[14:16] + s[17:19] + s[20:-1]
+    if not (digits.isascii() and digits.isdigit()):  # isdigit() alone accepts '²' and '٣'
+        return None
+    hour, minute = int(s[11:13]), int(s[14:16])
+    second = int(s[17:19]) if n > 17 else 0
+    if hour > 23 or minute > 59 or second > 59:
+        return None
+    try:
+        days = _epoch_days(s[:10])
+    except ValueError:
+        return None
+    micros = int(s[20:-1].ljust(6, "0")) if n > 20 else 0
+    return ((days * 86400 + hour * 3600 + minute * 60 + second) * 10**6 + micros) / 10**6
+
+
 def parse_time_utc(text: str, reference_date: date | None = None) -> float:
     """Parse an ISO-8601 Zulu timestamp to UTC seconds.
 
@@ -36,8 +78,14 @@ def parse_time_utc(text: str, reference_date: date | None = None) -> float:
     ``reference_date`` is given, time-of-day shorthand (``00:19:29Z``).
     Shorthand resolves on a noon-to-noon UTC window: hours >= 12 fall on
     the reference date, hours < 12 on the day after.
+
+    The canonical full form is read at fixed offsets; everything else
+    (unpadded fields, shorthand, every error) goes through ``strptime``.
     """
     s = text.strip()
+    value = _parse_full_form(s)
+    if value is not None:
+        return value
     if not s.endswith("Z"):
         raise DomainError(f"timestamp {text!r} must be UTC ('Z' suffix)")
     body = s[:-1]
@@ -64,10 +112,10 @@ def parse_time_utc(text: str, reference_date: date | None = None) -> float:
 
 def format_time_utc(t: float) -> str:
     """ISO-8601 Zulu text of ``t``, rounded to the microsecond."""
-    dt = datetime.fromtimestamp(t, tz=timezone.utc)
-    if not dt.microsecond:
-        return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
-    return dt.strftime("%Y-%m-%dT%H:%M:%S.%f").rstrip("0") + "Z"
+    text = datetime.fromtimestamp(t, tz=timezone.utc).isoformat()[:-6]  # drop "+00:00"
+    if len(text) > 19:  # a non-zero microsecond
+        text = text.rstrip("0")
+    return text + "Z"
 
 
 def _fmt(v) -> str:
@@ -248,8 +296,7 @@ def load_ephemeris_csv(path) -> EphemerisTable:
 
 def write_ephemeris_csv(path, table: EphemerisTable) -> None:
     rows = (
-        [format_time_utc(t)] + [_fmt(x) for x in (*p, *v)]
-        for t, p, v in zip(table.times.tolist(), table.positions.tolist(), table.velocities.tolist())
+        [format_time_utc(t)] + [_fmt(x) for x in row] for t, row in zip(table.time_list, table.row_list)
     )
     _write_csv(path, table.provenance, EPHEMERIS_SCHEMA, rows)
 
@@ -262,14 +309,59 @@ def load_correction_csv(path) -> CorrectionTable:
 
 
 def write_correction_csv(path, table: CorrectionTable) -> None:
-    rows = (
-        [format_time_utc(t), _fmt(v)] for t, v in zip(table.times.tolist(), table.values.tolist())
-    )
+    rows = ([format_time_utc(t), _fmt(v)] for t, v in zip(table.time_list, table.value_list))
     _write_csv(path, table.provenance, CORRECTION_SCHEMA, rows)
 
 
 # ---------------------------------------------------------------------------
 # log-on sequences
+
+def _finite_number(x) -> bool:
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max  # no bools, nan, inf or 1e999
+
+
+# The sidecar's per-sequence keys: {key: (what it must be, check)}.
+LOGON_META_SCHEMA = {
+    "outage_minutes": (
+        "a list of two finite numbers",
+        lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_finite_number, v)),
+    ),
+    "settled_proxy": ("true or false", lambda v: isinstance(v, bool)),
+    "notes": ("a string", lambda v: isinstance(v, str)),
+}
+
+
+def _load_logon_meta(meta) -> dict:
+    """The log-on sidecar, a mapping or a JSON file path, checked against
+    :data:`LOGON_META_SCHEMA`. Any problem raises :class:`ParseError`."""
+    if meta is None:
+        return {}
+    where = "log-on sidecar"
+    if not isinstance(meta, dict):
+        where = meta
+        try:
+            meta = json.loads(Path(meta).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as e:
+            raise ParseError(where, [(e.lineno, f"not valid JSON: {e.msg}")]) from e
+        except UnicodeDecodeError as e:
+            raise ParseError(where, [(None, "not UTF-8 text")]) from e
+    if not isinstance(meta, dict):
+        raise ParseError(where, [(None, "expected an object of per-sequence objects")])
+    problems = []
+    for seq_id, info in meta.items():
+        if not isinstance(info, dict):
+            problems.append((None, f"sequence {seq_id}: expected an object, got {info!r}"))
+            continue
+        for key, value in info.items():
+            if key not in LOGON_META_SCHEMA:
+                problems.append((None, f"sequence {seq_id}: unknown key {key!r}"))
+            elif not LOGON_META_SCHEMA[key][1](value):
+                what = LOGON_META_SCHEMA[key][0]
+                problems.append((None, f"sequence {seq_id}: {key} must be {what}, got {value!r}"))
+    if problems:
+        raise ParseError(where, problems)
+    return meta
+
 
 def load_logon_csv(path, meta=None) -> list[LogonSequence]:
     """Parse log-on sequences grouped by ``seq_id`` (file order preserved).
@@ -278,9 +370,7 @@ def load_logon_csv(path, meta=None) -> list[LogonSequence]:
     carrying per-sequence outage bounds, notes and the settled-proxy
     annotation, which the CSV schema itself does not hold.
     """
-    if meta is not None and not isinstance(meta, dict):
-        meta = json.loads(Path(meta).read_text(encoding="utf-8"))
-    meta = meta or {}
+    meta = _load_logon_meta(meta)
     modes: dict[str, CompensationMode] = {}
 
     def row(seq_id, t, msg_type, bfo_hz, ber, cn0_dbhz, mode):
@@ -308,7 +398,7 @@ def load_logon_csv(path, meta=None) -> list[LogonSequence]:
                 compensation_mode=modes[seq_id],
                 outage_bounds_min=tuple(outage) if outage else None,
                 notes=info.get("notes", ""),
-                settled_proxy=bool(info.get("settled_proxy", False)),
+                settled_proxy=info.get("settled_proxy", False),
             )
         )
     return sequences

@@ -10,6 +10,7 @@ included to generate synthetic tables for tests and fixtures.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,8 @@ class NominalSlot:
 class EphemerisTable:
     """Time-ordered (position, velocity) samples of the relay satellite.
 
-    Immutable after construction; queries are pure.
+    Immutable after construction; queries are pure. Lookups read float
+    list copies of the arrays, made once here.
     """
 
     def __init__(self, times, positions, velocities, provenance=()):
@@ -59,13 +61,16 @@ class EphemerisTable:
         radii = np.linalg.norm(self.positions, axis=1)
         if np.any(np.abs(radii - GEO_RADIUS_M) > GEO_SHELL_HALF_WIDTH_M):
             raise DomainError("ephemeris positions outside the geosynchronous shell")
+        self.time_list = self.times.tolist()
+        # one [x, y, z, vx, vy, vz] list per row
+        self.row_list = np.hstack([self.positions, self.velocities]).tolist()
 
     def __len__(self):
         return len(self.times)
 
     @property
     def span(self) -> tuple[float, float]:
-        return float(self.times[0]), float(self.times[-1])
+        return self.time_list[0], self.time_list[-1]
 
     def row(self, i: int) -> tuple[float, EcefVector, EcefVector]:
         return (
@@ -76,7 +81,10 @@ class EphemerisTable:
 
 
 class CorrectionTable:
-    """Tabulated net deterministic frequency correction (Hz) vs time."""
+    """Tabulated net deterministic frequency correction (Hz) vs time.
+
+    Lookups read float list copies of the arrays, made once here.
+    """
 
     def __init__(self, times, values, provenance=()):
         self.times = np.asarray(times, dtype=float)
@@ -88,22 +96,25 @@ class CorrectionTable:
             raise DomainError("correction timestamps must be strictly increasing")
         if not (np.all(np.isfinite(self.times)) and np.all(np.isfinite(self.values))):
             raise DomainError("correction rows must be finite")
+        self.time_list = self.times.tolist()
+        self.value_list = self.values.tolist()
 
     def __len__(self):
         return len(self.times)
 
     @property
     def span(self) -> tuple[float, float]:
-        return float(self.times[0]), float(self.times[-1])
+        return self.time_list[0], self.time_list[-1]
 
 
 def _segment_index(times, t) -> int:
+    """Index of the segment ``[times[i], times[i + 1]]`` holding ``t``; a
+    knot starts its segment, and the last knot ends the last segment."""
     if not times[0] <= t <= times[-1]:  # also rejects NaN
         raise DomainError(
             f"time {t} outside table span [{times[0]}, {times[-1]}] (no extrapolation)"
         )
-    i = int(np.searchsorted(times, t, side="right")) - 1
-    return min(i, len(times) - 2)
+    return min(bisect_right(times, t) - 1, len(times) - 2)
 
 
 def satellite_state_at(t: float, e: EphemerisTable) -> SatelliteState:
@@ -112,26 +123,35 @@ def satellite_state_at(t: float, e: EphemerisTable) -> SatelliteState:
     Cubic Hermite per segment; the returned velocity is the exact time
     derivative of the interpolated position.
     """
-    i = _segment_index(e.times, t)
-    t0, t1 = e.times[i], e.times[i + 1]
-    dt = t1 - t0
+    times = e.time_list
+    i = _segment_index(times, t)
+    t0 = times[i]
+    dt = times[i + 1] - t0
     s = (t - t0) / dt
-    p0, p1 = e.positions[i], e.positions[i + 1]
-    v0, v1 = e.velocities[i], e.velocities[i + 1]
+    x0, y0, z0, vx0, vy0, vz0 = e.row_list[i]
+    x1, y1, z1, vx1, vy1, vz1 = e.row_list[i + 1]
 
     h00 = 2 * s**3 - 3 * s**2 + 1
     h10 = s**3 - 2 * s**2 + s
     h01 = -2 * s**3 + 3 * s**2
     h11 = s**3 - s**2
-    pos = h00 * p0 + h10 * dt * v0 + h01 * p1 + h11 * dt * v1
+    h10dt, h11dt = h10 * dt, h11 * dt
+    pos = EcefVector(
+        h00 * x0 + h10dt * vx0 + h01 * x1 + h11dt * vx1,
+        h00 * y0 + h10dt * vy0 + h01 * y1 + h11dt * vy1,
+        h00 * z0 + h10dt * vz0 + h01 * z1 + h11dt * vz1,
+    )
 
     d00 = 6 * s**2 - 6 * s
     d10 = 3 * s**2 - 4 * s + 1
     d01 = -6 * s**2 + 6 * s
     d11 = 3 * s**2 - 2 * s
-    vel = (d00 * p0 + d01 * p1) / dt + d10 * v0 + d11 * v1
-
-    return SatelliteState(EcefVector(*pos.tolist()), EcefVector(*vel.tolist()))
+    vel = EcefVector(
+        (d00 * x0 + d01 * x1) / dt + d10 * vx0 + d11 * vx1,
+        (d00 * y0 + d01 * y1) / dt + d10 * vy0 + d11 * vy1,
+        (d00 * z0 + d01 * z1) / dt + d10 * vz0 + d11 * vz1,
+    )
+    return SatelliteState(pos, vel)
 
 
 def nominal_satellite_position(slot: NominalSlot) -> EcefVector:
@@ -147,14 +167,15 @@ def nominal_satellite_position(slot: NominalSlot) -> EcefVector:
 
 def deterministic_correction_at(t: float, c: CorrectionTable) -> float:
     """Linearly interpolated correction (Hz) at UTC second ``t``."""
-    if len(c) == 1:
-        if t != c.times[0]:
+    times, values = c.time_list, c.value_list
+    if len(times) == 1:
+        if t != times[0]:
             raise DomainError(f"time {t} outside single-row correction table")
-        return float(c.values[0])
-    i = _segment_index(c.times, t)
-    t0, t1 = c.times[i], c.times[i + 1]
-    w = (t - t0) / (t1 - t0)
-    return float((1.0 - w) * c.values[i] + w * c.values[i + 1])
+        return values[0]
+    i = _segment_index(times, t)
+    t0 = times[i]
+    w = (t - t0) / (times[i + 1] - t0)
+    return (1.0 - w) * values[i] + w * values[i + 1]
 
 
 @dataclass(frozen=True)

@@ -281,6 +281,40 @@ class TestFinalLogonPair:
         assert payload["acceleration"]["fpm_per_s"] == pytest.approx(1337.5)
 
 
+class TestLogonSidecar:
+    """A malformed log-on sidecar is a parse error (exit 2) naming the file."""
+
+    CASES = {
+        "outage not a list": '{"1": {"outage_minutes": 5}}',
+        "outage of one number": '{"1": {"outage_minutes": [1]}}',
+        "outage not finite": '{"1": {"outage_minutes": [1, NaN]}}',
+        "outage of bools": '{"1": {"outage_minutes": [true, 2]}}',
+        "sequence not an object": '{"1": 3}',
+        "top level a list": "[1]",
+        "bad JSON": '{"1": {"notes": "unterminated}',
+        "settled_proxy a string": '{"1": {"settled_proxy": "no"}}',
+        "notes not a string": '{"1": {"notes": 7}}',
+        "unknown key": '{"1": {"settled-proxy": true}}',
+    }
+
+    @pytest.mark.parametrize("command", ["logon-drift", "descent-bounds"])
+    @pytest.mark.parametrize("text", CASES.values(), ids=CASES.keys())
+    def test_bad_sidecar_is_exit_2(self, capsys, tmp_path, command, text):
+        config, _ = _edited_fixtures(tmp_path, lambda lines: lines)
+        sidecar = config.parent / "logon_sequences_meta.json"
+        sidecar.write_text(text)
+        code, out, err = run(capsys, command, "--config", str(config))
+        assert code == 2 and out == ""
+        assert err.startswith(f"bfokit: parse/config error: {sidecar}: ")
+
+    def test_settled_proxy_string_is_named(self, capsys, tmp_path):
+        config, _ = _edited_fixtures(tmp_path, lambda lines: lines)
+        (config.parent / "logon_sequences_meta.json").write_text('{"1": {"settled_proxy": "no"}}')
+        code, _, err = run(capsys, "logon-drift", "--config", str(config))
+        assert code == 2
+        assert err.rstrip().endswith("sequence 1: settled_proxy must be true or false, got 'no'")
+
+
 class TestRejectedRows:
     def test_trend_warns_once_per_rejected_row(self, capsys, tmp_path):
         def edit(lines):

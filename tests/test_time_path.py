@@ -1,0 +1,294 @@
+"""The per-burst time path against the implementations it replaced.
+
+The oracles below are the code these functions replaced: the
+``strptime``-only timestamp parser, the ``strftime`` formatter and the
+numpy Hermite and correction lookups. The float-native code must agree
+with them exactly: the same accepted strings, the same values to the bit,
+the same text and the same errors.
+"""
+
+import math
+from datetime import date, datetime, timedelta, timezone
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bfokit.errors import DomainError
+from bfokit.geodesy import EcefVector
+from bfokit.ingest import _parse_full_form, format_time_utc, parse_time_utc
+from bfokit.satellite import (
+    CorrectionTable,
+    SatelliteState,
+    SyntheticGeoModel,
+    deterministic_correction_at,
+    satellite_state_at,
+)
+
+REF = date(2014, 3, 7)
+
+
+# --- oracles -------------------------------------------------------------------
+
+def oracle_parse_time_utc(text, reference_date=None):
+    s = text.strip()
+    if not s.endswith("Z"):
+        raise DomainError(f"timestamp {text!r} must be UTC ('Z' suffix)")
+    body = s[:-1]
+    if "T" in body:
+        for fmt in ("%Y-%m-%dT%H:%M:%S", "%Y-%m-%dT%H:%M:%S.%f", "%Y-%m-%dT%H:%M"):
+            try:
+                return datetime.strptime(body, fmt).replace(tzinfo=timezone.utc).timestamp()
+            except ValueError:
+                continue
+        raise DomainError(f"unparsable timestamp {text!r}")
+    if reference_date is None:
+        raise DomainError(f"shorthand time {text!r} needs a reference date")
+    for fmt in ("%H:%M:%S", "%H:%M"):
+        try:
+            t = datetime.strptime(body, fmt).time()
+        except ValueError:
+            continue
+        day = reference_date if t.hour >= 12 else reference_date + timedelta(days=1)
+        return datetime.combine(day, t, tzinfo=timezone.utc).timestamp()
+    raise DomainError(f"unparsable timestamp {text!r}")
+
+
+def oracle_format_time_utc(t):
+    dt = datetime.fromtimestamp(t, tz=timezone.utc)
+    if not dt.microsecond:
+        return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
+    return dt.strftime("%Y-%m-%dT%H:%M:%S.%f").rstrip("0") + "Z"
+
+
+def oracle_segment_index(times, t):
+    if not times[0] <= t <= times[-1]:
+        raise DomainError(f"time {t} outside table span [{times[0]}, {times[-1]}] (no extrapolation)")
+    return min(int(np.searchsorted(times, t, side="right")) - 1, len(times) - 2)
+
+
+def oracle_satellite_state_at(t, e):
+    i = oracle_segment_index(e.times, t)
+    t0, t1 = e.times[i], e.times[i + 1]
+    dt = t1 - t0
+    s = (t - t0) / dt
+    p0, p1 = e.positions[i], e.positions[i + 1]
+    v0, v1 = e.velocities[i], e.velocities[i + 1]
+    h00 = 2 * s**3 - 3 * s**2 + 1
+    h10 = s**3 - 2 * s**2 + s
+    h01 = -2 * s**3 + 3 * s**2
+    h11 = s**3 - s**2
+    pos = h00 * p0 + h10 * dt * v0 + h01 * p1 + h11 * dt * v1
+    d00 = 6 * s**2 - 6 * s
+    d10 = 3 * s**2 - 4 * s + 1
+    d01 = -6 * s**2 + 6 * s
+    d11 = 3 * s**2 - 2 * s
+    vel = (d00 * p0 + d01 * p1) / dt + d10 * v0 + d11 * v1
+    return SatelliteState(EcefVector(*pos.tolist()), EcefVector(*vel.tolist()))
+
+
+def oracle_correction_at(t, c):
+    if len(c) == 1:
+        if t != c.times[0]:
+            raise DomainError(f"time {t} outside single-row correction table")
+        return float(c.values[0])
+    i = oracle_segment_index(c.times, t)
+    t0, t1 = c.times[i], c.times[i + 1]
+    w = (t - t0) / (t1 - t0)
+    return float((1.0 - w) * c.values[i] + w * c.values[i + 1])
+
+
+def outcome(f, *args):
+    """The value, or the DomainError's text."""
+    try:
+        return f(*args)
+    except DomainError as e:
+        return ("DomainError", str(e))
+
+
+# --- parse_time_utc ------------------------------------------------------------
+
+SPOILS = ["none", "none", "none", "value", "unpadded", "digit", "sign", "fraction", "separator", "suffix"]
+EDGES = {
+    "Y": ["0000", "0001", "0999", "9999", "999", "20145"],
+    "m": ["00", "12", "13"],
+    "d": ["00", "29", "30", "31", "32"],
+    "H": ["00", "23", "24"],
+    "M": ["00", "59", "60"],
+    "S": ["00", "59", "60", "61"],
+}
+OTHER_DIGITS = [
+    lambda d: chr(0x660 + d),  # Arabic-Indic
+    lambda d: chr(0xFF10 + d),  # fullwidth
+    lambda d: "⁰¹²³⁴⁵⁶⁷⁸⁹"[d],  # superscript: isdigit() but not int()
+]
+
+
+@st.composite
+def timestamps(draw):
+    """A valid full or shorthand timestamp, with at most one thing spoiled:
+    a value out of range, an unpadded field, a non-ASCII digit, a sign or
+    space in a field, a fraction of 0 or 7 digits, the date/time separator
+    or the Zulu suffix."""
+    two = "{:02d}".format
+    f = {
+        "Y": "{:04d}".format(draw(st.integers(1, 9999))),
+        "m": two(draw(st.integers(1, 12))),
+        "d": two(draw(st.integers(1, 28))),
+        "H": two(draw(st.integers(0, 23))),
+        "M": two(draw(st.integers(0, 59))),
+        "S": two(draw(st.integers(0, 59))),
+        "f": draw(st.text("0123456789", min_size=1, max_size=6)),
+    }
+    seconds, fraction, full = draw(st.booleans()), draw(st.booleans()), draw(st.integers(0, 4)) > 0
+    sep, suffix = "T", "Z"
+    spoil = draw(st.sampled_from(SPOILS))
+    key = draw(st.sampled_from("YmdHMSf"))
+    if spoil == "value" and key in EDGES:
+        f[key] = draw(st.sampled_from(EDGES[key]) | st.integers(0, 99).map(two))
+    elif spoil == "unpadded" and key != "f":
+        f[key] = str(int(f[key]))
+    elif spoil == "digit":
+        i = draw(st.integers(0, len(f[key]) - 1))
+        f[key] = f[key][:i] + draw(st.sampled_from(OTHER_DIGITS))(int(f[key][i])) + f[key][i + 1:]
+    elif spoil == "sign":
+        f[key] = draw(st.sampled_from(["+", "-", " "])) + f[key][1:]
+    elif spoil == "fraction":
+        f["f"] = draw(st.sampled_from(["", "1234567", "0000000"]))
+        seconds = fraction = True
+    elif spoil == "separator":
+        sep = draw(st.sampled_from(["t", " ", "TT"]))
+    elif spoil == "suffix":
+        suffix = draw(st.sampled_from(["", "z", "+00:00", "ZZ"]))
+    text = f"{f['H']}:{f['M']}"
+    if seconds:
+        text += f":{f['S']}" + (f".{f['f']}" if fraction else "")
+    if full:
+        text = f"{f['Y']}-{f['m']}-{f['d']}{sep}{text}"
+    return draw(st.sampled_from(["", " "])) + text + suffix + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=600, deadline=None)
+@given(text=timestamps(), reference=st.sampled_from([None, REF]))
+def test_parse_agrees_with_strptime_oracle(text, reference):
+    got = outcome(parse_time_utc, text, reference)
+    want = outcome(oracle_parse_time_utc, text, reference)
+    assert got == want
+    assert type(got) is type(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(us=st.integers(-62135596800 * 10**6, 253402300799 * 10**6 + 999999), digits=st.integers(0, 6))
+def test_canonical_text_takes_the_fixed_position_path(us, digits):
+    dt = datetime(1970, 1, 1, tzinfo=timezone.utc) + timedelta(microseconds=us)
+    text = dt.isoformat()[:19]
+    if digits:
+        text += "." + f"{dt.microsecond:06d}"[:digits]
+    text += "Z"
+    value = _parse_full_form(text)
+    assert value is not None
+    assert value == oracle_parse_time_utc(text)
+
+
+@pytest.mark.parametrize("text", [
+    "2014-3-07T16:42:00Z",  # unpadded month
+    "2014-03-07T16:42:00.Z",  # empty fraction
+    "2014-03-07T16:42:00.1234567Z",  # seven fraction digits
+    "2014-03-07T24:00:00Z",
+    "2014-03-07T16:60Z",
+    "2014-03-07T16:42:60Z",
+    "2014-02-30T00:00Z",
+    "0000-01-01T00:00Z",
+    "2014-03-07t16:42Z",
+    "2014-03-07T16:42",
+    "２014-03-07T16:42Z",
+    "2014-03-07T1²:42Z",
+    "2014-03-07T+1:42Z",
+])
+def test_other_text_goes_to_strptime(text):
+    assert _parse_full_form(text) is None
+
+
+# --- format_time_utc -----------------------------------------------------------
+
+YEAR_1000 = datetime(1000, 1, 1, tzinfo=timezone.utc).timestamp()
+YEAR_9999_END = datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc).timestamp()
+
+
+@settings(max_examples=400, deadline=None)
+@given(t=st.one_of(
+    st.floats(YEAR_1000, YEAR_9999_END),
+    st.integers(int(YEAR_1000) * 10**6, int(YEAR_9999_END) * 10**6).map(lambda us: us / 1e6),
+    st.floats(-1e6, 1e6),
+))
+def test_format_agrees_with_strftime_oracle(t):
+    assert format_time_utc(t) == oracle_format_time_utc(t)
+
+
+@pytest.mark.parametrize("t", [
+    1394150400.9999993, 1394150400.9999997, 1394150400.5, 1394150400.000001,
+    0.0, -0.0, -1.0, -0.5, -1e-7, -86400.25, YEAR_1000, YEAR_9999_END,
+])
+def test_format_edge_cases(t):
+    assert format_time_utc(t) == oracle_format_time_utc(t)
+
+
+@pytest.mark.parametrize("text", ["0001-01-01T00:00:00Z", "0999-12-31T23:59:59.5Z"])
+def test_years_before_1000_keep_four_digits(text):
+    # strftime("%Y") writes "999" here on glibc, text the parser rejects
+    assert format_time_utc(parse_time_utc(text)) == text
+
+
+# --- the ephemeris and correction lookups ---------------------------------------
+
+SEEDED_TIMES = 10_000
+
+
+def probe_times(times, seed):
+    """10^4 seeded times in the span, every knot, and both ends with their
+    nearest interior neighbours."""
+    lo, hi = times[0], times[-1]
+    rng = np.random.default_rng(seed)
+    return [
+        *rng.uniform(lo, hi, SEEDED_TIMES).tolist(),
+        *times,
+        math.nextafter(lo, hi),
+        math.nextafter(hi, lo),
+    ]
+
+
+def synthetic_ephemeris():
+    model = SyntheticGeoModel(inclination_deg=1.65, node_time=-2.0e4, eccentricity=3e-4, perigee_time=5e3)
+    return model.table(1394150400.0, 1394150400.0 + 2 * 86400.0, 3617.0)
+
+
+@pytest.mark.parametrize("source", ["fixture", "synthetic"])
+def test_satellite_state_matches_numpy_oracle(source, ephemeris):
+    e = ephemeris if source == "fixture" else synthetic_ephemeris()
+    checked = 0
+    for t in probe_times(e.time_list, 2017):
+        assert satellite_state_at(t, e) == oracle_satellite_state_at(t, e)
+        checked += 1
+    assert checked == SEEDED_TIMES + len(e) + 2
+    lo, hi = e.span
+    for t in (math.nextafter(lo, -math.inf), hi + 1.0, math.nan, -math.inf):
+        assert outcome(satellite_state_at, t, e) == outcome(oracle_satellite_state_at, t, e)
+
+
+def test_correction_matches_numpy_oracle(corrections):
+    times = synthetic_ephemeris().time_list
+    synthetic = CorrectionTable(times, np.random.default_rng(4).normal(0, 40, len(times)))
+    for c in (corrections, synthetic):
+        for t in probe_times(c.time_list, 1702):
+            got, want = deterministic_correction_at(t, c), oracle_correction_at(t, c)
+            assert got == want and type(got) is float
+        lo, hi = c.span
+        for t in (math.nextafter(lo, -math.inf), hi + 1.0, math.nan):
+            assert outcome(deterministic_correction_at, t, c) == outcome(oracle_correction_at, t, c)
+
+
+def test_single_row_correction_matches_numpy_oracle():
+    c = CorrectionTable([10.0], [2.5])
+    for t in (10.0, 9.0, math.nan):
+        assert outcome(deterministic_correction_at, t, c) == outcome(oracle_correction_at, t, c)
