@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +38,6 @@ from .satellite import (
     NominalSlot,
     SatelliteState,
     deterministic_correction_at,
-    nominal_satellite_position,
     satellite_state_at,
 )
 
@@ -53,7 +53,11 @@ MPS_PER_100FPM = 0.508  # 100 ft/min in m/s
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    """Carrier frequencies and ground-station location for one channel."""
+    """Carrier frequencies and ground-station location for one channel.
+
+    The ground station's ECEF position, :attr:`ges_ecef`, is computed once
+    per instance.
+    """
 
     uplink_hz: float = DEFAULT_UPLINK_HZ
     downlink_hz: float = DEFAULT_DOWNLINK_HZ
@@ -63,6 +67,12 @@ class ChannelConfig:
     def __post_init__(self):
         if self.uplink_hz <= 0 or self.downlink_hz <= 0:
             raise DomainError("carrier frequencies must be positive")
+
+    @cached_property
+    def ges_ecef(self) -> tuple[float, float, float]:
+        """ECEF (x, y, z) of the ground station."""
+        g = self.ges_position
+        return _ecef_position(_frame(math, g.latitude_deg, g.longitude_deg), g.altitude_m)
 
 
 @dataclass(frozen=True)
@@ -149,17 +159,15 @@ def _compensation(xp, frame, ve, vn, slot, cfg):
     return cfg.uplink_hz / cfg.speed_of_light_mps * _los_rate(
         xp,
         _ecef_velocity(frame, ve, vn, 0.0),
-        nominal_satellite_position(slot).as_tuple(),
+        slot.ecef,
         _ecef_position(frame, 0.0),
     )
 
 
 def _downlink(sat, cfg):
     """Satellite motion along the satellite -> ground-station line of sight."""
-    g = cfg.ges_position
-    p_ges = _ecef_position(_frame(math, g.latitude_deg, g.longitude_deg), g.altitude_m)
     return cfg.downlink_hz / cfg.speed_of_light_mps * _los_rate(
-        math, sat.velocity.as_tuple(), sat.position.as_tuple(), p_ges
+        math, sat.velocity.as_tuple(), sat.position.as_tuple(), cfg.ges_ecef
     )
 
 

@@ -34,41 +34,52 @@ from .warmup import CompensationMode, LogonSequence
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 
 
-@lru_cache(maxsize=1024)
-def _epoch_days(ymd: str) -> int:
-    """Days from 1970-01-01 to the ASCII-digit date ``YYYY-MM-DD``; a
-    ValueError for a date that does not exist."""
-    return date(int(ymd[:4]), int(ymd[5:7]), int(ymd[8:])).toordinal() - _EPOCH_ORDINAL
+@lru_cache(maxsize=4096)
+def _hour_start(prefix: str) -> int | None:
+    """UTC seconds at the start of the hour ``YYYY-MM-DDTHH``, or None
+    unless the text is that form, in ASCII digits, with an hour <= 23 and
+    a date that exists."""
+    if prefix[4] != "-" or prefix[7] != "-" or prefix[10] != "T":
+        return None
+    digits = prefix[:4] + prefix[5:7] + prefix[8:10] + prefix[11:]
+    if not (digits.isascii() and digits.isdigit()):  # isdigit() alone accepts '²' and '٣'
+        return None
+    hour = int(prefix[11:])
+    if hour > 23:
+        return None
+    try:
+        day = date(int(prefix[:4]), int(prefix[5:7]), int(prefix[8:10]))
+    except ValueError:
+        return None
+    return (day.toordinal() - _EPOCH_ORDINAL) * 86400 + hour * 3600
 
 
 def _parse_full_form(s: str) -> float | None:
     """UTC seconds of ``YYYY-MM-DDTHH:MM[:SS[.f{1,6}]]Z`` read at fixed
     offsets, or None for any other text.
 
-    The integer formula is the one ``datetime.timestamp()`` uses for aware
-    datetimes, so the value is the same to the bit as the ``strptime``
-    path's.
+    The date and hour are checked and converted once per hour of text, by
+    :func:`_hour_start`. The integer formula is the one
+    ``datetime.timestamp()`` uses for aware datetimes, so the value is the
+    same to the bit as the ``strptime`` path's.
     """
     n = len(s)
-    if not (n == 17 or n == 20 or 22 <= n <= 27) or s[-1] != "Z":
-        return None
-    if s[4] != "-" or s[7] != "-" or s[10] != "T" or s[13] != ":":
+    if not (n == 17 or n == 20 or 22 <= n <= 27) or s[-1] != "Z" or s[13] != ":":
         return None
     if n > 17 and (s[16] != ":" or (n > 20 and s[19] != ".")):
         return None
-    digits = s[:4] + s[5:7] + s[8:10] + s[11:13] + s[14:16] + s[17:19] + s[20:-1]
-    if not (digits.isascii() and digits.isdigit()):  # isdigit() alone accepts '²' and '٣'
+    start = _hour_start(s[:13])
+    if start is None:
         return None
-    hour, minute = int(s[11:13]), int(s[14:16])
+    digits = s[14:16] + s[17:19] + s[20:-1]
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    minute = int(s[14:16])
     second = int(s[17:19]) if n > 17 else 0
-    if hour > 23 or minute > 59 or second > 59:
-        return None
-    try:
-        days = _epoch_days(s[:10])
-    except ValueError:
+    if minute > 59 or second > 59:
         return None
     micros = int(s[20:-1].ljust(6, "0")) if n > 20 else 0
-    return ((days * 86400 + hour * 3600 + minute * 60 + second) * 10**6 + micros) / 10**6
+    return ((start + minute * 60 + second) * 10**6 + micros) / 10**6
 
 
 def parse_time_utc(text: str, reference_date: date | None = None) -> float:
@@ -110,11 +121,41 @@ def parse_time_utc(text: str, reference_date: date | None = None) -> float:
     raise DomainError(f"unparsable timestamp {text!r}")
 
 
+_FIRST_SECOND = -62135596800  # 0001-01-01T00:00:00Z
+_END_SECOND = 253402300800  # 10000-01-01T00:00:00Z
+_TWO_DIGITS = [f"{i:02d}" for i in range(60)]
+
+
+@lru_cache(maxsize=1024)
+def _day_text(days: int) -> str:
+    """``YYYY-MM-DD`` of the day ``days`` after 1970-01-01."""
+    return date.fromordinal(days + _EPOCH_ORDINAL).isoformat()
+
+
 def format_time_utc(t: float) -> str:
-    """ISO-8601 Zulu text of ``t``, rounded to the microsecond."""
-    text = datetime.fromtimestamp(t, tz=timezone.utc).isoformat()[:-6]  # drop "+00:00"
-    if len(text) > 19:  # a non-zero microsecond
-        text = text.rstrip("0")
+    """ISO-8601 Zulu text of ``t``, rounded to the microsecond.
+
+    ``t`` is split the way ``datetime.fromtimestamp`` splits it (whole
+    seconds, then microseconds rounded half to even), so the text is that
+    of ``fromtimestamp(t, timezone.utc).isoformat()``. Times outside years
+    1-9999, infinities and NaN go to ``datetime``, which raises for them.
+    """
+    if not _FIRST_SECOND <= t < _END_SECOND:
+        return datetime.fromtimestamp(t, tz=timezone.utc).isoformat()  # raises
+    frac, whole = math.modf(t)
+    micros, seconds = round(frac * 1e6), int(whole)
+    if micros >= 1000000:
+        micros -= 1000000
+        seconds += 1
+    elif micros < 0:
+        micros += 1000000
+        seconds -= 1
+    days, seconds = divmod(seconds, 86400)
+    hour, seconds = divmod(seconds, 3600)
+    minute, second = divmod(seconds, 60)
+    text = f"{_day_text(days)}T{_TWO_DIGITS[hour]}:{_TWO_DIGITS[minute]}:{_TWO_DIGITS[second]}"
+    if micros:
+        text += f".{micros:06d}".rstrip("0")
     return text + "Z"
 
 
@@ -141,10 +182,24 @@ def _optional(text: str) -> float | None:
     return _float(text) if text else None
 
 
+def _enum(cls):
+    """Parser of ``cls``'s values by one dict lookup; a miss raises Enum's
+    own ``ValueError`` text."""
+    members = {m.value: m for m in cls}
+
+    def parse(text: str):
+        try:
+            return members[text]
+        except KeyError:
+            raise ValueError(f"{text!r} is not a valid {cls.__qualname__}") from None
+
+    return parse
+
+
 # Columns in BfoMeasurement's field order, so a parsed row is its arguments.
 LOG_SCHEMA = {
-    "time_utc": parse_time_utc, "channel": Channel, "msg_type": MessageType, "bfo_hz": _float,
-    "bto_us": _optional, "ber": _float, "cn0_dbhz": _float, "signal_db": _optional,
+    "time_utc": parse_time_utc, "channel": _enum(Channel), "msg_type": _enum(MessageType),
+    "bfo_hz": _float, "bto_us": _optional, "ber": _float, "cn0_dbhz": _float, "signal_db": _optional,
 }
 EPHEMERIS_SCHEMA = {
     "time_utc": parse_time_utc,
@@ -152,8 +207,8 @@ EPHEMERIS_SCHEMA = {
 }
 CORRECTION_SCHEMA = {"time_utc": parse_time_utc, "delta_f_hz": _float}
 LOGON_SCHEMA = {
-    "seq_id": str, "time_utc": parse_time_utc, "msg_type": MessageType, "bfo_hz": _float,
-    "ber": _float, "cn0_dbhz": _float, "comp_mode": CompensationMode,
+    "seq_id": str, "time_utc": parse_time_utc, "msg_type": _enum(MessageType), "bfo_hz": _float,
+    "ber": _float, "cn0_dbhz": _float, "comp_mode": _enum(CompensationMode),
 }
 ERROR_SCHEMA = {"bfo_error_hz": _float}
 
@@ -331,9 +386,10 @@ LOGON_META_SCHEMA = {
 }
 
 
-def _load_logon_meta(meta) -> dict:
+def _load_logon_meta(meta, seq_ids, csv_path) -> dict:
     """The log-on sidecar, a mapping or a JSON file path, checked against
-    :data:`LOGON_META_SCHEMA`. Any problem raises :class:`ParseError`."""
+    :data:`LOGON_META_SCHEMA` and against ``seq_ids``, the sequences in
+    ``csv_path``. Any problem raises :class:`ParseError`."""
     if meta is None:
         return {}
     where = "log-on sidecar"
@@ -358,6 +414,9 @@ def _load_logon_meta(meta) -> dict:
             elif not LOGON_META_SCHEMA[key][1](value):
                 what = LOGON_META_SCHEMA[key][0]
                 problems.append((None, f"sequence {seq_id}: {key} must be {what}, got {value!r}"))
+    unknown = [seq_id for seq_id in meta if seq_id not in seq_ids]
+    if unknown:
+        problems.append((None, f"sequence id(s) not in {csv_path}: {', '.join(map(repr, unknown))}"))
     if problems:
         raise ParseError(where, problems)
     return meta
@@ -368,9 +427,9 @@ def load_logon_csv(path, meta=None) -> list[LogonSequence]:
 
     ``meta`` is an optional sidecar mapping (or path to a JSON file)
     carrying per-sequence outage bounds, notes and the settled-proxy
-    annotation, which the CSV schema itself does not hold.
+    annotation, which the CSV schema itself does not hold. The CSV is read
+    first; every sequence id in the sidecar must name one of its sequences.
     """
-    meta = _load_logon_meta(meta)
     modes: dict[str, CompensationMode] = {}
 
     def row(seq_id, t, msg_type, bfo_hz, ber, cn0_dbhz, mode):
@@ -385,6 +444,7 @@ def load_logon_csv(path, meta=None) -> list[LogonSequence]:
     by_seq: dict[str, list] = {}
     for seq_id, m in rows:
         by_seq.setdefault(seq_id, []).append(m)
+    meta = _load_logon_meta(meta, by_seq, path)
 
     sequences = []
     for seq_id, ms in by_seq.items():

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,11 +34,26 @@ class SatelliteState:
 @dataclass(frozen=True)
 class NominalSlot:
     """The orbital slot the aircraft terminal assumes for its own Doppler
-    pre-compensation: on the equator at a fixed longitude."""
+    pre-compensation: on the equator at a fixed longitude.
+
+    Its ECEF position, :attr:`ecef`, is computed once per instance.
+    """
 
     longitude_deg: float = 64.5
     latitude_deg: float = 0.0
     radius_m: float = GEO_RADIUS_M
+
+    @cached_property
+    def ecef(self) -> tuple[float, float, float]:
+        """ECEF (x, y, z) of the slot, from :func:`nominal_satellite_position`."""
+        return nominal_satellite_position(self).as_tuple()
+
+
+def _float_array(values, what: str) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as e:  # ragged rows or non-numbers
+        raise DomainError(f"{what} must be numbers in rows of equal length") from e
 
 
 class EphemerisTable:
@@ -48,12 +64,18 @@ class EphemerisTable:
     """
 
     def __init__(self, times, positions, velocities, provenance=()):
-        self.times = np.asarray(times, dtype=float)
-        self.positions = np.asarray(positions, dtype=float).reshape(len(self.times), 3)
-        self.velocities = np.asarray(velocities, dtype=float).reshape(len(self.times), 3)
+        self.times = _float_array(times, "ephemeris times")
+        self.positions = _float_array(positions, "ephemeris positions")
+        self.velocities = _float_array(velocities, "ephemeris velocities")
         self.provenance = tuple(provenance)
-        if len(self.times) < 2:
+        if self.times.ndim != 1:
+            raise DomainError(f"ephemeris times must be one-dimensional, got shape {self.times.shape}")
+        n = len(self.times)
+        if n < 2:
             raise DomainError("ephemeris table needs at least 2 rows")
+        for what, rows in (("positions", self.positions), ("velocities", self.velocities)):
+            if rows.shape != (n, 3):
+                raise DomainError(f"ephemeris {what} must have shape ({n}, 3), got {rows.shape}")
         if not np.all(np.diff(self.times) > 0):
             raise DomainError("ephemeris timestamps must be strictly increasing")
         if not (np.all(np.isfinite(self.positions)) and np.all(np.isfinite(self.velocities))):
@@ -87,9 +109,14 @@ class CorrectionTable:
     """
 
     def __init__(self, times, values, provenance=()):
-        self.times = np.asarray(times, dtype=float)
-        self.values = np.asarray(values, dtype=float)
+        self.times = _float_array(times, "correction times")
+        self.values = _float_array(values, "correction values")
         self.provenance = tuple(provenance)
+        if self.times.ndim != 1 or self.values.ndim != 1:
+            raise DomainError(
+                "correction times and values must be one-dimensional, "
+                f"got shapes {self.times.shape} and {self.values.shape}"
+            )
         if len(self.times) != len(self.values) or len(self.times) < 1:
             raise DomainError("correction table needs matching, non-empty columns")
         if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):

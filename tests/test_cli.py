@@ -295,6 +295,7 @@ class TestLogonSidecar:
         "settled_proxy a string": '{"1": {"settled_proxy": "no"}}',
         "notes not a string": '{"1": {"notes": 7}}',
         "unknown key": '{"1": {"settled-proxy": true}}',
+        "ids naming no sequence": '{"8": {"outage_minutes": [1, 2]}, " 1": {"settled_proxy": true}}',
     }
 
     @pytest.mark.parametrize("command", ["logon-drift", "descent-bounds"])
@@ -313,6 +314,13 @@ class TestLogonSidecar:
         code, _, err = run(capsys, "logon-drift", "--config", str(config))
         assert code == 2
         assert err.rstrip().endswith("sequence 1: settled_proxy must be true or false, got 'no'")
+
+    def test_ids_naming_no_sequence_are_named(self, capsys, tmp_path):
+        config, _ = _edited_fixtures(tmp_path, lambda lines: lines)
+        (config.parent / "logon_sequences_meta.json").write_text(TestLogonSidecar.CASES["ids naming no sequence"])
+        code, _, err = run(capsys, "descent-bounds", "--config", str(config))
+        assert code == 2
+        assert err.rstrip().endswith("logon_sequences.csv: '8', ' 1'")
 
 
 class TestRejectedRows:

@@ -194,3 +194,39 @@ def test_correction_table_rejects_non_finite_values(bad):
         CorrectionTable([0.0, 600.0], [1.0, bad])
     with pytest.raises(DomainError):
         CorrectionTable([bad], [1.0])
+
+
+class TestTableShapes:
+    """Constructors check shapes before any reshape, and raise DomainError."""
+
+    V0 = [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("times, positions, velocities", [
+        ([0.0, 1.0, 2.0], [GEO_P0, GEO_P0], [V0, V0, V0]),  # fewer positions than times
+        ([0.0, 1.0], [GEO_P0, GEO_P0], [V0, V0, V0]),  # more velocities than times
+    ], ids=["positions", "velocities"])
+    def test_ephemeris_counts_must_match(self, times, positions, velocities):
+        with pytest.raises(DomainError, match=r"must have shape \(\d, 3\)"):
+            EphemerisTable(times, positions, velocities)
+
+    def test_ephemeris_rows_need_three_components(self):
+        with pytest.raises(DomainError, match=r"positions must have shape \(3, 3\), got \(3, 2\)"):
+            EphemerisTable([0.0, 1.0, 2.0], [GEO_P0[:2]] * 3, [self.V0[:2]] * 3)
+
+    def test_ephemeris_flat_rows_are_not_reshaped(self):
+        with pytest.raises(DomainError, match=r"positions must have shape \(2, 3\), got \(6,\)"):
+            EphemerisTable([0.0, 1.0], GEO_P0 + GEO_P0, self.V0 + self.V0)
+
+    def test_ephemeris_ragged_rows_rejected(self):
+        with pytest.raises(DomainError, match="rows of equal length"):
+            EphemerisTable([0.0, 1.0], [GEO_P0, GEO_P0[:2]], [self.V0, self.V0])
+
+    def test_ephemeris_times_must_be_one_dimensional(self):
+        with pytest.raises(DomainError, match="times must be one-dimensional"):
+            EphemerisTable([[0.0, 1.0]], [GEO_P0, GEO_P0], [self.V0, self.V0])
+
+    def test_correction_columns_must_be_one_dimensional(self):
+        with pytest.raises(DomainError, match="one-dimensional"):
+            CorrectionTable([[0, 1], [2, 3]], [1.0, 2.0])
+        with pytest.raises(DomainError, match="one-dimensional"):
+            CorrectionTable([0.0, 1.0], [[1.0], [2.0]])

@@ -1,8 +1,9 @@
 """The per-burst time path against the implementations it replaced.
 
 The oracles below are the code these functions replaced: the
-``strptime``-only timestamp parser, the ``strftime`` formatter and the
-numpy Hermite and correction lookups. The float-native code must agree
+``strptime``-only timestamp parser, the ``strftime`` and
+``fromtimestamp().isoformat()`` formatters and the numpy Hermite and
+correction lookups. The float-native code must agree
 with them exactly: the same accepted strings, the same values to the bit,
 the same text and the same errors.
 """
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from bfokit.errors import DomainError
 from bfokit.geodesy import EcefVector
-from bfokit.ingest import _parse_full_form, format_time_utc, parse_time_utc
+from bfokit.ingest import _hour_start, _parse_full_form, format_time_utc, parse_time_utc
 from bfokit.satellite import (
     CorrectionTable,
     SatelliteState,
@@ -60,6 +61,13 @@ def oracle_format_time_utc(t):
     if not dt.microsecond:
         return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
     return dt.strftime("%Y-%m-%dT%H:%M:%S.%f").rstrip("0") + "Z"
+
+
+def oracle_isoformat_time_utc(t):
+    text = datetime.fromtimestamp(t, tz=timezone.utc).isoformat()[:-6]  # drop "+00:00"
+    if len(text) > 19:  # a non-zero microsecond
+        text = text.rstrip("0")
+    return text + "Z"
 
 
 def oracle_segment_index(times, t):
@@ -238,6 +246,119 @@ def test_format_edge_cases(t):
 def test_years_before_1000_keep_four_digits(text):
     # strftime("%Y") writes "999" here on glibc, text the parser rejects
     assert format_time_utc(parse_time_utc(text)) == text
+
+
+# --- format_time_utc: the integer split against fromtimestamp().isoformat() -----
+
+FIRST_SECOND = datetime(1, 1, 1, tzinfo=timezone.utc).timestamp()
+END_SECOND = FIRST_SECOND + (date(9999, 12, 31).toordinal() - date(1, 1, 1).toordinal() + 1) * 86400
+TIE_BASES = [0, 1, -1, 59, -86400, 1394150400, 1394236799, FIRST_SECOND + 1, END_SECOND - 2]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(t=st.one_of(
+    st.floats(FIRST_SECOND, END_SECOND, exclude_max=True),
+    st.integers(int(FIRST_SECOND) * 10**6, int(END_SECOND) * 10**6 - 1)
+    .map(lambda us: us / 1e6).filter(lambda t: t < END_SECOND),
+    st.integers(-10**6, 10**6).map(lambda k: 1394150400 + k / 2e6),
+    st.floats(-1e6, 1e6),
+))
+def test_format_agrees_with_isoformat_oracle(t):
+    assert format_time_utc(t) == oracle_isoformat_time_utc(t)
+
+
+@pytest.mark.parametrize("base", TIE_BASES)
+def test_format_half_microsecond_ties(base):
+    for k in range(-9, 10):
+        for t in (base + k / 2e6, -(base + k / 2e6)):
+            if FIRST_SECOND <= t < END_SECOND:
+                assert format_time_utc(t) == oracle_isoformat_time_utc(t), t
+
+
+@pytest.mark.parametrize("t", [
+    0.0, -0.0, -1e-7, -0.5e-6, 0.5e-6, 1.5e-6, -1.5e-6, -0.9999995, 0.9999995, -86400.0000005,
+    FIRST_SECOND, math.nextafter(END_SECOND, 0.0), 1394150400.9999993, 1394150400.9999997,
+])
+def test_format_edges_agree_with_isoformat_oracle(t):
+    assert format_time_utc(t) == oracle_isoformat_time_utc(t)
+
+
+def raised(f, *args):
+    """The value, or the type and text of any exception."""
+    try:
+        return f(*args)
+    except Exception as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("text", ["0001-01-01T00:00:00Z", "0001-01-01T00:00:00.5Z", "9999-12-31T23:59:59Z"])
+def test_format_both_ends_of_the_year_range(text):
+    t = parse_time_utc(text)
+    assert format_time_utc(t) == oracle_isoformat_time_utc(t) == text
+
+
+def test_format_last_microsecond_of_year_9999_raises_as_datetime_does():
+    # the nearest float is 10000-01-01T00:00:00Z, which datetime cannot hold
+    t = parse_time_utc("9999-12-31T23:59:59.999999Z")
+    assert t == END_SECOND
+    assert raised(format_time_utc, t) == raised(oracle_isoformat_time_utc, t)
+    assert raised(format_time_utc, t)[0] is ValueError
+
+
+@pytest.mark.parametrize("t", [
+    math.nan, math.inf, -math.inf, math.nextafter(FIRST_SECOND, -math.inf), END_SECOND, 1e20, -1e20,
+])
+def test_format_out_of_range_raises_as_datetime_does(t):
+    got = raised(format_time_utc, t)
+    assert got == raised(oracle_isoformat_time_utc, t)
+    assert got[0] in (ValueError, OverflowError)
+
+
+# --- _parse_full_form: the hour-keyed cache --------------------------------------
+
+def test_parse_within_one_hour_hits_the_cache():
+    _hour_start.cache_clear()
+    for minute in range(60):
+        for second in range(60):
+            for fraction in ("", ".5", f".{minute * 60 + second:06d}"):
+                text = f"2014-03-07T18:{minute:02d}:{second:02d}{fraction}Z"
+                assert _parse_full_form(text) == oracle_parse_time_utc(text)
+    info = _hour_start.cache_info()
+    assert info.misses == 1 and info.hits == 3 * 3600 - 1
+
+
+@pytest.mark.parametrize("before, after", [
+    ("2014-03-07T16:59:59.999999Z", "2014-03-07T17:00:00Z"),  # hour
+    ("2014-03-07T23:59:59.999999Z", "2014-03-08T00:00:00Z"),  # day
+    ("2014-02-28T23:59:59Z", "2014-03-01T00:00:00Z"),  # month
+    ("2016-02-28T23:59:59Z", "2016-02-29T00:00:00Z"),  # leap day
+    ("2013-12-31T23:59:59.5Z", "2014-01-01T00:00Z"),  # year
+    ("1969-12-31T23:59:59.999999Z", "1970-01-01T00:00:00Z"),  # epoch
+    ("0001-01-01T00:59:59Z", "0001-01-01T01:00:00Z"),
+    ("9999-12-31T22:59:59Z", "9999-12-31T23:00:00.000001Z"),
+])
+def test_parse_across_hour_and_day_edges(before, after):
+    for text in (before, after, before):
+        assert _parse_full_form(text) == oracle_parse_time_utc(text)
+    assert _parse_full_form(before) < _parse_full_form(after)
+
+
+@pytest.mark.parametrize("bad", [
+    "2014-03-07T24:10:00Z",  # hour 24
+    "2014-03-07T2٣:10:00Z",  # Arabic-Indic hour digit
+    "2014-03-07T1²:10:00Z",  # superscript hour digit
+    "2014-03-07T23:1٣:00Z",  # Arabic-Indic minute digit
+    "2014-03-07T23:10:6٠Z",  # Arabic-Indic second digit
+    "2014-03-07T23:60:00Z",
+    "2014-03-07T23:10:60Z",
+])
+def test_bad_hour_after_a_cached_hour_of_the_same_date(bad):
+    good = "2014-03-07T23:10:00Z"
+    assert _parse_full_form(good) == oracle_parse_time_utc(good)
+    assert _hour_start(good[:13]) is not None
+    assert _parse_full_form(bad) is None
+    for reference in (None, REF):
+        assert outcome(parse_time_utc, bad, reference) == outcome(oracle_parse_time_utc, bad, reference)
 
 
 # --- the ephemeris and correction lookups ---------------------------------------
