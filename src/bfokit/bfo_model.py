@@ -40,15 +40,13 @@ from .satellite import (
     deterministic_correction_at,
     satellite_state_at,
 )
+from .units import FPM_TO_MPS, SPEED_OF_LIGHT_MPS
 
-SPEED_OF_LIGHT_MPS = 299792458.0
 DEFAULT_UPLINK_HZ = 1646.6525e6
 # Feeder-link and ground-station defaults are placeholders for synthetic
 # scenarios; real analyses must set them in the config.
 DEFAULT_DOWNLINK_HZ = 3615.0e6
 DEFAULT_GES_POSITION = GeodeticPosition(-31.8044, 115.8872, 22.0)
-
-MPS_PER_100FPM = 0.508  # 100 ft/min in m/s
 
 
 @dataclass(frozen=True)
@@ -308,7 +306,7 @@ def vertical_doppler(vz_mps: float, elevation_deg: float, cfg: ChannelConfig) ->
 def descent_sensitivity(elevation_deg: float, cfg: ChannelConfig) -> float:
     """BFO change per 100 ft/min of climb rate at the given elevation,
     Hz per 100 fpm."""
-    return vertical_doppler(MPS_PER_100FPM, elevation_deg, cfg)
+    return vertical_doppler(100.0 * FPM_TO_MPS, elevation_deg, cfg)
 
 
 def calibrate_bias(

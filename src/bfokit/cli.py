@@ -15,32 +15,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .bfo_model import AircraftState, descent_sensitivity, predict_bfo, calibrate_bias
 from .config import load_config
-from .descent import (
-    FPM_TO_MPS,
-    DescentBoundsTable,
-    Hypothesis,
-    adjusted_bfo_range,
-    combine_hypotheses,
-    descent_rate_bounds,
-    drift_removed_range,
-    estimate_downward_acceleration,
-)
+from .descent import Hypothesis, analyze, final_logon_pair
 from .errors import BfokitError, ConfigError, DomainError, ParseError
 from .geodesy import GeodeticPosition, GroundKinematics, elevation_angle
 from .ingest import _fmt, _write_csv, format_time_utc, write_curve_csv
 from .satellite import satellite_state_at
-from .stats import MessageType
-from .track_sweep import KNOTS_TO_MPS, TrackSector, bfo_error_vs_track, peak_to_peak, track_offset
+from .track_sweep import TrackSector, bfo_error_vs_track, peak_to_peak, track_offset
 from .trend import extrapolate, fit_linear_trend
+from .units import FPM_TO_MPS, KNOTS_TO_MPS
 from .warmup import extract_drift_bounds
-
-# Longest plausible gap between a log-on request and its acknowledgment;
-# the historical log-on sequences show 6-8 s.
-MAX_LOGON_ACK_GAP_S = 60.0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -180,144 +168,76 @@ def _cmd_logon_drift(args) -> dict:
     return drift.as_dict()
 
 
-def _final_logon_pair(ms):
-    """The last log-on acknowledgment and the last request before it."""
-    acks = [m for m in ms if m.message_type is MessageType.LOGON_ACK]
-    if not acks:
-        raise DomainError("log holds no log-on acknowledgment")
-    ack = acks[-1]
-    requests = [
-        m for m in ms if m.message_type is MessageType.LOGON_REQUEST and m.timestamp < ack.timestamp
-    ]
-    if not requests:
-        raise DomainError("log holds no log-on request before its last acknowledgment")
-    request = requests[-1]
-    if ack.timestamp - request.timestamp > MAX_LOGON_ACK_GAP_S:
-        raise DomainError(
-            f"final log-on acknowledgment at {format_time_utc(ack.timestamp)} comes more than"
-            f" {MAX_LOGON_ACK_GAP_S:g} s after the last request, at {format_time_utc(request.timestamp)}"
-        )
-    return request, ack
-
-
-def _rates_rows(times, table: DescentBoundsTable, pretty: bool):
-    rows = []
-    for t, r in zip(times, table.rates):
-        rows.append(
-            [
-                format_time_utc(t),
-                _fmt_cell(r.south_fpm[0], pretty),
-                _fmt_cell(r.north_fpm[0], pretty),
-                _fmt_cell(r.south_fpm[1], pretty),
-                _fmt_cell(r.north_fpm[1], pretty),
-            ]
-        )
-    return rows
-
-
 def _cmd_descent_bounds(args) -> dict:
     cfg = load_config(args.config)
-    logon, ack = _final_logon_pair(_load_log(cfg))
-    times = (logon.timestamp, ack.timestamp)
-    recorded = (logon.bfo_hz, ack.bfo_hz)
-
+    pair = final_logon_pair(_load_log(cfg))
     if args.exact_sensitivity:
-        sat = satellite_state_at(times[0], cfg.load_ephemeris())
-        elev = elevation_angle(cfg.arc_crossing, sat.position)
-        sensitivity = descent_sensitivity(elev, cfg.channel)
+        sat = satellite_state_at(pair[0].timestamp, cfg.load_ephemeris())
+        sensitivity = descent_sensitivity(elevation_angle(cfg.arc_crossing, sat.position), cfg.channel)
     else:
         sensitivity = cfg.sensitivity_hz_per_100fpm
-
-    wanted = {"1": [Hypothesis.POWER_OUTAGE], "2": [Hypothesis.OTHER_CAUSE]}.get(
-        args.hypothesis, [Hypothesis.POWER_OUTAGE, Hypothesis.OTHER_CAUSE]
-    )
+    wanted = {"1": [Hypothesis.POWER_OUTAGE], "2": [Hypothesis.OTHER_CAUSE]}.get(args.hypothesis, list(Hypothesis))
     drift = extract_drift_bounds(cfg.load_logon_sequences()) if Hypothesis.POWER_OUTAGE in wanted else None
+    result = analyze(pair, drift, cfg.noise, cfg.expected_south_hz, cfg.expected_north_hz, sensitivity, wanted)
 
+    messages = ("logon", "ack")
+    times = [format_time_utc(t) for t in result.times]
     pretty = args.format == "pretty"
     out: dict = {
         "sensitivity_hz_per_100fpm": sensitivity,
         "expected_bfo_hz": {"south": cfg.expected_south_hz, "north": cfg.expected_north_hz},
-        "recorded": {
-            "logon": {"time_utc": format_time_utc(times[0]), "bfo_hz": recorded[0]},
-            "ack": {"time_utc": format_time_utc(times[1]), "bfo_hz": recorded[1]},
-        },
+        "recorded": {m: {"time_utc": t, "bfo_hz": rec} for m, t, rec in zip(messages, times, result.recorded)},
         "hypotheses": {},
     }
     if drift is not None:
         out["drift_bounds"] = drift.as_dict()
-
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
-    tables: dict[Hypothesis, DescentBoundsTable] = {}
-    slug = {Hypothesis.POWER_OUTAGE: "power_outage", Hypothesis.OTHER_CAUSE: "other_cause"}
 
-    for hyp in wanted:
-        adjusted_rows = []
-        rates = []
-        adjusted_json = {}
-        for message, t, rec in zip(("logon", "ack"), times, recorded):
-            adj = adjusted_bfo_range(rec, message, hyp, drift, cfg.noise)
-            rates.append(descent_rate_bounds(cfg.expected_south_hz, cfg.expected_north_hz, adj, sensitivity))
-            row = [format_time_utc(t), _fmt(rec)]
-            entry = {"recorded_bfo_hz": rec}
-            if hyp is Hypothesis.POWER_OUTAGE:
-                rem = drift_removed_range(rec, message, drift)
-                row += [_fmt(rem.lower_hz), _fmt(rem.upper_hz)]
-                entry["drift_removed_hz"] = [rem.lower_hz, rem.upper_hz]
-            row += [_fmt(adj.lower_hz), _fmt(adj.upper_hz)]
-            entry["noise_extended_hz"] = [adj.lower_hz, adj.upper_hz]
-            adjusted_rows.append(row)
-            adjusted_json[message] = entry
-
-        table = DescentBoundsTable(times, tuple(rates), label=slug[hyp])
-        tables[hyp] = table
-        out["hypotheses"][slug[hyp]] = {
+    for hyp, bounds in result.hypotheses.items():
+        adjusted_rows, adjusted_json = [], {}
+        for i, (message, t, rec) in enumerate(zip(messages, times, result.recorded)):
+            ranges = {"noise_extended_hz": bounds.noise_extended[i]}
+            if bounds.drift_removed is not None:
+                ranges = {"drift_removed_hz": bounds.drift_removed[i], **ranges}
+            hz = {key: [r.lower_hz, r.upper_hz] for key, r in ranges.items()}
+            adjusted_json[message] = {"recorded_bfo_hz": rec, **hz}
+            adjusted_rows.append([t, _fmt(rec)] + [_fmt(v) for low_high in hz.values() for v in low_high])
+        rates = bounds.table.rates
+        out["hypotheses"][hyp.value] = {
             "adjusted_bfo": adjusted_json,
             "descent_rates_fpm": {
-                format_time_utc(t): {"south": list(r.south_fpm), "north": list(r.north_fpm)}
-                for t, r in zip(times, table.rates)
+                t: {"south": list(r.south_fpm), "north": list(r.north_fpm)} for t, r in zip(times, rates)
             },
         }
         if out_dir:
-            if hyp is Hypothesis.POWER_OUTAGE:
-                adj_header = [
-                    "time_utc", "recorded_bfo_hz",
-                    "drift_removed_low_hz", "drift_removed_high_hz",
-                    "noise_extended_low_hz", "noise_extended_high_hz",
-                ]
-            else:
-                adj_header = ["time_utc", "recorded_bfo_hz", "noise_low_hz", "noise_high_hz"]
-            _write_csv(out_dir / f"adjusted_bfo_{slug[hyp]}.csv", (), adj_header, adjusted_rows)
+            adj_header = ["time_utc", "recorded_bfo_hz", "noise_low_hz", "noise_high_hz"]
+            if bounds.drift_removed is not None:
+                adj_header = ["time_utc", "recorded_bfo_hz", "drift_removed_low_hz", "drift_removed_high_hz",
+                              "noise_extended_low_hz", "noise_extended_high_hz"]
+            _write_csv(out_dir / f"adjusted_bfo_{hyp.value}.csv", (), adj_header, adjusted_rows)
             _write_csv(
-                out_dir / f"descent_rates_{slug[hyp]}.csv", (),
+                out_dir / f"descent_rates_{hyp.value}.csv", (),
                 ["time_utc", "min_south_fpm", "min_north_fpm", "max_south_fpm", "max_north_fpm"],
-                _rates_rows(times, table, pretty),
+                [
+                    [t] + [_fmt_cell(v, pretty) for sn in zip(r.south_fpm, r.north_fpm) for v in sn]
+                    for t, r in zip(times, rates)
+                ],
             )
 
-    if len(wanted) == 2:
-        combined = combine_hypotheses(tables[Hypothesis.POWER_OUTAGE], tables[Hypothesis.OTHER_CAUSE])
-        accel = estimate_downward_acceleration(combined, times[0], times[1])
-        out["combined_outer_fpm"] = {
-            format_time_utc(t): list(r.outer_fpm) for t, r in zip(times, combined.rates)
-        }
-        out["acceleration"] = {
-            "fpm_per_s": accel.fpm_per_s,
-            "mps2": accel.mps2,
-            "g": accel.g,
-        }
+    if result.combined is not None:
+        combined = result.combined.rates
+        out["combined_outer_fpm"] = {t: list(r.outer_fpm) for t, r in zip(times, combined)}
+        out["acceleration"] = asdict(result.acceleration)
         if out_dir:
             _write_csv(
                 out_dir / "descent_rates_combined.csv", (),
                 ["time_utc", "min_fpm", "max_fpm"],
-                [
-                    [format_time_utc(t), _fmt_cell(r.outer_fpm[0], pretty), _fmt_cell(r.outer_fpm[1], pretty)]
-                    for t, r in zip(times, combined.rates)
-                ],
+                [[t] + [_fmt_cell(v, pretty) for v in r.outer_fpm] for t, r in zip(times, combined)],
             )
             (out_dir / "acceleration.json").write_text(
-                json.dumps(out["acceleration"], indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
+                json.dumps(out["acceleration"], indent=2, sort_keys=True) + "\n", encoding="utf-8"
             )
     return out
 

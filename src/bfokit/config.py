@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import asdict, dataclass
 from datetime import date
 from pathlib import Path
@@ -66,13 +67,26 @@ class AnalysisConfig:
         return parse_time_utc(text, self.reference_date)
 
 
-def _position(obj, what) -> GeodeticPosition:
+def _number(obj, key, default, path) -> float:
+    """``obj[key]`` as a float, or ``default`` when the key is absent (a
+    ``default`` of None makes it required). It must be a JSON number that
+    is finite as a float; a bool is not a number. ``path`` names ``obj``."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: {obj!r} is not an object")
+    value = obj[key] if default is None else obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        name = f"{path}.{key}" if path else key
+        raise ConfigError(f"{name}: {value!r} is not a finite number")
+    return float(value)
+
+
+def _position(obj, path) -> GeodeticPosition:
     try:
         return GeodeticPosition(
-            float(obj["lat"]), float(obj["lon"]), float(obj.get("alt", 0.0))
+            _number(obj, "lat", None, path), _number(obj, "lon", None, path), _number(obj, "alt", 0.0, path)
         )
-    except (KeyError, TypeError, ValueError, DomainError) as e:
-        raise ConfigError(f"bad {what} position: {e}") from e
+    except (KeyError, DomainError) as e:
+        raise ConfigError(f"bad {path} position: {e}") from e
 
 
 def load_config(path=None) -> AnalysisConfig:
@@ -109,20 +123,22 @@ def load_config(path=None) -> AnalysisConfig:
         reference = date.fromisoformat(raw["reference_date"])
         ch = raw.get("channel", {})
         channel = ChannelConfig(
-            uplink_hz=float(ch.get("uplink_hz", ChannelConfig().uplink_hz)),
-            downlink_hz=float(ch.get("downlink_hz", ChannelConfig().downlink_hz)),
-            ges_position=_position(ch["ges"], "ground station")
+            uplink_hz=_number(ch, "uplink_hz", ChannelConfig().uplink_hz, "channel"),
+            downlink_hz=_number(ch, "downlink_hz", ChannelConfig().downlink_hz, "channel"),
+            ges_position=_position(ch["ges"], "channel.ges")
             if "ges" in ch
             else ChannelConfig().ges_position,
         )
         slot_raw, default_slot = raw.get("nominal_slot", {}), NominalSlot()
         slot = NominalSlot(
-            longitude_deg=float(slot_raw.get("longitude_deg", default_slot.longitude_deg)),
-            latitude_deg=float(slot_raw.get("latitude_deg", default_slot.latitude_deg)),
-            radius_m=float(slot_raw.get("radius_m", default_slot.radius_m)),
+            longitude_deg=_number(slot_raw, "longitude_deg", default_slot.longitude_deg, "nominal_slot"),
+            latitude_deg=_number(slot_raw, "latitude_deg", default_slot.latitude_deg, "nominal_slot"),
+            radius_m=_number(slot_raw, "radius_m", default_slot.radius_m, "nominal_slot"),
         )
         nb = raw.get("noise_bounds", asdict(DEFAULT_NOISE_BOUNDS))
-        noise = NoiseBounds(float(nb["lower_hz"]), float(nb["upper_hz"]))
+        noise = NoiseBounds(
+            _number(nb, "lower_hz", None, "noise_bounds"), _number(nb, "upper_hz", None, "noise_bounds")
+        )
         expected = raw.get("expected_bfo", {})
         window_raw = raw.get("fit_window")
         if not window_raw or len(window_raw) != 2:
@@ -144,15 +160,15 @@ def load_config(path=None) -> AnalysisConfig:
             channel=channel,
             slot=slot,
             noise=noise,
-            expected_south_hz=float(expected.get("south_hz", DEFAULT_EXPECTED_SOUTH_HZ)),
-            expected_north_hz=float(expected.get("north_hz", DEFAULT_EXPECTED_NORTH_HZ)),
-            arc_crossing=_position(raw["arc_crossing"], "arc crossing"),
+            expected_south_hz=_number(expected, "south_hz", DEFAULT_EXPECTED_SOUTH_HZ, "expected_bfo"),
+            expected_north_hz=_number(expected, "north_hz", DEFAULT_EXPECTED_NORTH_HZ, "expected_bfo"),
+            arc_crossing=_position(raw["arc_crossing"], "arc_crossing"),
             fit_window=window,
-            bias_hz=float(raw.get("bias_hz", 0.0)),
+            bias_hz=_number(raw, "bias_hz", 0.0, ""),
             reference_date=reference,
             tarmac=_position(raw["tarmac"], "tarmac") if "tarmac" in raw else None,
-            sensitivity_hz_per_100fpm=float(
-                raw.get("sensitivity_hz_per_100fpm", DEFAULT_SENSITIVITY_HZ_PER_100FPM)
+            sensitivity_hz_per_100fpm=_number(
+                raw, "sensitivity_hz_per_100fpm", DEFAULT_SENSITIVITY_HZ_PER_100FPM, ""
             ),
         )
     except ConfigError:

@@ -18,14 +18,18 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import DomainError
-from .stats import NoiseBounds
+from .ingest import format_time_utc
+from .stats import MessageType, NoiseBounds
+from .units import FPM_TO_MPS, G_MPS2
 from .warmup import DriftBounds
 
-FPM_TO_MPS = 0.00508
-G_MPS2 = 9.8
 DEFAULT_SENSITIVITY_HZ_PER_100FPM = 1.7
 DEFAULT_EXPECTED_SOUTH_HZ = 260.0
 DEFAULT_EXPECTED_NORTH_HZ = 280.0
+# Longest plausible gap between a log-on request and its acknowledgment;
+# the historical log-on sequences show 6-8 s.
+MAX_LOGON_ACK_GAP_S = 60.0
+MESSAGES = ("logon", "ack")
 
 
 class Hypothesis(Enum):
@@ -78,7 +82,7 @@ def adjusted_bfo_range(
             raise DomainError("power-outage hypothesis requires drift bounds")
         base = drift_removed_range(recorded_hz, message, drift)
     else:
-        if message not in ("logon", "ack"):
+        if message not in MESSAGES:
             raise DomainError(f"message must be 'logon' or 'ack', got {message!r}")
         base = BfoRange(recorded_hz, recorded_hz)
     return BfoRange(base.lower_hz - noise.upper_hz, base.upper_hz - noise.lower_hz)
@@ -135,7 +139,6 @@ class DescentBoundsTable:
 
     times: tuple[float, ...]
     rates: tuple[DescentRates, ...]
-    label: str = ""
     _by_time: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -167,7 +170,7 @@ def combine_hypotheses(h1: DescentBoundsTable, h2: DescentBoundsTable) -> Descen
                 north_fpm=(min(a.north_fpm[0], b.north_fpm[0]), max(a.north_fpm[1], b.north_fpm[1])),
             )
         )
-    return DescentBoundsTable(h1.times, tuple(combined), label="combined")
+    return DescentBoundsTable(h1.times, tuple(combined))
 
 
 @dataclass(frozen=True)
@@ -198,3 +201,75 @@ def estimate_downward_acceleration(
     fpm_per_s = (pick[method](r2) - pick[method](r1)) / (t2 - t1)
     mps2 = fpm_per_s * FPM_TO_MPS
     return AccelerationEstimate(fpm_per_s, mps2, mps2 / G_MPS2)
+
+
+def final_logon_pair(measurements):
+    """The last log-on acknowledgment and the last request before it,
+    as ``(request, ack)``."""
+    acks = [m for m in measurements if m.message_type is MessageType.LOGON_ACK]
+    if not acks:
+        raise DomainError("log holds no log-on acknowledgment")
+    ack = acks[-1]
+    requests = [
+        m for m in measurements if m.message_type is MessageType.LOGON_REQUEST and m.timestamp < ack.timestamp
+    ]
+    if not requests:
+        raise DomainError("log holds no log-on request before its last acknowledgment")
+    request = requests[-1]
+    if ack.timestamp - request.timestamp > MAX_LOGON_ACK_GAP_S:
+        raise DomainError(
+            f"final log-on acknowledgment at {format_time_utc(ack.timestamp)} comes more than"
+            f" {MAX_LOGON_ACK_GAP_S:g} s after the last request, at {format_time_utc(request.timestamp)}"
+        )
+    return request, ack
+
+
+@dataclass(frozen=True)
+class HypothesisBounds:
+    """One hypothesis's BFO ranges and rate table, one entry per message in :data:`MESSAGES`."""
+
+    drift_removed: tuple[BfoRange, BfoRange] | None  # None under the other-cause hypothesis
+    noise_extended: tuple[BfoRange, BfoRange]
+    table: DescentBoundsTable
+
+
+@dataclass(frozen=True)
+class DescentAnalysis:
+    """The descent result for the final log-on pair; ``combined`` and
+    ``acceleration`` are None unless both hypotheses ran."""
+
+    times: tuple[float, float]
+    recorded: tuple[float, float]
+    hypotheses: dict[Hypothesis, HypothesisBounds]
+    combined: DescentBoundsTable | None
+    acceleration: AccelerationEstimate | None
+
+
+def analyze(
+    pair, drift: DriftBounds | None, noise: NoiseBounds,
+    expected_south_hz: float, expected_north_hz: float, sensitivity_hz_per_100fpm: float, hypotheses,
+) -> DescentAnalysis:
+    """Descent-rate bounds and acceleration from the final log-on pair.
+
+    ``pair`` is the ``(request, ack)`` from :func:`final_logon_pair`;
+    ``hypotheses`` are run in the order given. The power-outage
+    hypothesis needs ``drift``.
+    """
+    times = (pair[0].timestamp, pair[1].timestamp)
+    recorded = (pair[0].bfo_hz, pair[1].bfo_hz)
+    results = {}
+    for hyp in hypotheses:
+        extended = tuple(adjusted_bfo_range(rec, msg, hyp, drift, noise) for msg, rec in zip(MESSAGES, recorded))
+        removed = None
+        if hyp is Hypothesis.POWER_OUTAGE:
+            removed = tuple(drift_removed_range(rec, msg, drift) for msg, rec in zip(MESSAGES, recorded))
+        rates = tuple(
+            descent_rate_bounds(expected_south_hz, expected_north_hz, adj, sensitivity_hz_per_100fpm)
+            for adj in extended
+        )
+        results[hyp] = HypothesisBounds(removed, extended, DescentBoundsTable(times, rates))
+    combined = acceleration = None
+    if len(results) == len(Hypothesis):
+        combined = combine_hypotheses(*(bounds.table for bounds in results.values()))
+        acceleration = estimate_downward_acceleration(combined, *times)
+    return DescentAnalysis(times, recorded, results, combined, acceleration)

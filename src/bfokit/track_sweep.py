@@ -16,8 +16,7 @@ from .bfo_model import ChannelConfig, predict_bfo_batch
 from .errors import DomainError
 from .geodesy import GeodeticPosition
 from .satellite import CorrectionTable, EphemerisTable, NominalSlot, satellite_state_at
-
-KNOTS_TO_MPS = 0.514444
+from .units import KNOTS_TO_MPS  # noqa: F401  (re-exported)
 
 
 class TrackSector(Enum):

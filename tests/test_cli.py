@@ -365,3 +365,33 @@ class TestConfigDefaults:
         assert cfg.slot == NominalSlot() and cfg.slot.longitude_deg == 64.5
         assert cfg.noise == DEFAULT_NOISE_BOUNDS
         assert (cfg.noise.lower_hz, cfg.noise.upper_hz) == (-28.0, 18.0)
+
+
+class TestConfigNumbers:
+    """A config number that is not a finite JSON number is exit 2 naming its key."""
+
+    CASES = [
+        ("south NaN", "expected_bfo.south_hz", float("nan")),
+        ("upper NaN", "noise_bounds.upper_hz", float("nan")),
+        ("sensitivity NaN", "sensitivity_hz_per_100fpm", float("nan")),
+        ("south Infinity", "expected_bfo.south_hz", float("inf")),
+        ("bias true", "bias_hz", True),
+        ("bias string", "bias_hz", "abc"),
+        ("latitude bool", "arc_crossing.lat", True),
+    ]
+
+    @pytest.mark.parametrize(("key", "value"), [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+    def test_bad_number_is_exit_2(self, capsys, tmp_path, key, value):
+        raw = json.loads(bundled_config_path().read_text())
+        for name in ("log_csv", "ephemeris_csv", "correction_csv", "logon_sequence_csv", "logon_meta_json"):
+            raw[name] = str(bundled_config_path().parent / raw[name])
+        *parents, leaf = key.split(".")
+        node = raw
+        for name in parents:
+            node = node[name]
+        node[leaf] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        code, out, err = run(capsys, "descent-bounds", "--config", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"bfokit: parse/config error: {key}: ") and "is not a finite number" in err

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+from bfokit import bfo_model, descent, track_sweep, units
+from bfokit.bfo_model import ChannelConfig, descent_sensitivity, vertical_doppler
 from bfokit.descent import (
     BfoRange,
     DescentBoundsTable,
     Hypothesis,
     adjusted_bfo_range,
+    analyze,
+    final_logon_pair,
     combine_hypotheses,
     descent_rate_bounds,
     drift_removed_range,
@@ -13,7 +17,7 @@ from bfokit.descent import (
     round_to_fpm,
 )
 from bfokit.errors import DomainError
-from bfokit.stats import NoiseBounds
+from bfokit.stats import BfoMeasurement, Channel, MessageType, NoiseBounds
 from bfokit.warmup import DriftBounds
 
 NOISE = NoiseBounds(-28.0, 18.0)
@@ -135,7 +139,6 @@ def reference_tables():
             rates(260.0, 280.0, BfoRange(28.0, 193.0)),
             rates(260.0, 280.0, BfoRange(-150.0, 9.0)),
         ),
-        label="power_outage",
     )
     h2 = DescentBoundsTable(
         (T29, T37),
@@ -143,7 +146,6 @@ def reference_tables():
             rates(260.0, 280.0, BfoRange(164.0, 210.0)),
             rates(260.0, 280.0, BfoRange(-20.0, 26.0)),
         ),
-        label="other_cause",
     )
     return h1, h2
 
@@ -204,3 +206,79 @@ class TestAcceleration:
         combined = combine_hypotheses(*reference_tables())
         with pytest.raises(DomainError):
             estimate_downward_acceleration(combined, T37, T29)
+
+
+def final_pair():
+    """A (request, ack) pair with the paper's 182 / -2 Hz final BFOs."""
+    return (
+        BfoMeasurement(T29, Channel.R, MessageType.LOGON_REQUEST, 182.0),
+        BfoMeasurement(T37, Channel.R, MessageType.LOGON_ACK, -2.0),
+    )
+
+
+def run_analyze(hypotheses, drift=DRIFT):
+    return analyze(final_pair(), drift, NOISE, 260.0, 280.0, 1.7, hypotheses)
+
+
+class TestAnalyze:
+    def test_reproduces_the_paper_tables(self):
+        result = run_analyze(list(Hypothesis))
+        assert result.times == (T29, T37) and result.recorded == (182.0, -2.0)
+        h1 = result.hypotheses[Hypothesis.POWER_OUTAGE]
+        h2 = result.hypotheses[Hypothesis.OTHER_CAUSE]
+        assert [(r.lower_hz, r.upper_hz) for r in h1.drift_removed] == [(46.0, 165.0), (-132.0, -19.0)]
+        assert [(r.lower_hz, r.upper_hz) for r in h1.noise_extended] == [(28.0, 193.0), (-150.0, 9.0)]
+        assert h2.drift_removed is None
+        assert [(r.lower_hz, r.upper_hz) for r in h2.noise_extended] == [(164.0, 210.0), (-20.0, 26.0)]
+        assert [(r.south_fpm, r.north_fpm) for r in h1.table.rates] == [
+            ((3900.0, 13600.0), (5100.0, 14800.0)),
+            ((14800.0, 24100.0), (15900.0, 25300.0)),
+        ]
+        assert [(r.south_fpm, r.north_fpm) for r in h2.table.rates] == [
+            ((2900.0, 5600.0), (4100.0, 6800.0)),
+            ((13800.0, 16500.0), (14900.0, 17600.0)),
+        ]
+        assert result.combined.row(T29).outer_fpm == (2900.0, 14800.0)
+        assert result.combined.row(T37).outer_fpm == (13800.0, 25300.0)
+        assert result.acceleration.fpm_per_s == 1337.5
+
+    @pytest.mark.parametrize("hypothesis", list(Hypothesis))
+    def test_one_hypothesis_has_no_envelope(self, hypothesis):
+        result = run_analyze([hypothesis])
+        assert list(result.hypotheses) == [hypothesis]
+        assert result.combined is None and result.acceleration is None
+
+    def test_other_cause_needs_no_drift(self):
+        result = run_analyze([Hypothesis.OTHER_CAUSE], drift=None)
+        assert result.hypotheses[Hypothesis.OTHER_CAUSE].drift_removed is None
+
+    def test_power_outage_without_drift_rejected(self):
+        with pytest.raises(DomainError):
+            run_analyze([Hypothesis.POWER_OUTAGE], drift=None)
+
+
+class TestFinalLogonPair:
+    def test_last_ack_pairs_with_the_request_before_it(self):
+        request, ack = final_pair()
+        later = BfoMeasurement(T37 + 60.0, Channel.R, MessageType.LOGON_REQUEST, 150.0)
+        assert final_logon_pair([request, ack, later]) == (request, ack)
+
+    def test_gap_over_a_minute_rejected(self):
+        request, ack = final_pair()
+        late_ack = BfoMeasurement(T29 + 61.0, Channel.R, MessageType.LOGON_ACK, -2.0)
+        with pytest.raises(DomainError, match="more than 60 s after the last request"):
+            final_logon_pair([request, late_ack])
+
+
+class TestUnits:
+    def test_old_names_are_the_units_constants(self):
+        assert bfo_model.SPEED_OF_LIGHT_MPS is units.SPEED_OF_LIGHT_MPS
+        assert track_sweep.KNOTS_TO_MPS is units.KNOTS_TO_MPS
+        assert descent.FPM_TO_MPS is units.FPM_TO_MPS
+        assert descent.G_MPS2 is units.G_MPS2
+        assert not hasattr(bfo_model, "MPS_PER_100FPM")
+
+    @pytest.mark.parametrize("elevation_deg", [0.5, 38.8, 45.0, 90.0])
+    def test_sensitivity_uses_100_fpm(self, elevation_deg):
+        cfg = ChannelConfig()
+        assert descent_sensitivity(elevation_deg, cfg) == vertical_doppler(0.508, elevation_deg, cfg)
