@@ -203,7 +203,7 @@ def _cmd_descent_bounds(args) -> dict:
                 ranges = {"drift_removed_hz": bounds.drift_removed[i], **ranges}
             hz = {key: [r.lower_hz, r.upper_hz] for key, r in ranges.items()}
             adjusted_json[message] = {"recorded_bfo_hz": rec, **hz}
-            adjusted_rows.append([t, _fmt(rec)] + [_fmt(v) for low_high in hz.values() for v in low_high])
+            adjusted_rows.append(",".join([t, _fmt(rec)] + [_fmt(v) for low_high in hz.values() for v in low_high]))
         rates = bounds.table.rates
         out["hypotheses"][hyp.value] = {
             "adjusted_bfo": adjusted_json,
@@ -221,7 +221,7 @@ def _cmd_descent_bounds(args) -> dict:
                 out_dir / f"descent_rates_{hyp.value}.csv", (),
                 ["time_utc", "min_south_fpm", "min_north_fpm", "max_south_fpm", "max_north_fpm"],
                 [
-                    [t] + [_fmt_cell(v, pretty) for sn in zip(r.south_fpm, r.north_fpm) for v in sn]
+                    ",".join([t] + [_fmt_cell(v, pretty) for sn in zip(r.south_fpm, r.north_fpm) for v in sn])
                     for t, r in zip(times, rates)
                 ],
             )
@@ -234,7 +234,7 @@ def _cmd_descent_bounds(args) -> dict:
             _write_csv(
                 out_dir / "descent_rates_combined.csv", (),
                 ["time_utc", "min_fpm", "max_fpm"],
-                [[t] + [_fmt_cell(v, pretty) for v in r.outer_fpm] for t, r in zip(times, combined)],
+                [",".join([t] + [_fmt_cell(v, pretty) for v in r.outer_fpm]) for t, r in zip(times, combined)],
             )
             (out_dir / "acceleration.json").write_text(
                 json.dumps(out["acceleration"], indent=2, sort_keys=True) + "\n", encoding="utf-8"

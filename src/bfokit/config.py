@@ -80,6 +80,13 @@ def _number(obj, key, default, path) -> float:
     return float(value)
 
 
+def _text(value, name) -> str:
+    """``value``, which must be a JSON string; ``name`` is its key path."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{name}: {value!r} is not a string")
+    return value
+
+
 def _position(obj, path) -> GeodeticPosition:
     try:
         return GeodeticPosition(
@@ -114,13 +121,13 @@ def load_config(path=None) -> AnalysisConfig:
             if required:
                 raise ConfigError(f"config is missing {key!r}")
             return None
-        p = base / value
+        p = base / _text(value, key)
         if not p.exists():
             raise ConfigError(f"{key}: file {p} does not exist")
         return p
 
     try:
-        reference = date.fromisoformat(raw["reference_date"])
+        reference = date.fromisoformat(_text(raw["reference_date"], "reference_date"))
         ch = raw.get("channel", {})
         channel = ChannelConfig(
             uplink_hz=_number(ch, "uplink_hz", ChannelConfig().uplink_hz, "channel"),
@@ -141,12 +148,9 @@ def load_config(path=None) -> AnalysisConfig:
         )
         expected = raw.get("expected_bfo", {})
         window_raw = raw.get("fit_window")
-        if not window_raw or len(window_raw) != 2:
-            raise ConfigError("config needs a 2-element fit_window")
-        window = (
-            parse_time_utc(window_raw[0], reference),
-            parse_time_utc(window_raw[1], reference),
-        )
+        if not isinstance(window_raw, list) or len(window_raw) != 2:
+            raise ConfigError(f"fit_window: {window_raw!r} is not a list of two times")
+        window = tuple(parse_time_utc(_text(w, f"fit_window[{i}]"), reference) for i, w in enumerate(window_raw))
         if window[0] >= window[1]:
             raise ConfigError("fit_window out of order")
 

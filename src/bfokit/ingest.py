@@ -17,7 +17,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from datetime import date, datetime, timedelta, timezone
+from datetime import date, datetime, timezone
 from functools import lru_cache
 from itertools import chain, islice
 from pathlib import Path
@@ -92,11 +92,21 @@ def parse_time_utc(text: str, reference_date: date | None = None) -> float:
 
     The canonical full form is read at fixed offsets; everything else
     (unpadded fields, shorthand, every error) goes through ``strptime``.
+    A time in year 10000, such as the last ~15 µs of year 9999 (rounded)
+    or a morning shorthand after 9999-12-31, raises :class:`DomainError`:
+    :func:`format_time_utc` cannot write it.
     """
     s = text.strip()
     value = _parse_full_form(s)
-    if value is not None:
-        return value
+    if value is None:
+        value = _parse_with_strptime(text, s, reference_date)
+    if value >= _END_SECOND:
+        raise DomainError(f"timestamp {text!r} is past the last writable microsecond of year 9999")
+    return value
+
+
+def _parse_with_strptime(text: str, s: str, reference_date: date | None) -> float:
+    """:func:`parse_time_utc` of ``s``, the stripped ``text``, for every other form and every error."""
     if not s.endswith("Z"):
         raise DomainError(f"timestamp {text!r} must be UTC ('Z' suffix)")
     body = s[:-1]
@@ -115,9 +125,8 @@ def parse_time_utc(text: str, reference_date: date | None = None) -> float:
             t = datetime.strptime(body, fmt).time()
         except ValueError:
             continue
-        day = reference_date if t.hour >= 12 else reference_date + timedelta(days=1)
-        dt = datetime.combine(day, t, tzinfo=timezone.utc)
-        return dt.timestamp()
+        days = reference_date.toordinal() - _EPOCH_ORDINAL + (t.hour < 12)  # by ordinal: no year-10000 date
+        return float(days * 86400 + t.hour * 3600 + t.minute * 60 + t.second)
     raise DomainError(f"unparsable timestamp {text!r}")
 
 
@@ -163,8 +172,11 @@ def _fmt(v) -> str:
     if v is None:
         return ""
     f = float(v)
-    if f == int(f) and abs(f) < 1e15:
-        return str(int(f))
+    if f.is_integer():
+        if abs(f) < 1e15:
+            return str(int(f))
+    elif not math.isfinite(f):
+        int(f)  # raises int()'s OverflowError for ±inf and ValueError for NaN
     return repr(f)
 
 
@@ -225,7 +237,9 @@ def _load_table(path, schema, make):
     cell its parser rejects (the message starts with the column name) or
     a ``make`` that raises :class:`DomainError`. A header with unknown,
     missing or repeated columns raises :class:`ParseError` at its line.
-    A file without a header is an empty table.
+    A file without a header is an empty table. A line holding a quote or a
+    NUL, or longer than the csv field limit, is split by :mod:`csv`; any
+    other line is split on commas, which is the same split.
     """
     data = Path(path).read_bytes()
     try:
@@ -236,16 +250,20 @@ def _load_table(path, schema, make):
     items: list = []
     problems: list[tuple[int, str]] = []
     columns = None
+    limit = csv.field_size_limit()
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         if columns is None and line.lstrip().startswith("#"):
             provenance.append(line)
             continue
-        try:
-            fields = next(csv.reader((line,)))
-        except csv.Error as e:  # a field beyond the csv module's size limit
-            raise ParseError(path, [(lineno, str(e))]) from e
+        if '"' in line or "\0" in line or len(line) > limit:
+            try:
+                fields = next(csv.reader((line,)))
+            except csv.Error as e:  # a field beyond the size limit, or a NUL before Python 3.11
+                raise ParseError(path, [(lineno, str(e))]) from e
+        else:
+            fields = line.split(",")
         if columns is None:
             names = [f.strip() for f in fields]
             bad = {
@@ -262,24 +280,25 @@ def _load_table(path, schema, make):
         if len(fields) != len(columns):
             problems.append((lineno, f"expected {len(columns)} fields, got {len(fields)}"))
             continue
-        cells = []
-        for i, column, parse in columns:
-            try:
-                cells.append(parse(fields[i].strip()))
-            except ValueError as e:
-                problems.append((lineno, f"{column}: {e}"))
-                break
-        else:
-            try:
-                items.append(make(*cells))
-            except DomainError as e:
+        try:
+            items.append(make(*[parse(fields[i].strip()) for i, _, parse in columns]))
+        except ValueError as e:  # from a cell (DomainError included) or from make
+            for i, column, parse in columns:
+                try:
+                    parse(fields[i].strip())
+                except ValueError as cell_error:
+                    problems.append((lineno, f"{column}: {cell_error}"))
+                    break
+            else:
+                if not isinstance(e, DomainError):
+                    raise
                 problems.append((lineno, str(e)))
     return provenance, items, problems
 
 
-def _write_csv(path, provenance, header, rows) -> None:
-    """Write in blocks of lines, so a large table is never held as one string."""
-    lines = chain(provenance, [",".join(header)], (",".join(r) for r in rows))
+def _write_csv(path, provenance, header, lines) -> None:
+    """Write finished lines in blocks, so a large table is never held as one string."""
+    lines = chain(provenance, [",".join(header)], lines)
     with open(path, "w", encoding="utf-8") as f:
         while block := list(islice(lines, 1024)):
             f.write("\n".join(block) + "\n")
@@ -321,20 +340,12 @@ def ingest_logs(path) -> list[BfoMeasurement]:
 
 
 def write_log_csv(path, measurements, provenance=()) -> None:
-    rows = (
-        [
-            format_time_utc(m.timestamp),
-            m.channel.value,
-            m.message_type.value,
-            _fmt(m.bfo_hz),
-            _fmt(m.bto_us),
-            _fmt(m.ber),
-            _fmt(m.cn0_dbhz),
-            _fmt(m.signal_db),
-        ]
+    lines = (
+        f"{format_time_utc(m.timestamp)},{m.channel.value},{m.message_type.value},{_fmt(m.bfo_hz)},"
+        f"{_fmt(m.bto_us)},{_fmt(m.ber)},{_fmt(m.cn0_dbhz)},{_fmt(m.signal_db)}"
         for m in measurements
     )
-    _write_csv(path, provenance, LOG_SCHEMA, rows)
+    _write_csv(path, provenance, LOG_SCHEMA, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +361,10 @@ def load_ephemeris_csv(path) -> EphemerisTable:
 
 
 def write_ephemeris_csv(path, table: EphemerisTable) -> None:
-    rows = (
-        [format_time_utc(t)] + [_fmt(x) for x in row] for t, row in zip(table.time_list, table.row_list)
+    lines = (
+        ",".join([format_time_utc(t)] + [_fmt(x) for x in row]) for t, row in zip(table.time_list, table.row_list)
     )
-    _write_csv(path, table.provenance, EPHEMERIS_SCHEMA, rows)
+    _write_csv(path, table.provenance, EPHEMERIS_SCHEMA, lines)
 
 
 def load_correction_csv(path) -> CorrectionTable:
@@ -364,8 +375,8 @@ def load_correction_csv(path) -> CorrectionTable:
 
 
 def write_correction_csv(path, table: CorrectionTable) -> None:
-    rows = ([format_time_utc(t), _fmt(v)] for t, v in zip(table.time_list, table.value_list))
-    _write_csv(path, table.provenance, CORRECTION_SCHEMA, rows)
+    lines = (f"{format_time_utc(t)},{_fmt(v)}" for t, v in zip(table.time_list, table.value_list))
+    _write_csv(path, table.provenance, CORRECTION_SCHEMA, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +476,8 @@ def load_logon_csv(path, meta=None) -> list[LogonSequence]:
 
 
 def write_logon_csv(path, sequences, provenance=()) -> None:
-    rows = (
-        [
+    lines = (
+        ",".join([
             seq.id,
             format_time_utc(m.timestamp),
             m.message_type.value,
@@ -474,19 +485,19 @@ def write_logon_csv(path, sequences, provenance=()) -> None:
             _fmt(m.ber),
             _fmt(m.cn0_dbhz),
             seq.compensation_mode.value,
-        ]
+        ])
         for seq in sequences
         for m in seq.measurements
     )
-    _write_csv(path, provenance, LOGON_SCHEMA, rows)
+    _write_csv(path, provenance, LOGON_SCHEMA, lines)
 
 
 # ---------------------------------------------------------------------------
 # sweep curves and error samples
 
 def write_curve_csv(path, curve, provenance=()) -> None:
-    rows = ((_fmt(a), repr(float(e))) for a, e in curve)
-    _write_csv(path, provenance, ("track_deg", "bfo_error_hz"), rows)
+    lines = (f"{_fmt(a)},{float(e)!r}" for a, e in curve)
+    _write_csv(path, provenance, ("track_deg", "bfo_error_hz"), lines)
 
 
 def load_error_samples_csv(path) -> tuple[list[float], tuple[str, ...]]:
@@ -498,4 +509,4 @@ def load_error_samples_csv(path) -> tuple[list[float], tuple[str, ...]]:
 
 
 def write_error_samples_csv(path, values, provenance=()) -> None:
-    _write_csv(path, provenance, ERROR_SCHEMA, ([repr(float(v))] for v in values))
+    _write_csv(path, provenance, ERROR_SCHEMA, (repr(float(v)) for v in values))

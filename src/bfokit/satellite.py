@@ -158,10 +158,11 @@ def satellite_state_at(t: float, e: EphemerisTable) -> SatelliteState:
     x0, y0, z0, vx0, vy0, vz0 = e.row_list[i]
     x1, y1, z1, vx1, vy1, vz1 = e.row_list[i + 1]
 
-    h00 = 2 * s**3 - 3 * s**2 + 1
-    h10 = s**3 - 2 * s**2 + s
-    h01 = -2 * s**3 + 3 * s**2
-    h11 = s**3 - s**2
+    s2, s3 = s**2, s**3  # not s * s * s, which can differ in the last bit
+    h00 = 2 * s3 - 3 * s2 + 1
+    h10 = s3 - 2 * s2 + s
+    h01 = -2 * s3 + 3 * s2
+    h11 = s3 - s2
     h10dt, h11dt = h10 * dt, h11 * dt
     pos = EcefVector(
         h00 * x0 + h10dt * vx0 + h01 * x1 + h11dt * vx1,
@@ -169,10 +170,10 @@ def satellite_state_at(t: float, e: EphemerisTable) -> SatelliteState:
         h00 * z0 + h10dt * vz0 + h01 * z1 + h11dt * vz1,
     )
 
-    d00 = 6 * s**2 - 6 * s
-    d10 = 3 * s**2 - 4 * s + 1
-    d01 = -6 * s**2 + 6 * s
-    d11 = 3 * s**2 - 2 * s
+    d00 = 6 * s2 - 6 * s
+    d10 = 3 * s2 - 4 * s + 1
+    d01 = -6 * s2 + 6 * s
+    d11 = 3 * s2 - 2 * s
     vel = EcefVector(
         (d00 * x0 + d01 * x1) / dt + d10 * vx0 + d11 * vx1,
         (d00 * y0 + d01 * y1) / dt + d10 * vy0 + d11 * vy1,

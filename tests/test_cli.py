@@ -395,3 +395,43 @@ class TestConfigNumbers:
         code, out, err = run(capsys, "descent-bounds", "--config", str(path))
         assert code == 2 and out == ""
         assert err.startswith(f"bfokit: parse/config error: {key}: ") and "is not a finite number" in err
+
+
+class TestConfigText:
+    """A config text value that is not a JSON string, a fit_window that is
+    not a list of two, or a window time past year 9999 is exit 2, naming
+    the key or the time, with no traceback."""
+
+    CASES = [
+        ("window of numbers", "fit_window", [1, 2], "fit_window[0]: 1 is not a string"),
+        ("window string", "fit_window", "ab", "fit_window: 'ab' is not a list of two times"),
+        ("window of three", "fit_window", ["19:41Z", "00:11Z", "00:12Z"], "fit_window: "),
+        ("second window time", "fit_window", ["19:41Z", None], "fit_window[1]: None is not a string"),
+        ("log path number", "log_csv", 5, "log_csv: 5 is not a string"),
+        ("sidecar path list", "logon_meta_json", ["a.json"], "logon_meta_json: ['a.json'] is not a string"),
+        ("reference date number", "reference_date", 5, "reference_date: 5 is not a string"),
+    ]
+
+    @pytest.mark.parametrize(("key", "value", "message"), [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+    def test_non_string_is_exit_2(self, capsys, tmp_path, key, value, message):
+        raw = json.loads(bundled_config_path().read_text())
+        for name in ("log_csv", "ephemeris_csv", "correction_csv", "logon_sequence_csv", "logon_meta_json"):
+            raw[name] = str(bundled_config_path().parent / raw[name])
+        raw[key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        code, out, err = run(capsys, "descent-bounds", "--config", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"bfokit: parse/config error: {message}")
+        assert "Traceback" not in err
+
+    def test_morning_time_after_the_last_reference_date_is_exit_2(self, capsys, tmp_path):
+        raw = json.loads(bundled_config_path().read_text())
+        for name in ("log_csv", "ephemeris_csv", "correction_csv", "logon_sequence_csv", "logon_meta_json"):
+            raw[name] = str(bundled_config_path().parent / raw[name])
+        raw["reference_date"] = "9999-12-31"  # the fit window's 00:11Z falls in year 10000
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        code, out, err = run(capsys, "descent-bounds", "--config", str(path))
+        assert code == 2 and out == ""
+        assert "timestamp '00:11Z' is past the last writable microsecond of year 9999" in err

@@ -309,6 +309,18 @@ class TestSchemaReader:
         assert records.rejected[0][1].startswith("channel: ")
         assert records.rejected[1][1] == "expected 8 fields, got 7"
 
+    def test_log_row_past_year_9999_is_a_parse_error_at_its_line(self, tmp_path):
+        p = tmp_path / "log.csv"
+        p.write_text(
+            LOG_HEADER
+            + "2014-03-07T16:00:00Z,R,data,100,,0,41.7,\n"
+            + "9999-12-31T23:59:59.999999Z,R,data,100,,0,41.7,\n"
+        )
+        with pytest.raises(ParseError) as info:
+            load_log_csv(p)
+        [(lineno, message)] = info.value.problems
+        assert lineno == 3 and message.startswith("time_utc: ") and "year 9999" in message
+
     def test_log_with_bad_timestamp_lists_only_timestamp_lines(self, tmp_path):
         p = tmp_path / "log.csv"
         p.write_text(

@@ -1,0 +1,348 @@
+"""The table reader and the CSV writers against the code they replaced.
+
+The oracles below are that code: a reader that split every body line with
+its own ``csv.reader`` and parsed the cells of a row in a loop, and writers
+that passed per-cell lists to a writer that joined them. The reader must
+return the same provenance, items and problems, or raise the same exception
+with the same text; the writers must write the same bytes.
+"""
+
+import csv
+import math
+from itertools import chain, islice
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from bfokit.errors import DomainError, ParseError
+from bfokit.fixtures import fixture_path
+from bfokit.ingest import (
+    CORRECTION_SCHEMA,
+    EPHEMERIS_SCHEMA,
+    ERROR_SCHEMA,
+    LOG_SCHEMA,
+    LOGON_SCHEMA,
+    _fmt,
+    _load_table,
+    format_time_utc,
+    load_correction_csv,
+    load_log_csv,
+    write_correction_csv,
+    write_curve_csv,
+    write_log_csv,
+)
+from bfokit.satellite import CorrectionTable
+from bfokit.stats import BfoMeasurement, Channel, MessageType
+from bfokit.warmup import CompensationMode
+
+SETTINGS = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+# --- oracles -------------------------------------------------------------------
+
+def oracle_load_table(path, schema, make):
+    data = Path(path).read_bytes()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        raise ParseError(path, [(data.count(b"\n", 0, e.start) + 1, "not UTF-8 text")]) from e
+    provenance, items, problems = [], [], []
+    columns = None
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        if columns is None and line.lstrip().startswith("#"):
+            provenance.append(line)
+            continue
+        try:
+            fields = next(csv.reader((line,)))
+        except csv.Error as e:
+            raise ParseError(path, [(lineno, str(e))]) from e
+        if columns is None:
+            names = [f.strip() for f in fields]
+            bad = {
+                "unknown": [c for c in names if c not in schema],
+                "missing": [c for c in schema if c not in names],
+                "repeated": list(dict.fromkeys(c for c in names if names.count(c) > 1)),
+            }
+            if any(bad.values()):
+                raise ParseError(
+                    path, [(lineno, f"{k} column(s): {', '.join(v)}") for k, v in bad.items() if v]
+                )
+            columns = [(names.index(c), c, parse) for c, parse in schema.items()]
+            continue
+        if len(fields) != len(columns):
+            problems.append((lineno, f"expected {len(columns)} fields, got {len(fields)}"))
+            continue
+        cells = []
+        for i, column, parse in columns:
+            try:
+                cells.append(parse(fields[i].strip()))
+            except ValueError as e:
+                problems.append((lineno, f"{column}: {e}"))
+                break
+        else:
+            try:
+                items.append(make(*cells))
+            except DomainError as e:
+                problems.append((lineno, str(e)))
+    return provenance, items, problems
+
+
+def oracle_write_csv(path, provenance, header, rows):
+    lines = chain(provenance, [",".join(header)], (",".join(r) for r in rows))
+    with open(path, "w", encoding="utf-8") as f:
+        while block := list(islice(lines, 1024)):
+            f.write("\n".join(block) + "\n")
+
+
+def oracle_fmt(v):
+    if v is None:
+        return ""
+    f = float(v)
+    if f == int(f) and abs(f) < 1e15:
+        return str(int(f))
+    return repr(f)
+
+
+def oracle_write_log_csv(path, measurements, provenance=()):
+    rows = (
+        [
+            format_time_utc(m.timestamp),
+            m.channel.value,
+            m.message_type.value,
+            oracle_fmt(m.bfo_hz),
+            oracle_fmt(m.bto_us),
+            oracle_fmt(m.ber),
+            oracle_fmt(m.cn0_dbhz),
+            oracle_fmt(m.signal_db),
+        ]
+        for m in measurements
+    )
+    oracle_write_csv(path, provenance, LOG_SCHEMA, rows)
+
+
+def oracle_write_correction_csv(path, table):
+    rows = ([format_time_utc(t), oracle_fmt(v)] for t, v in zip(table.time_list, table.value_list))
+    oracle_write_csv(path, table.provenance, CORRECTION_SCHEMA, rows)
+
+
+def oracle_write_curve_csv(path, curve, provenance=()):
+    rows = ((oracle_fmt(a), repr(float(e))) for a, e in curve)
+    oracle_write_csv(path, provenance, ("track_deg", "bfo_error_hz"), rows)
+
+
+def outcome(f, *args):
+    """The value, or the type and text of any exception."""
+    try:
+        return f(*args)
+    except Exception as e:
+        return type(e), str(e)
+
+
+# --- the reader ------------------------------------------------------------------
+
+def picky(*cells):
+    """A row maker that refuses a row holding 0 with a DomainError, and one
+    holding -1 with a plain ValueError, which the reader must not swallow."""
+    if 0 in cells:
+        raise DomainError(f"picky: a zero among {len(cells)} cells")
+    if -1 in cells:
+        raise ValueError("picky: a minus one")
+    return cells
+
+
+KINDS = {
+    "log": (LOG_SCHEMA, BfoMeasurement),  # negative BER: make raises DomainError
+    "log picky": (LOG_SCHEMA, picky),
+    "ephemeris": (EPHEMERIS_SCHEMA, picky),
+    "corrections": (CORRECTION_SCHEMA, picky),
+    "logons": (LOGON_SCHEMA, picky),
+    "error samples": (ERROR_SCHEMA, picky),
+}
+
+GOOD = {
+    # the last two take the strptime path and the year-end refusal
+    "time_utc": ["2014-03-07T16:00:00Z", " 2014-03-07T16:00:00.25Z ", "2014-3-7T16:00Z", "9999-12-31T23:59:59.999999Z"],
+    "channel": [c.value for c in Channel],
+    "msg_type": [m.value for m in MessageType],
+    "comp_mode": [m.value for m in CompensationMode],
+    "seq_id": ["1", " 2 ", ""],
+}
+NUMBERS = ["0", "-1", "41.7", " 16413 ", "1e3", "-0.5", ""]
+# quotes and NULs go to csv; the rest are bad cells, blanks or line breaks
+ODD = ['"', '"1,5"', '"a""b"', ' "7"', "\0", "1\0", " ", "\t", "nan", "inf", "1e999", "x", "#", "R",
+       "\x0b", "\x85", "\u2028", "\u00a0"]
+one_line = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=12)
+
+
+def cell(column):
+    good = st.sampled_from(GOOD.get(column, NUMBERS))
+    return st.one_of(good, good, good, st.sampled_from(ODD), one_line)
+
+
+@st.composite
+def table_bytes(draw, schema):
+    """Any bytes or text at all, or a table of ``schema``: shuffled columns,
+    a header that may be quoted, padded or wrong, rows that may be ragged,
+    blank and ``#`` lines among them, and mixed line ends."""
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
+        return draw(st.binary(max_size=120))
+    if kind == 1:
+        return draw(st.text(max_size=200)).encode("utf-8")
+    columns = draw(st.permutations(list(schema)))
+    header = list(columns)
+    i = draw(st.integers(0, len(header) - 1))
+    header[i] = draw(st.sampled_from([header[i], header[i], f'"{header[i]}"', f" {header[i]} ", "extra"]))
+    lines = draw(st.lists(one_line.map(lambda s: "# " + s), max_size=2)) + [",".join(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        what = draw(st.sampled_from(["row", "row", "row", "row", "blank", "comment"]))
+        if what == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t", " \t "])))
+        elif what == "comment":
+            lines.append("# " + draw(one_line))
+        else:
+            width = len(columns) + draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
+            lines.append(",".join(draw(cell(columns[j] if j < len(columns) else None)) for j in range(width)))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends)).encode("utf-8")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@SETTINGS
+@given(data=st.data())
+def test_reader_agrees_with_the_per_line_csv_oracle(tmp_path, kind, data):
+    schema, make = KINDS[kind]
+    path = tmp_path / "table.csv"
+    path.write_bytes(data.draw(table_bytes(schema)))
+    assert outcome(_load_table, path, schema, make) == outcome(oracle_load_table, path, schema, make)
+
+
+@pytest.mark.parametrize(("schema", "text", "parsed"), [
+    (CORRECTION_SCHEMA, "time_utc,delta_f_hz\n2014-03-07T16:00:00Z,1.5\n", True),  # longer, fields within
+    (ERROR_SCHEMA, "bfo_error_hz\n1.000000000000000000\n", True),  # a field at the limit
+    (ERROR_SCHEMA, "bfo_error_hz\n1.0000000000000000000\n", False),  # a field one over it
+    (CORRECTION_SCHEMA, "time_utc,delta_f_hz\n2014-03-07T16:00:00Z,1.2500000000000000001\n", False),
+])
+def test_line_longer_than_the_field_limit_goes_through_csv(tmp_path, schema, text, parsed):
+    path = tmp_path / "table.csv"
+    path.write_text(text, encoding="utf-8")
+    old = csv.field_size_limit(20)
+    try:
+        got = outcome(_load_table, path, schema, picky)
+        want = outcome(oracle_load_table, path, schema, picky)
+    finally:
+        csv.field_size_limit(old)
+    assert got == want
+    assert (got[0] is not ParseError) == parsed
+
+
+def test_make_rejections_after_good_cells(tmp_path):
+    # DomainError is a ValueError, so a make rejection must not read as a cell
+    # error, and a plain ValueError from make must not be swallowed
+    path = tmp_path / "errors.csv"
+    path.write_text("bfo_error_hz\n1\n0\nx\n-1.5\n", encoding="utf-8")
+    assert _load_table(path, ERROR_SCHEMA, picky) == oracle_load_table(path, ERROR_SCHEMA, picky) == (
+        [],
+        [(1.0,), (-1.5,)],
+        [(3, "picky: a zero among 1 cells"), (4, "bfo_error_hz: could not convert string to float: 'x'")],
+    )
+    path.write_text("bfo_error_hz\n1\n-1\n", encoding="utf-8")
+    assert outcome(_load_table, path, ERROR_SCHEMA, picky) == (ValueError, "picky: a minus one")
+
+
+# --- the writers ------------------------------------------------------------------
+
+# Integral values, the 1e15 edge and signed zero, where _fmt switches to int text.
+numbers = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 16413.0, 1e15 - 1, 1e15, -1e15, 1e16, 0.1, 2.0**53]
+)
+
+
+@given(v=st.none() | st.floats() | st.integers(-10**20, 10**20) | numbers)
+def test_fmt_agrees_with_the_oracle(v):
+    assert outcome(_fmt, v) == outcome(oracle_fmt, v)
+
+
+@pytest.mark.parametrize("v", [math.inf, -math.inf, math.nan])
+def test_fmt_raises_for_non_finite_as_int_does(v):
+    assert outcome(_fmt, v) == outcome(int, v)
+    assert outcome(_fmt, v)[0] in (OverflowError, ValueError)
+
+
+@pytest.mark.parametrize("name", ["mh370_bfo_log.csv", "mh370_key_events.csv"])
+def test_log_writer_matches_the_oracle_on_fixtures(tmp_path, name):
+    records = load_log_csv(fixture_path(name))
+    write_log_csv(tmp_path / "new.csv", records.measurements, records.provenance)
+    oracle_write_log_csv(tmp_path / "old.csv", records.measurements, records.provenance)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_correction_writer_matches_the_oracle_on_the_fixture(tmp_path):
+    table = load_correction_csv(fixture_path("ior_corrections_synthetic.csv"))
+    write_correction_csv(tmp_path / "new.csv", table)
+    oracle_write_correction_csv(tmp_path / "old.csv", table)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+provenance = st.lists(one_line.map(lambda s: "# " + s), max_size=3)
+
+
+@SETTINGS
+@given(
+    ms=st.lists(
+        st.builds(
+            BfoMeasurement,
+            timestamp=st.integers(0, 4 * 10**15).map(lambda us: us / 1e6),
+            channel=st.sampled_from(Channel),
+            message_type=st.sampled_from(MessageType),
+            bfo_hz=numbers,
+            bto_us=st.none() | numbers,
+            ber=st.floats(min_value=0, allow_infinity=False) | st.just(0.0),
+            cn0_dbhz=numbers,
+            signal_db=st.none() | numbers,
+        ),
+        max_size=8,
+    ),
+    prov=provenance,
+)
+def test_log_writer_matches_the_oracle_on_generated_logs(tmp_path, ms, prov):
+    write_log_csv(tmp_path / "new.csv", ms, prov)
+    oracle_write_log_csv(tmp_path / "old.csv", ms, prov)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@SETTINGS
+@given(
+    times=st.lists(st.integers(0, 4 * 10**9), min_size=1, max_size=8, unique=True),
+    data=st.data(),
+    prov=provenance,
+)
+def test_correction_writer_matches_the_oracle_on_generated_tables(tmp_path, times, data, prov):
+    values = data.draw(st.lists(numbers, min_size=len(times), max_size=len(times)))
+    table = CorrectionTable(sorted(map(float, times)), values, prov)
+    write_correction_csv(tmp_path / "new.csv", table)
+    oracle_write_correction_csv(tmp_path / "old.csv", table)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@SETTINGS
+@given(curve=st.lists(st.tuples(numbers, numbers), max_size=8), prov=provenance)
+def test_curve_writer_matches_the_oracle(tmp_path, curve, prov):
+    write_curve_csv(tmp_path / "new.csv", curve, prov)
+    oracle_write_curve_csv(tmp_path / "old.csv", curve, prov)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_writers_match_the_oracle_past_one_write_block(tmp_path):
+    ms = [BfoMeasurement(1394150400.0 + i * 0.25, Channel.R, MessageType.DATA, 100.0 + i / 7, i) for i in range(2100)]
+    curve = [(i / 100, math.sin(i)) for i in range(2100)]
+    write_log_csv(tmp_path / "log_new.csv", ms, ["# two blocks"])
+    oracle_write_log_csv(tmp_path / "log_old.csv", ms, ["# two blocks"])
+    write_curve_csv(tmp_path / "curve_new.csv", curve)
+    oracle_write_curve_csv(tmp_path / "curve_old.csv", curve)
+    assert (tmp_path / "log_new.csv").read_bytes() == (tmp_path / "log_old.csv").read_bytes()
+    assert (tmp_path / "curve_new.csv").read_bytes() == (tmp_path / "curve_old.csv").read_bytes()

@@ -298,11 +298,39 @@ def test_format_both_ends_of_the_year_range(text):
 
 
 def test_format_last_microsecond_of_year_9999_raises_as_datetime_does():
-    # the nearest float is 10000-01-01T00:00:00Z, which datetime cannot hold
-    t = parse_time_utc("9999-12-31T23:59:59.999999Z")
+    # the nearest float is 10000-01-01T00:00:00Z, which datetime cannot hold;
+    # parse_time_utc refuses the text, so the strptime oracle reads it
+    t = oracle_parse_time_utc("9999-12-31T23:59:59.999999Z")
     assert t == END_SECOND
     assert raised(format_time_utc, t) == raised(oracle_isoformat_time_utc, t)
     assert raised(format_time_utc, t)[0] is ValueError
+
+
+@pytest.mark.parametrize(("text", "fixed_offset"), [
+    ("9999-12-31T23:59:59.999999Z", True),
+    ("9999-12-31T23:59:59.999985Z", True),  # the earliest text that rounds up
+    ("９999-12-31T23:59:59.999999Z", False),  # a fullwidth digit goes to strptime
+])
+def test_parse_refuses_text_that_rounds_to_year_10000(text, fixed_offset):
+    assert (_parse_full_form(text) == END_SECOND) if fixed_offset else (_parse_full_form(text) is None)
+    assert oracle_parse_time_utc(text) == END_SECOND
+    with pytest.raises(DomainError, match="past the last writable microsecond of year 9999") as info:
+        parse_time_utc(text)
+    assert repr(text) in str(info.value)
+
+
+def test_shorthand_before_noon_on_the_last_reference_date_is_refused():
+    # the next day is 10000-01-01, which no date can hold
+    last = date(9999, 12, 31)
+    assert parse_time_utc("23:59:59Z", last) == oracle_parse_time_utc("23:59:59Z", last) == END_SECOND - 1
+    with pytest.raises(DomainError, match="past the last writable microsecond of year 9999"):
+        parse_time_utc("00:11Z", last)
+
+
+def test_parse_keeps_the_last_text_that_rounds_below_year_10000():
+    t = parse_time_utc("9999-12-31T23:59:59.999984Z")
+    assert t == oracle_parse_time_utc("9999-12-31T23:59:59.999984Z") < END_SECOND
+    assert format_time_utc(t) == oracle_isoformat_time_utc(t) == "9999-12-31T23:59:59.999969Z"
 
 
 @pytest.mark.parametrize("t", [
