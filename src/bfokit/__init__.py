@@ -36,7 +36,6 @@ from .geodesy import (
     geodetic_to_ecef,
     kinematics_to_ecef_velocity,
 )
-from .ingest import ingest_logs
 from .satellite import (
     CorrectionTable,
     EphemerisTable,

@@ -60,7 +60,6 @@ class ChannelConfig:
     uplink_hz: float = DEFAULT_UPLINK_HZ
     downlink_hz: float = DEFAULT_DOWNLINK_HZ
     ges_position: GeodeticPosition = DEFAULT_GES_POSITION
-    speed_of_light_mps: float = SPEED_OF_LIGHT_MPS
 
     def __post_init__(self):
         if self.uplink_hz <= 0 or self.downlink_hz <= 0:
@@ -146,7 +145,7 @@ def _uplink(xp, frame, altitude_m, ve, vn, vertical_rate_mps, sat, cfg):
     vx, vy, vz = _ecef_velocity(frame, ve, vn, vertical_rate_mps)
     s_v = sat.velocity
     rel = (s_v.x - vx, s_v.y - vy, s_v.z - vz)
-    return cfg.uplink_hz / cfg.speed_of_light_mps * _los_rate(
+    return cfg.uplink_hz / SPEED_OF_LIGHT_MPS * _los_rate(
         xp, rel, sat.position.as_tuple(), _ecef_position(frame, altitude_m)
     )
 
@@ -154,7 +153,7 @@ def _uplink(xp, frame, altitude_m, ve, vn, vertical_rate_mps, sat, cfg):
 def _compensation(xp, frame, ve, vn, slot, cfg):
     """The terminal's own estimate: level flight at sea level, satellite
     fixed at the nominal slot."""
-    return cfg.uplink_hz / cfg.speed_of_light_mps * _los_rate(
+    return cfg.uplink_hz / SPEED_OF_LIGHT_MPS * _los_rate(
         xp,
         _ecef_velocity(frame, ve, vn, 0.0),
         slot.ecef,
@@ -164,7 +163,7 @@ def _compensation(xp, frame, ve, vn, slot, cfg):
 
 def _downlink(sat, cfg):
     """Satellite motion along the satellite -> ground-station line of sight."""
-    return cfg.downlink_hz / cfg.speed_of_light_mps * _los_rate(
+    return cfg.downlink_hz / SPEED_OF_LIGHT_MPS * _los_rate(
         math, sat.velocity.as_tuple(), sat.position.as_tuple(), cfg.ges_ecef
     )
 
@@ -300,7 +299,7 @@ def predict_bfo_batch(
 def vertical_doppler(vz_mps: float, elevation_deg: float, cfg: ChannelConfig) -> float:
     """Uncompensated BFO contribution of vertical speed ``vz_mps`` (Hz):
     vz * F_up * sin(elevation) / c. Positive up."""
-    return vz_mps * cfg.uplink_hz * math.sin(math.radians(elevation_deg)) / cfg.speed_of_light_mps
+    return vz_mps * cfg.uplink_hz * math.sin(math.radians(elevation_deg)) / SPEED_OF_LIGHT_MPS
 
 
 def descent_sensitivity(elevation_deg: float, cfg: ChannelConfig) -> float:

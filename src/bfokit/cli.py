@@ -56,8 +56,15 @@ def _emit(payload, fmt: str) -> None:
 
 def _fmt_cell(v: float, pretty: bool) -> str:
     if pretty and float(v) == int(v) and abs(v) >= 1000:
-        return f"{int(v):,}"
+        return f'"{int(v):,}"'  # quoted, so the separators stay inside one CSV cell
     return _fmt(v)
+
+
+def _speed_list(text: str) -> list[float]:
+    try:
+        return [float(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of speeds") from None
 
 
 def _load_log(cfg):
@@ -105,10 +112,9 @@ def _cmd_track_sweep(args) -> dict:
     measured = args.measured_bfo if args.measured_bfo is not None else _measured_bfo_at(cfg, t)
     ephemeris = cfg.load_ephemeris()
     corrections = cfg.load_corrections()
-    speeds = [float(s) for s in args.speed_kts.split(",")]
 
     out: dict = {"time_utc": format_time_utc(t), "measured_bfo_hz": measured, "curves": {}}
-    for speed in speeds:
+    for speed in args.speed_kts:
         curve = bfo_error_vs_track(
             crossing=cfg.arc_crossing,
             t=t,
@@ -284,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("track-sweep", help="BFO error vs assumed track angle at the arc crossing")
     common(p)
     p.add_argument("--time", default="00:11Z")
-    p.add_argument("--speed-kts", default="450", help="comma-separated ground speeds")
+    p.add_argument("--speed-kts", type=_speed_list, default="450", help="comma-separated ground speeds")
     p.add_argument("--step-deg", type=float, default=1.0)
     p.add_argument("--measured-bfo", type=float, default=None)
     p.add_argument("--out-dir", default=None, help="write one curve CSV per speed")

@@ -15,7 +15,6 @@ import csv
 import json
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from functools import lru_cache
@@ -324,19 +323,6 @@ def load_log_csv(path) -> LogRecords:
         raise ParseError(path, fatal)
     measurements.sort(key=lambda m: m.timestamp)
     return LogRecords(tuple(measurements), tuple(provenance), tuple(problems))
-
-
-def ingest_logs(path) -> list[BfoMeasurement]:
-    """Spec surface: parsed, time-sorted measurements from a log CSV.
-
-    Rejected rows and empty files are reported as warnings.
-    """
-    records = load_log_csv(path)
-    for lineno, msg in records.rejected:
-        warnings.warn(f"{path}: rejected line {lineno}: {msg}", stacklevel=2)
-    if not records.measurements:
-        warnings.warn(f"{path}: no measurements", stacklevel=2)
-    return list(records.measurements)
 
 
 def write_log_csv(path, measurements, provenance=()) -> None:

@@ -10,11 +10,11 @@ included to generate synthetic tables for tests and fixtures.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
+from itertools import chain
 
 from .errors import DomainError
 from .geodesy import EcefVector
@@ -49,89 +49,102 @@ class NominalSlot:
         return nominal_satellite_position(self).as_tuple()
 
 
-def _float_array(values, what: str) -> np.ndarray:
+def _flat_floats(values):
+    """``values`` as one flat array of doubles, with the shape ``numpy.asarray(values,
+    dtype=float)`` gives it; ragged rows or a non-number raise ValueError or TypeError."""
+    if not isinstance(values, (list, tuple)):
+        if hasattr(values, "tolist"):  # a numpy array or scalar
+            return _flat_floats(values.tolist())
+        return array("d", [float(values)]), ()
+    try:  # numbers, or rows of numbers of one length: no object per row
+        if all(isinstance(row, (list, tuple)) for row in values) and len(set(map(len, values))) == 1:
+            return array("d", chain.from_iterable(values)), (len(values), len(values[0]))
+        return array("d", values), (len(values),)
+    except TypeError:  # deeper rows, or rows and numbers mixed
+        parts, shapes = zip(*map(_flat_floats, values))
+    if len(set(shapes)) > 1:
+        raise ValueError("ragged rows")
+    return array("d", chain.from_iterable(parts)), (len(parts), *shapes[0])
+
+
+def _floats(values, what: str):
     try:
-        return np.asarray(values, dtype=float)
+        return _flat_floats(values)
     except (TypeError, ValueError) as e:  # ragged rows or non-numbers
         raise DomainError(f"{what} must be numbers in rows of equal length") from e
 
 
-class EphemerisTable:
-    """Time-ordered (position, velocity) samples of the relay satellite.
+def _array(rows):
+    import numpy as np  # only the array views need numpy
+    return np.array(rows)
 
-    Immutable after construction; queries are pure. Lookups read float
-    list copies of the arrays, made once here.
-    """
+
+class _Table:
+    """Samples held as float lists; their numpy array views are built on first read."""
+
+    times = cached_property(lambda self: _array(self.time_list))
+
+    def __len__(self):
+        return len(self.time_list)
+
+    @property
+    def span(self) -> tuple[float, float]:
+        return self.time_list[0], self.time_list[-1]
+
+
+class EphemerisTable(_Table):
+    """Time-ordered (position, velocity) samples of the relay satellite:
+    ``time_list`` and ``row_list``, one ``[x, y, z, vx, vy, vz]`` per row."""
+
+    positions = cached_property(lambda self: _array([row[:3] for row in self.row_list]))
+    velocities = cached_property(lambda self: _array([row[3:] for row in self.row_list]))
 
     def __init__(self, times, positions, velocities, provenance=()):
-        self.times = _float_array(times, "ephemeris times")
-        self.positions = _float_array(positions, "ephemeris positions")
-        self.velocities = _float_array(velocities, "ephemeris velocities")
+        times, t_shape = _floats(times, "ephemeris times")
+        positions, p_shape = _floats(positions, "ephemeris positions")
+        velocities, v_shape = _floats(velocities, "ephemeris velocities")
         self.provenance = tuple(provenance)
-        if self.times.ndim != 1:
-            raise DomainError(f"ephemeris times must be one-dimensional, got shape {self.times.shape}")
-        n = len(self.times)
+        if len(t_shape) != 1:
+            raise DomainError(f"ephemeris times must be one-dimensional, got shape {t_shape}")
+        n = len(times)
         if n < 2:
             raise DomainError("ephemeris table needs at least 2 rows")
-        for what, rows in (("positions", self.positions), ("velocities", self.velocities)):
-            if rows.shape != (n, 3):
-                raise DomainError(f"ephemeris {what} must have shape ({n}, 3), got {rows.shape}")
-        if not np.all(np.diff(self.times) > 0):
+        for what, shape in (("positions", p_shape), ("velocities", v_shape)):
+            if shape != (n, 3):
+                raise DomainError(f"ephemeris {what} must have shape ({n}, 3), got {shape}")
+        if not all(a < b for a, b in zip(times, times[1:])):
             raise DomainError("ephemeris timestamps must be strictly increasing")
-        if not (np.all(np.isfinite(self.positions)) and np.all(np.isfinite(self.velocities))):
+        if not all(map(math.isfinite, positions + velocities)):
             raise DomainError("ephemeris rows must be finite")
-        radii = np.linalg.norm(self.positions, axis=1)
-        if np.any(np.abs(radii - GEO_RADIUS_M) > GEO_SHELL_HALF_WIDTH_M):
+        radii = map(math.hypot, positions[0::3], positions[1::3], positions[2::3])
+        if any(abs(r - GEO_RADIUS_M) > GEO_SHELL_HALF_WIDTH_M for r in radii):
             raise DomainError("ephemeris positions outside the geosynchronous shell")
-        self.time_list = self.times.tolist()
-        # one [x, y, z, vx, vy, vz] list per row
-        self.row_list = np.hstack([self.positions, self.velocities]).tolist()
-
-    def __len__(self):
-        return len(self.times)
-
-    @property
-    def span(self) -> tuple[float, float]:
-        return self.time_list[0], self.time_list[-1]
-
-    def row(self, i: int) -> tuple[float, EcefVector, EcefVector]:
-        return (
-            float(self.times[i]),
-            EcefVector(*self.positions[i]),
-            EcefVector(*self.velocities[i]),
-        )
+        # new floats, the six of a row side by side, for the lookups
+        self.time_list = times.tolist()
+        self.row_list = [(positions[k:k + 3] + velocities[k:k + 3]).tolist() for k in range(0, 3 * n, 3)]
 
 
-class CorrectionTable:
-    """Tabulated net deterministic frequency correction (Hz) vs time.
+class CorrectionTable(_Table):
+    """Tabulated net deterministic frequency correction (Hz) vs time: ``time_list``, ``value_list``."""
 
-    Lookups read float list copies of the arrays, made once here.
-    """
+    values = cached_property(lambda self: _array(self.value_list))
 
     def __init__(self, times, values, provenance=()):
-        self.times = _float_array(times, "correction times")
-        self.values = _float_array(values, "correction values")
+        times, t_shape = _floats(times, "correction times")
+        values, v_shape = _floats(values, "correction values")
         self.provenance = tuple(provenance)
-        if self.times.ndim != 1 or self.values.ndim != 1:
+        if len(t_shape) != 1 or len(v_shape) != 1:
             raise DomainError(
                 "correction times and values must be one-dimensional, "
-                f"got shapes {self.times.shape} and {self.values.shape}"
+                f"got shapes {t_shape} and {v_shape}"
             )
-        if len(self.times) != len(self.values) or len(self.times) < 1:
+        if len(times) != len(values) or len(times) < 1:
             raise DomainError("correction table needs matching, non-empty columns")
-        if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):
+        if not all(a < b for a, b in zip(times, times[1:])):
             raise DomainError("correction timestamps must be strictly increasing")
-        if not (np.all(np.isfinite(self.times)) and np.all(np.isfinite(self.values))):
+        if not all(map(math.isfinite, times + values)):
             raise DomainError("correction rows must be finite")
-        self.time_list = self.times.tolist()
-        self.value_list = self.values.tolist()
-
-    def __len__(self):
-        return len(self.times)
-
-    @property
-    def span(self) -> tuple[float, float]:
-        return self.time_list[0], self.time_list[-1]
+        self.time_list, self.value_list = times.tolist(), values.tolist()
 
 
 def _segment_index(times, t) -> int:
@@ -254,12 +267,7 @@ class SyntheticGeoModel:
     def table(self, start: float, end: float, step_s: float, provenance=()) -> EphemerisTable:
         if end <= start or step_s <= 0:
             raise DomainError("need end > start and a positive step")
-        count = int(round((end - start) / step_s)) + 1
-        times, positions, velocities = [], [], []
-        for k in range(count):
-            t = start + k * step_s
-            st = self.state_at(t)
-            times.append(t)
-            positions.append(st.position.as_tuple())
-            velocities.append(st.velocity.as_tuple())
+        times = [start + k * step_s for k in range(int(round((end - start) / step_s)) + 1)]
+        states = [self.state_at(t) for t in times]
+        positions, velocities = [s.position.as_tuple() for s in states], [s.velocity.as_tuple() for s in states]
         return EphemerisTable(times, positions, velocities, provenance)

@@ -8,6 +8,7 @@ offsets used to build expected BFOs for south and north tracks.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 import numpy as np
@@ -42,6 +43,9 @@ def bfo_error_vs_track(
     ``step_deg`` must divide 360. Both endpoints are emitted so the
     curve's periodicity is visible in the output.
     """
+    for name, value in (("step_deg", step_deg), ("measured_bfo_hz", measured_bfo_hz)):
+        if not math.isfinite(value):
+            raise DomainError(f"{name} {value} is not finite")
     if step_deg <= 0:
         raise DomainError("step must be positive")
     steps = 360.0 / step_deg

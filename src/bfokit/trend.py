@@ -9,10 +9,9 @@ for a given track sector.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError
 
@@ -35,23 +34,21 @@ class TrendModel:
 
 
 def fit_linear_trend(measurements, window: tuple[float, float]) -> TrendModel:
-    """Fit the OLS BFO line over measurements inside ``window`` (inclusive)."""
+    """Fit the OLS BFO line over measurements inside ``window`` (inclusive),
+    in closed form on hours centred on their mean."""
     t0, t1 = window
     if not t0 < t1:
         raise DomainError("fit window must have t_start < t_end")
     in_window = [m for m in measurements if t0 <= m.timestamp <= t1]
-    times = np.array([m.timestamp for m in in_window])
-    bfos = np.array([m.bfo_hz for m in in_window])
-    if len(times) < 2 or len(set(times.tolist())) < 2:
+    hours = [(m.timestamp - t0) / 3600.0 for m in in_window]
+    bfos = [m.bfo_hz for m in in_window]
+    if len(set(hours)) < 2:
         raise DomainError("trend fit needs at least 2 in-window measurements with distinct times")
-
-    hours = (times - t0) / 3600.0
-    design = np.column_stack([hours, np.ones_like(hours)])
-    coeffs, *_ = np.linalg.lstsq(design, bfos, rcond=None)
-    slope, intercept = float(coeffs[0]), float(coeffs[1])
-    residuals = bfos - (slope * hours + intercept)
-    rms = float(np.sqrt(np.mean(residuals**2)))
-    return TrendModel(slope, intercept, (float(t0), float(t1)), rms)
+    mean_h, mean_y = sum(hours) / len(hours), sum(bfos) / len(bfos)
+    dh = [h - mean_h for h in hours]
+    slope = sum(d * (y - mean_y) for d, y in zip(dh, bfos)) / sum(d * d for d in dh)
+    rms = math.sqrt(sum((y - mean_y - slope * d) ** 2 for d, y in zip(dh, bfos)) / len(dh))
+    return TrendModel(slope, mean_y - slope * mean_h, (float(t0), float(t1)), rms)
 
 
 def extrapolate(model: TrendModel, t: float) -> float:

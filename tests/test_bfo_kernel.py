@@ -37,6 +37,7 @@ from bfokit.satellite import (
     satellite_state_at,
 )
 from bfokit.track_sweep import bfo_error_vs_track
+from bfokit.units import SPEED_OF_LIGHT_MPS
 
 TOL_HZ = 1e-9
 TERMS = ("uplink_doppler_hz", "downlink_doppler_hz", "aes_compensation_hz", "sat_plus_afc_hz", "bias_hz")
@@ -53,7 +54,7 @@ def _los_projection(velocity, from_pos, to_pos):
 
 
 def oracle_terms(aircraft, sat, corrections, bias_hz, cfg, slot) -> dict[str, float]:
-    f_up = cfg.uplink_hz / cfg.speed_of_light_mps
+    f_up = cfg.uplink_hz / SPEED_OF_LIGHT_MPS
     p_x = geodetic_to_ecef(aircraft.position)
     v_x = kinematics_to_ecef_velocity(aircraft.position, aircraft.kinematics)
     uplink = f_up * _los_projection(sat.velocity - v_x, sat.position, p_x)
@@ -65,7 +66,7 @@ def oracle_terms(aircraft, sat, corrections, bias_hz, cfg, slot) -> dict[str, fl
     compensation = f_up * _los_projection(v_hat, nominal_satellite_position(slot), p_hat)
 
     p_ges = geodetic_to_ecef(cfg.ges_position)
-    downlink = cfg.downlink_hz / cfg.speed_of_light_mps * _los_projection(
+    downlink = cfg.downlink_hz / SPEED_OF_LIGHT_MPS * _los_projection(
         sat.velocity, sat.position, p_ges
     )
     return {

@@ -29,10 +29,11 @@ from bfokit.satellite import (
     nominal_satellite_position,
 )
 from bfokit.stats import BfoMeasurement, Channel, MessageType
+from bfokit.units import SPEED_OF_LIGHT_MPS
 
 CFG = ChannelConfig()
 SLOT = NominalSlot()
-F_OVER_C = CFG.uplink_hz / CFG.speed_of_light_mps  # ~5.4926 Hz per m/s
+F_OVER_C = CFG.uplink_hz / SPEED_OF_LIGHT_MPS  # ~5.4926 Hz per m/s
 
 STATIC = GroundKinematics(0.0, 0.0, 0.0)
 
@@ -142,7 +143,7 @@ class TestDownlinkDoppler:
         away = (p_s - p_ges) * (1.0 / (p_s - p_ges).norm())
         sat = SatelliteState(p_s, away)
         assert downlink_doppler(sat, cfg) == pytest.approx(-5.0029, abs=0.01)
-        assert downlink_doppler(sat, cfg) == pytest.approx(-1.5e9 / cfg.speed_of_light_mps, rel=1e-12)
+        assert downlink_doppler(sat, cfg) == pytest.approx(-1.5e9 / SPEED_OF_LIGHT_MPS, rel=1e-12)
 
     def test_odd_in_satellite_velocity(self):
         rng = np.random.default_rng(4)
@@ -226,7 +227,7 @@ class TestPredictBfo:
             v_x = k.ground_speed_mps * (np.sin(tr) * e + np.cos(tr) * n) + k.vertical_rate_mps * u
 
             los = p_x - sat_pos
-            up = cfg.uplink_hz / cfg.speed_of_light_mps * np.dot(sat_vel - v_x, los) / np.linalg.norm(los)
+            up = cfg.uplink_hz / SPEED_OF_LIGHT_MPS * np.dot(sat_vel - v_x, los) / np.linalg.norm(los)
 
             p_hat = lla2ecef(lat, lon, 0.0)
             v_hat = k.ground_speed_mps * (np.sin(tr) * e + np.cos(tr) * n)
@@ -238,7 +239,7 @@ class TestPredictBfo:
                 ]
             )
             los_hat = p_hat - s_hat
-            comp = cfg.uplink_hz / cfg.speed_of_light_mps * np.dot(v_hat, los_hat) / np.linalg.norm(los_hat)
+            comp = cfg.uplink_hz / SPEED_OF_LIGHT_MPS * np.dot(v_hat, los_hat) / np.linalg.norm(los_hat)
 
             p_ges = lla2ecef(
                 cfg.ges_position.latitude_deg,
@@ -246,7 +247,7 @@ class TestPredictBfo:
                 cfg.ges_position.altitude_m,
             )
             los_d = p_ges - sat_pos
-            down = cfg.downlink_hz / cfg.speed_of_light_mps * np.dot(sat_vel, los_d) / np.linalg.norm(los_d)
+            down = cfg.downlink_hz / SPEED_OF_LIGHT_MPS * np.dot(sat_vel, los_d) / np.linalg.norm(los_d)
             return up + down + comp + corr + bias
 
         rng = np.random.default_rng(29)

@@ -1,5 +1,7 @@
+import csv
 import json
 import shutil
+import warnings
 from pathlib import Path
 
 import pytest
@@ -71,6 +73,20 @@ class TestDescentBounds:
         text = (tmp_path / "descent_rates_combined.csv").read_text()
         assert "14,800" in text and "25,300" in text
 
+    def test_pretty_tables_parse_as_csv(self, capsys, tmp_path):
+        code, _, _ = run(
+            capsys, "descent-bounds", "--config", CONFIG,
+            "--out-dir", str(tmp_path), "--format", "pretty",
+        )
+        assert code == 0
+        for name in (n for n in GOLDEN_FILES if n.endswith(".csv")):
+            with open(tmp_path / name, newline="") as f:
+                header, *rows = csv.reader(f)
+            assert all(len(row) == len(header) for row in rows), name
+            with open(GOLDEN / name, newline="") as f:
+                golden = list(csv.reader(f))
+            assert [header] + [[c.replace(",", "") for c in row] for row in rows] == golden, name
+
     def test_exact_sensitivity_flag(self, capsys):
         code, payload, _ = run_json(
             capsys, "descent-bounds", "--config", CONFIG, "--exact-sensitivity"
@@ -104,6 +120,27 @@ class TestTrackSweep:
         )
         ratio = payload["curves"]["500kts"]["peak_to_peak_hz"] / payload["curves"]["450kts"]["peak_to_peak_hz"]
         assert 0.85 <= ratio <= 1.15
+
+    @pytest.mark.parametrize("speeds", ["abc", "450,,500"])
+    def test_bad_speed_list_is_a_usage_error(self, capsys, speeds):
+        with pytest.raises(SystemExit) as info:
+            main(["track-sweep", "--config", CONFIG, "--speed-kts", speeds])
+        err = capsys.readouterr().err
+        assert info.value.code == 1
+        assert "argument --speed-kts" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--step-deg", "nan", "step_deg"),
+        ("--step-deg", "inf", "step_deg"),
+        ("--measured-bfo", "nan", "measured_bfo_hz"),
+        ("--measured-bfo", "inf", "measured_bfo_hz"),
+    ])
+    def test_non_finite_input_is_a_domain_error(self, capsys, flag, value, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+            code, out, err = run(capsys, "track-sweep", "--config", CONFIG, flag, value)
+        assert (code, out) == (3, "")
+        assert f"domain error: {name} {value} is not finite" in err
 
 
 class TestTrend:

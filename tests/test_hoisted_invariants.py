@@ -36,6 +36,7 @@ from bfokit.satellite import (
     nominal_satellite_position,
     satellite_state_at,
 )
+from bfokit.units import SPEED_OF_LIGHT_MPS
 
 TERMS = ("uplink_doppler_hz", "downlink_doppler_hz", "aes_compensation_hz", "sat_plus_afc_hz", "bias_hz")
 
@@ -43,7 +44,7 @@ TERMS = ("uplink_doppler_hz", "downlink_doppler_hz", "aes_compensation_hz", "sat
 # --- oracle: both fixed positions recomputed on every call ----------------------
 
 def oracle_compensation(xp, frame, ve, vn, slot, cfg):
-    return cfg.uplink_hz / cfg.speed_of_light_mps * _los_rate(
+    return cfg.uplink_hz / SPEED_OF_LIGHT_MPS * _los_rate(
         xp,
         _ecef_velocity(frame, ve, vn, 0.0),
         nominal_satellite_position(slot).as_tuple(),
@@ -54,7 +55,7 @@ def oracle_compensation(xp, frame, ve, vn, slot, cfg):
 def oracle_downlink(sat, cfg):
     g = cfg.ges_position
     p_ges = _ecef_position(_frame(math, g.latitude_deg, g.longitude_deg), g.altitude_m)
-    return cfg.downlink_hz / cfg.speed_of_light_mps * _los_rate(
+    return cfg.downlink_hz / SPEED_OF_LIGHT_MPS * _los_rate(
         math, sat.velocity.as_tuple(), sat.position.as_tuple(), p_ges
     )
 

@@ -5,7 +5,6 @@ from bfokit.errors import DomainError, ParseError
 from bfokit.fixtures import fixture_path
 from bfokit.ingest import (
     format_time_utc,
-    ingest_logs,
     load_correction_csv,
     load_ephemeris_csv,
     load_error_samples_csv,
@@ -48,7 +47,7 @@ class TestTimestamps:
 
 class TestLogIngestion:
     def test_key_event_fixture_has_eight_events(self):
-        ms = ingest_logs(fixture_path("mh370_key_events.csv"))
+        ms = load_log_csv(fixture_path("mh370_key_events.csv")).measurements
         assert len(ms) == 8
         stamps = [format_time_utc(m.timestamp) for m in ms]
         assert stamps == [
@@ -69,15 +68,14 @@ class TestLogIngestion:
         lines[-1], lines[-2] = lines[-2], lines[-1]
         p = tmp_path / "shuffled.csv"
         p.write_text("\n".join(lines) + "\n")
-        ms = ingest_logs(p)
+        ms = load_log_csv(p).measurements
         times = [m.timestamp for m in ms]
         assert times == sorted(times)
 
-    def test_empty_file_warns(self, tmp_path):
+    def test_empty_file_has_no_measurements(self, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text("")
-        with pytest.warns(UserWarning, match="no measurements"):
-            assert ingest_logs(p) == []
+        assert load_log_csv(p).measurements == ()
 
     def test_nan_bfo_row_rejected_with_report(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -90,8 +88,7 @@ class TestLogIngestion:
         assert len(records.measurements) == 1
         assert len(records.rejected) == 1
         assert records.rejected[0][0] == 3  # physical line number
-        with pytest.warns(UserWarning, match="line 3"):
-            ms = ingest_logs(p)
+        ms = load_log_csv(p).measurements
         assert len(ms) == 1
 
     def test_unknown_column_rejected(self, tmp_path):
@@ -170,7 +167,7 @@ class TestFixtureContent:
             assert any("source" in c for c in comments)
 
     def test_final_logon_pair_recorded_values(self):
-        ms = ingest_logs(fixture_path("mh370_bfo_log.csv"))
+        ms = load_log_csv(fixture_path("mh370_bfo_log.csv")).measurements
         logon = [m for m in ms if m.message_type.value == "logon_request"][-1]
         ack = [m for m in ms if m.message_type.value == "logon_ack"][-1]
         assert logon.bfo_hz == 182.0

@@ -30,10 +30,10 @@ class TestEphemerisInterpolation:
         model = SyntheticGeoModel(node_time=0.0)
         table = model.table(0.0, 3600.0, 600.0)
         for i in range(len(table)):
-            t, p, v = table.row(i)
+            t, row = table.time_list[i], table.row_list[i]
             st = satellite_state_at(t, table)
-            assert st.position.as_tuple() == pytest.approx(p.as_tuple(), abs=1e-9)
-            assert st.velocity.as_tuple() == pytest.approx(v.as_tuple(), abs=1e-12)
+            assert st.position.as_tuple() == pytest.approx(row[:3], abs=1e-9)
+            assert st.velocity.as_tuple() == pytest.approx(row[3:], abs=1e-12)
 
     def test_midpoint_of_linear_motion_is_mean(self):
         v = [1.0, -2.0, 0.5]
