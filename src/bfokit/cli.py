@@ -16,12 +16,13 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from itertools import chain
 from pathlib import Path
 
 from .bfo_model import AircraftState, descent_sensitivity, predict_bfo, calibrate_bias
 from .config import load_config
-from .descent import Hypothesis, analyze, final_logon_pair
-from .errors import BfokitError, ConfigError, DomainError, ParseError
+from .descent import MESSAGES, Hypothesis, analyze, final_logon_pair
+from .errors import ConfigError, DomainError, ParseError
 from .geodesy import GeodeticPosition, GroundKinematics, elevation_angle
 from .ingest import _fmt, _write_csv, format_time_utc, write_curve_csv
 from .satellite import satellite_state_at
@@ -54,8 +55,9 @@ def _emit(payload, fmt: str) -> None:
     walk(payload)
 
 
-def _fmt_cell(v: float, pretty: bool) -> str:
-    if pretty and float(v) == int(v) and abs(v) >= 1000:
+def _fmt_cell(v: float) -> str:
+    """A ``--format pretty`` fpm cell: whole thousands get separators."""
+    if float(v) == int(v) and abs(v) >= 1000:
         return f'"{int(v):,}"'  # quoted, so the separators stay inside one CSV cell
     return _fmt(v)
 
@@ -75,11 +77,18 @@ def _load_log(cfg):
     return records.measurements
 
 
-# ---------------------------------------------------------------------------
-# subcommands
+def _window(cfg, text: str, flag: str) -> tuple[float, float]:
+    """The ``START..END`` value of ``flag`` as two UTC seconds."""
+    start_text, _, end_text = text.partition("..")
+    if not end_text:
+        raise ConfigError(f"{flag} must look like START..END")
+    return cfg.parse_time(start_text), cfg.parse_time(end_text)
 
-def _cmd_predict_bfo(args) -> dict:
-    cfg = load_config(args.config)
+
+# ---------------------------------------------------------------------------
+# subcommands: each takes the loaded config and the parsed arguments
+
+def _cmd_predict_bfo(cfg, args) -> dict:
     t = cfg.parse_time(args.time)
     state = AircraftState(
         position=GeodeticPosition(args.lat, args.lon, args.alt),
@@ -91,9 +100,7 @@ def _cmd_predict_bfo(args) -> dict:
         timestamp=t,
     )
     sat = satellite_state_at(t, cfg.load_ephemeris())
-    predicted, terms = predict_bfo(
-        state, sat, cfg.load_corrections(), cfg.bias_hz, cfg.channel, cfg.slot
-    )
+    predicted, terms = predict_bfo(state, sat, cfg.load_corrections(), cfg.bias_hz, cfg.channel, cfg.slot)
     return {"time_utc": format_time_utc(t), "predicted_bfo_hz": predicted, **terms.as_dict()}
 
 
@@ -106,8 +113,7 @@ def _measured_bfo_at(cfg, t: float) -> float:
     return hits[0].bfo_hz
 
 
-def _cmd_track_sweep(args) -> dict:
-    cfg = load_config(args.config)
+def _cmd_track_sweep(cfg, args) -> dict:
     t = cfg.parse_time(args.time)
     measured = args.measured_bfo if args.measured_bfo is not None else _measured_bfo_at(cfg, t)
     ephemeris = cfg.load_ephemeris()
@@ -136,24 +142,13 @@ def _cmd_track_sweep(args) -> dict:
         if args.out_dir:
             path = Path(args.out_dir) / f"track_sweep_{key}.csv"
             path.parent.mkdir(parents=True, exist_ok=True)
-            write_curve_csv(
-                path,
-                curve,
-                provenance=[f"# bfo error vs track angle at {format_time_utc(t)}, {key}"],
-            )
+            write_curve_csv(path, curve, provenance=[f"# bfo error vs track angle at {format_time_utc(t)}, {key}"])
             out["curves"][key]["csv"] = str(path)
     return out
 
 
-def _cmd_trend(args) -> dict:
-    cfg = load_config(args.config)
-    if args.window:
-        start_text, _, end_text = args.window.partition("..")
-        if not end_text:
-            raise ConfigError("--window must look like START..END")
-        window = (cfg.parse_time(start_text), cfg.parse_time(end_text))
-    else:
-        window = cfg.fit_window
+def _cmd_trend(cfg, args) -> dict:
+    window = _window(cfg, args.window, "--window") if args.window else cfg.fit_window
     model = fit_linear_trend(_load_log(cfg), window)
     out = {
         "slope_hz_per_hour": model.slope_hz_per_hour,
@@ -168,14 +163,11 @@ def _cmd_trend(args) -> dict:
     return out
 
 
-def _cmd_logon_drift(args) -> dict:
-    cfg = load_config(args.config)
-    drift = extract_drift_bounds(cfg.load_logon_sequences())
-    return drift.as_dict()
+def _cmd_logon_drift(cfg, args) -> dict:
+    return extract_drift_bounds(cfg.load_logon_sequences()).as_dict()
 
 
-def _cmd_descent_bounds(args) -> dict:
-    cfg = load_config(args.config)
+def _cmd_descent_bounds(cfg, args) -> dict:
     pair = final_logon_pair(_load_log(cfg))
     if args.exact_sensitivity:
         sat = satellite_state_at(pair[0].timestamp, cfg.load_ephemeris())
@@ -186,76 +178,66 @@ def _cmd_descent_bounds(args) -> dict:
     drift = extract_drift_bounds(cfg.load_logon_sequences()) if Hypothesis.POWER_OUTAGE in wanted else None
     result = analyze(pair, drift, cfg.noise, cfg.expected_south_hz, cfg.expected_north_hz, sensitivity, wanted)
 
-    messages = ("logon", "ack")
     times = [format_time_utc(t) for t in result.times]
-    pretty = args.format == "pretty"
+    cell = _fmt_cell if args.format == "pretty" else _fmt
+    tables: dict = {}  # file name -> (header, rows of formatted cells)
+    hypotheses: dict = {}
+    for hyp, bounds in result.hypotheses.items():
+        ranges = {"noise_extended_hz": bounds.noise_extended}
+        header = ["noise_low_hz", "noise_high_hz"]
+        if bounds.drift_removed is not None:
+            ranges = {"drift_removed_hz": bounds.drift_removed, **ranges}
+            header = ["drift_removed_low_hz", "drift_removed_high_hz",
+                      "noise_extended_low_hz", "noise_extended_high_hz"]
+        adjusted = {
+            message: {"recorded_bfo_hz": rec, **{key: [r[i].lower_hz, r[i].upper_hz] for key, r in ranges.items()}}
+            for i, (message, rec) in enumerate(zip(MESSAGES, result.recorded))
+        }
+        rates = {
+            t: {"south": list(r.south_fpm), "north": list(r.north_fpm)} for t, r in zip(times, bounds.table.rates)
+        }
+        hypotheses[hyp.value] = {"adjusted_bfo": adjusted, "descent_rates_fpm": rates}
+        tables[f"adjusted_bfo_{hyp.value}.csv"] = (
+            ["time_utc", "recorded_bfo_hz", *header],
+            [[t, *map(_fmt, chain([a["recorded_bfo_hz"]], *(a[key] for key in ranges)))]
+             for t, a in zip(times, adjusted.values())],
+        )
+        tables[f"descent_rates_{hyp.value}.csv"] = (
+            ["time_utc", "min_south_fpm", "min_north_fpm", "max_south_fpm", "max_north_fpm"],
+            [[t, *map(cell, chain(*zip(r["south"], r["north"])))] for t, r in rates.items()],
+        )
+
     out: dict = {
         "sensitivity_hz_per_100fpm": sensitivity,
         "expected_bfo_hz": {"south": cfg.expected_south_hz, "north": cfg.expected_north_hz},
-        "recorded": {m: {"time_utc": t, "bfo_hz": rec} for m, t, rec in zip(messages, times, result.recorded)},
-        "hypotheses": {},
+        "recorded": {m: {"time_utc": t, "bfo_hz": rec} for m, t, rec in zip(MESSAGES, times, result.recorded)},
+        "hypotheses": hypotheses,
     }
     if drift is not None:
         out["drift_bounds"] = drift.as_dict()
-    out_dir = Path(args.out_dir) if args.out_dir else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
-
-    for hyp, bounds in result.hypotheses.items():
-        adjusted_rows, adjusted_json = [], {}
-        for i, (message, t, rec) in enumerate(zip(messages, times, result.recorded)):
-            ranges = {"noise_extended_hz": bounds.noise_extended[i]}
-            if bounds.drift_removed is not None:
-                ranges = {"drift_removed_hz": bounds.drift_removed[i], **ranges}
-            hz = {key: [r.lower_hz, r.upper_hz] for key, r in ranges.items()}
-            adjusted_json[message] = {"recorded_bfo_hz": rec, **hz}
-            adjusted_rows.append(",".join([t, _fmt(rec)] + [_fmt(v) for low_high in hz.values() for v in low_high]))
-        rates = bounds.table.rates
-        out["hypotheses"][hyp.value] = {
-            "adjusted_bfo": adjusted_json,
-            "descent_rates_fpm": {
-                t: {"south": list(r.south_fpm), "north": list(r.north_fpm)} for t, r in zip(times, rates)
-            },
-        }
-        if out_dir:
-            adj_header = ["time_utc", "recorded_bfo_hz", "noise_low_hz", "noise_high_hz"]
-            if bounds.drift_removed is not None:
-                adj_header = ["time_utc", "recorded_bfo_hz", "drift_removed_low_hz", "drift_removed_high_hz",
-                              "noise_extended_low_hz", "noise_extended_high_hz"]
-            _write_csv(out_dir / f"adjusted_bfo_{hyp.value}.csv", (), adj_header, adjusted_rows)
-            _write_csv(
-                out_dir / f"descent_rates_{hyp.value}.csv", (),
-                ["time_utc", "min_south_fpm", "min_north_fpm", "max_south_fpm", "max_north_fpm"],
-                [
-                    ",".join([t] + [_fmt_cell(v, pretty) for sn in zip(r.south_fpm, r.north_fpm) for v in sn])
-                    for t, r in zip(times, rates)
-                ],
-            )
-
     if result.combined is not None:
-        combined = result.combined.rates
-        out["combined_outer_fpm"] = {t: list(r.outer_fpm) for t, r in zip(times, combined)}
+        out["combined_outer_fpm"] = {t: list(r.outer_fpm) for t, r in zip(times, result.combined.rates)}
         out["acceleration"] = asdict(result.acceleration)
-        if out_dir:
-            _write_csv(
-                out_dir / "descent_rates_combined.csv", (),
-                ["time_utc", "min_fpm", "max_fpm"],
-                [",".join([t] + [_fmt_cell(v, pretty) for v in r.outer_fpm]) for t, r in zip(times, combined)],
-            )
+        tables["descent_rates_combined.csv"] = (
+            ["time_utc", "min_fpm", "max_fpm"],
+            [[t, *map(cell, outer)] for t, outer in out["combined_outer_fpm"].items()],
+        )
+    if args.out_dir:
+        out_dir = Path(args.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, (header, rows) in tables.items():
+            _write_csv(out_dir / name, (), header, map(",".join, rows))
+        if "acceleration" in out:
             (out_dir / "acceleration.json").write_text(
                 json.dumps(out["acceleration"], indent=2, sort_keys=True) + "\n", encoding="utf-8"
             )
     return out
 
 
-def _cmd_calibrate_bias(args) -> dict:
-    cfg = load_config(args.config)
+def _cmd_calibrate_bias(cfg, args) -> dict:
     if cfg.tarmac is None:
         raise ConfigError("config has no tarmac position")
-    start_text, _, end_text = args.tarmac_window.partition("..")
-    if not end_text:
-        raise ConfigError("--tarmac-window must look like START..END")
-    t0, t1 = cfg.parse_time(start_text), cfg.parse_time(end_text)
+    t0, t1 = _window(cfg, args.tarmac_window, "--tarmac-window")
     static = GroundKinematics(0.0, 0.0, 0.0)
     pairs = [
         (m, AircraftState(cfg.tarmac, static, m.timestamp))
@@ -271,13 +253,12 @@ def _cmd_calibrate_bias(args) -> dict:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="bfokit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="analysis config JSON (default: $BFOKIT_CONFIG)")
+    common.add_argument("--format", choices=["text", "json", "pretty"], default="text")
 
-    def common(p):
-        p.add_argument("--config", help="analysis config JSON (default: $BFOKIT_CONFIG)")
-        p.add_argument("--format", choices=["text", "json", "pretty"], default="text")
-
-    p = sub.add_parser("predict-bfo", help="predict one burst's BFO and its term decomposition")
-    common(p)
+    p = sub.add_parser("predict-bfo", parents=[common], help="predict one burst's BFO and its term decomposition")
+    p.set_defaults(run=_cmd_predict_bfo)
     p.add_argument("--time", required=True, help="UTC timestamp (full ISO or HH:MM[:SS]Z)")
     p.add_argument("--lat", type=float, required=True)
     p.add_argument("--lon", type=float, required=True)
@@ -285,29 +266,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--speed-kts", type=float, default=0.0)
     p.add_argument("--track-deg", type=float, default=0.0)
     p.add_argument("--vrate-fpm", type=float, default=0.0)
-    p.set_defaults(run=_cmd_predict_bfo)
 
-    p = sub.add_parser("track-sweep", help="BFO error vs assumed track angle at the arc crossing")
-    common(p)
+    p = sub.add_parser("track-sweep", parents=[common], help="BFO error vs assumed track angle at the arc crossing")
+    p.set_defaults(run=_cmd_track_sweep)
     p.add_argument("--time", default="00:11Z")
     p.add_argument("--speed-kts", type=_speed_list, default="450", help="comma-separated ground speeds")
     p.add_argument("--step-deg", type=float, default=1.0)
     p.add_argument("--measured-bfo", type=float, default=None)
     p.add_argument("--out-dir", default=None, help="write one curve CSV per speed")
-    p.set_defaults(run=_cmd_track_sweep)
 
-    p = sub.add_parser("trend", help="fit the cruise BFO trend line and extrapolate")
-    common(p)
+    p = sub.add_parser("trend", parents=[common], help="fit the cruise BFO trend line and extrapolate")
+    p.set_defaults(run=_cmd_trend)
     p.add_argument("--window", default=None, help="START..END (default: config fit_window)")
     p.add_argument("--extrapolate", action="append", help="timestamp to evaluate (repeatable)")
-    p.set_defaults(run=_cmd_trend)
 
-    p = sub.add_parser("logon-drift", help="warm-up drift bounds from the log-on sequences")
-    common(p)
+    p = sub.add_parser("logon-drift", parents=[common], help="warm-up drift bounds from the log-on sequences")
     p.set_defaults(run=_cmd_logon_drift)
 
-    p = sub.add_parser("descent-bounds", help="two-hypothesis descent-rate bounds and acceleration")
-    common(p)
+    p = sub.add_parser("descent-bounds", parents=[common], help="two-hypothesis descent-rate bounds and acceleration")
+    p.set_defaults(run=_cmd_descent_bounds)
     p.add_argument("--hypothesis", choices=["1", "2", "both"], default="both")
     p.add_argument("--out-dir", default=None, help="write the result tables as CSV/JSON")
     p.add_argument(
@@ -315,32 +292,25 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use the unrounded vertical-Doppler sensitivity at the arc crossing",
     )
-    p.set_defaults(run=_cmd_descent_bounds)
 
-    p = sub.add_parser("calibrate-bias", help="oscillator bias from tarmac measurements")
-    common(p)
-    p.add_argument("--tarmac-window", required=True, help="START..END")
+    p = sub.add_parser("calibrate-bias", parents=[common], help="oscillator bias from tarmac measurements")
     p.set_defaults(run=_cmd_calibrate_bias)
+    p.add_argument("--tarmac-window", required=True, help="START..END")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    fmt = getattr(args, "format", "text")
+    args = build_parser().parse_args(argv)
     try:
-        payload = args.run(args)
+        payload = args.run(load_config(args.config), args)
     except (ParseError, ConfigError) as e:
-        _fail(e, fmt, kind="parse/config")
+        _fail(e, args.format, kind="parse/config")
         return 2
     except DomainError as e:
-        _fail(e, fmt, kind="domain")
+        _fail(e, args.format, kind="domain")
         return 3
-    except BfokitError as e:
-        _fail(e, fmt, kind="error")
-        return 3
-    _emit(payload, fmt)
+    _emit(payload, args.format)
     return 0
 
 

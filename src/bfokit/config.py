@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 from dataclasses import asdict, dataclass
 from datetime import date
 from pathlib import Path
@@ -19,6 +18,7 @@ from .descent import DEFAULT_EXPECTED_NORTH_HZ, DEFAULT_EXPECTED_SOUTH_HZ, DEFAU
 from .errors import ConfigError, DomainError
 from .geodesy import GeodeticPosition
 from .ingest import (
+    _finite_number,
     load_correction_csv,
     load_ephemeris_csv,
     load_log_csv,
@@ -74,7 +74,7 @@ def _number(obj, key, default, path) -> float:
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: {obj!r} is not an object")
     value = obj[key] if default is None else obj.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+    if not _finite_number(value):
         name = f"{path}.{key}" if path else key
         raise ConfigError(f"{name}: {value!r} is not a finite number")
     return float(value)

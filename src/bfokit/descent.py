@@ -14,7 +14,7 @@ acceleration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError
@@ -125,7 +125,11 @@ def descent_rate_bounds(
 
     def rate(expected, bfo):
         r = (expected - bfo) / sensitivity_hz_per_100fpm * 100.0
-        return round_to_fpm(r, rounding_fpm) if rounding_fpm else r
+        if rounding_fpm and math.isfinite(r):
+            r = round_to_fpm(r, rounding_fpm)
+        if not math.isfinite(r):
+            raise DomainError("descent rate is not finite")
+        return r
 
     return DescentRates(
         south_fpm=(rate(expected_south_hz, adjusted.upper_hz), rate(expected_south_hz, adjusted.lower_hz)),
@@ -139,23 +143,17 @@ class DescentBoundsTable:
 
     times: tuple[float, ...]
     rates: tuple[DescentRates, ...]
-    _by_time: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.times) != len(self.rates):
             raise DomainError("times and rates must match")
-        by_time: dict = {}
-        for ti, r in zip(self.times, self.rates):
-            if ti == ti:  # NaN equals no time, so it gets no row
-                by_time.setdefault(ti, r)  # the first row at a time wins
-        object.__setattr__(self, "_by_time", by_time)
 
     def row(self, t: float) -> DescentRates:
-        """The row whose time equals ``t`` exactly."""
-        try:
-            return self._by_time[t]
-        except KeyError:
-            raise DomainError(f"no row at time {t}") from None
+        """The first row whose time equals ``t`` exactly (NaN equals none)."""
+        for ti, r in zip(self.times, self.rates):
+            if ti == t:
+                return r
+        raise DomainError(f"no row at time {t}")
 
 
 def combine_hypotheses(h1: DescentBoundsTable, h2: DescentBoundsTable) -> DescentBoundsTable:

@@ -81,6 +81,10 @@ class GroundKinematics:
     vertical_rate_mps: float = 0.0
 
     def __post_init__(self):
+        for name in ("ground_speed_mps", "vertical_rate_mps"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"{name} {value} is not finite")
         if self.ground_speed_mps < 0:
             raise DomainError("ground speed must be >= 0")
         if not 0.0 <= self.track_angle_deg < 360.0:

@@ -114,7 +114,7 @@ class EphemerisTable(_Table):
                 raise DomainError(f"ephemeris {what} must have shape ({n}, 3), got {shape}")
         if not all(a < b for a, b in zip(times, times[1:])):
             raise DomainError("ephemeris timestamps must be strictly increasing")
-        if not all(map(math.isfinite, positions + velocities)):
+        if not all(map(math.isfinite, times + positions + velocities)):
             raise DomainError("ephemeris rows must be finite")
         radii = map(math.hypot, positions[0::3], positions[1::3], positions[2::3])
         if any(abs(r - GEO_RADIUS_M) > GEO_SHELL_HALF_WIDTH_M for r in radii):

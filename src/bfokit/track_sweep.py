@@ -40,15 +40,19 @@ def bfo_error_vs_track(
     """BFO error (predicted minus measured, Hz) for level flight at the
     crossing point, swept over track angles 0..360 inclusive.
 
-    ``step_deg`` must divide 360. Both endpoints are emitted so the
-    curve's periodicity is visible in the output.
+    ``step_deg`` must divide 360 and be no finer than 0.001 deg. Both
+    endpoints are emitted so the curve's periodicity is visible in the output.
     """
-    for name, value in (("step_deg", step_deg), ("measured_bfo_hz", measured_bfo_hz)):
+    for name, value in (
+        ("step_deg", step_deg), ("ground_speed_mps", ground_speed_mps), ("measured_bfo_hz", measured_bfo_hz)
+    ):
         if not math.isfinite(value):
             raise DomainError(f"{name} {value} is not finite")
     if step_deg <= 0:
         raise DomainError("step must be positive")
     steps = 360.0 / step_deg
+    if steps > 360_000.5:  # checked before any array is built; also catches inf
+        raise DomainError(f"step_deg {step_deg} gives more than 360,001 points (finer than 0.001 deg)")
     if abs(steps - round(steps)) > 1e-9:
         raise DomainError(f"step {step_deg} does not divide 360")
 

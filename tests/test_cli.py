@@ -134,6 +134,8 @@ class TestTrackSweep:
         ("--step-deg", "inf", "step_deg"),
         ("--measured-bfo", "nan", "measured_bfo_hz"),
         ("--measured-bfo", "inf", "measured_bfo_hz"),
+        ("--speed-kts", "nan", "ground_speed_mps"),
+        ("--speed-kts", "inf", "ground_speed_mps"),
     ])
     def test_non_finite_input_is_a_domain_error(self, capsys, flag, value, name):
         with warnings.catch_warnings():
@@ -141,6 +143,13 @@ class TestTrackSweep:
             code, out, err = run(capsys, "track-sweep", "--config", CONFIG, flag, value)
         assert (code, out) == (3, "")
         assert f"domain error: {name} {value} is not finite" in err
+
+    # only steps refused before any array is built: never run a sweep this fine
+    @pytest.mark.parametrize("step", ["1e-300", "5e-324"])
+    def test_too_fine_step_is_a_domain_error(self, capsys, step):
+        code, out, err = run(capsys, "track-sweep", "--config", CONFIG, "--step-deg", step)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"bfokit: domain error: step_deg {step} gives more than 360,001 points")
 
 
 class TestTrend:
@@ -190,6 +199,43 @@ class TestOtherCommands:
         for key in ("uplink_doppler_hz", "downlink_doppler_hz", "aes_compensation_hz",
                     "sat_plus_afc_hz", "bias_hz"):
             assert payload[key] == 0.0
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--speed-kts", "nan", "ground_speed_mps nan is not finite"),
+        ("--speed-kts", "inf", "ground_speed_mps inf is not finite"),
+        ("--vrate-fpm", "inf", "vertical_rate_mps inf is not finite"),
+        ("--vrate-fpm", "-inf", "vertical_rate_mps -inf is not finite"),
+    ])
+    def test_predict_bfo_names_a_non_finite_speed_or_rate(self, capsys, flag, value, message):
+        code, out, err = run(
+            capsys, "predict-bfo", "--config", CONFIG,
+            "--time", "00:11Z", "--lat", "-38.67", "--lon", "85.11", f"{flag}={value}",
+        )
+        assert (code, out) == (3, "")
+        assert err == f"bfokit: domain error: {message}\n"
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["trend", "--window", "19:41Z"], "--window"),
+        (["calibrate-bias", "--tarmac-window", "15:55Z.."], "--tarmac-window"),
+    ])
+    def test_window_without_an_end_is_exit_2(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv, "--config", CONFIG)
+        assert (code, out) == (2, "")
+        assert err == f"bfokit: parse/config error: {flag} must look like START..END\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["predict-bfo", "--time", "00:11Z", "--lat", "0", "--lon", "85"],
+        ["track-sweep"], ["trend"], ["logon-drift"], ["descent-bounds"],
+        ["calibrate-bias", "--tarmac-window", "15:55Z..16:15Z"],
+    ])
+    def test_config_is_loaded_once_per_call(self, capsys, monkeypatch, argv):
+        import bfokit.cli
+        from bfokit.config import load_config
+
+        calls = []
+        monkeypatch.setattr(bfokit.cli, "load_config", lambda path: calls.append(path) or load_config(path))
+        code, _, _ = run(capsys, *argv, "--config", CONFIG)
+        assert code == 0 and calls == [CONFIG]
 
     def test_env_var_supplies_config(self, capsys, monkeypatch):
         monkeypatch.setenv("BFOKIT_CONFIG", CONFIG)
@@ -276,6 +322,23 @@ def _static_world_config(tmp_path):
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
+    return path
+
+
+def _config_with(tmp_path, edits):
+    """A copy of the bundled config with absolute file paths, after setting
+    each dotted key path in ``edits`` to its value."""
+    raw = json.loads(bundled_config_path().read_text())
+    for name in ("log_csv", "ephemeris_csv", "correction_csv", "logon_sequence_csv", "logon_meta_json"):
+        raw[name] = str(bundled_config_path().parent / raw[name])
+    for key, value in edits.items():
+        *parents, leaf = key.split(".")
+        node = raw
+        for name in parents:
+            node = node[name]
+        node[leaf] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
     return path
 
 
@@ -419,19 +482,28 @@ class TestConfigNumbers:
 
     @pytest.mark.parametrize(("key", "value"), [c[1:] for c in CASES], ids=[c[0] for c in CASES])
     def test_bad_number_is_exit_2(self, capsys, tmp_path, key, value):
-        raw = json.loads(bundled_config_path().read_text())
-        for name in ("log_csv", "ephemeris_csv", "correction_csv", "logon_sequence_csv", "logon_meta_json"):
-            raw[name] = str(bundled_config_path().parent / raw[name])
-        *parents, leaf = key.split(".")
-        node = raw
-        for name in parents:
-            node = node[name]
-        node[leaf] = value
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(raw))
+        path = _config_with(tmp_path, {key: value})
         code, out, err = run(capsys, "descent-bounds", "--config", str(path))
         assert code == 2 and out == ""
         assert err.startswith(f"bfokit: parse/config error: {key}: ") and "is not a finite number" in err
+
+
+class TestOverflowingConfig:
+    """Finite config numbers whose descent rate overflows are exit 3, not a traceback."""
+
+    CASES = {
+        "subnormal sensitivity": {"sensitivity_hz_per_100fpm": 5e-324},
+        "huge expected BFO": {"expected_bfo.south_hz": 1e308},
+        "huge noise bounds": {"noise_bounds.lower_hz": -1e308, "noise_bounds.upper_hz": 1e308},
+    }
+
+    @pytest.mark.parametrize("edits", CASES.values(), ids=CASES.keys())
+    def test_non_finite_descent_rate_is_exit_3(self, capsys, tmp_path, edits):
+        path = _config_with(tmp_path, edits)
+        code, out, err = run(capsys, "descent-bounds", "--config", str(path), "--out-dir", str(tmp_path / "out"))
+        assert (code, out) == (3, "")
+        assert err == "bfokit: domain error: descent rate is not finite\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestConfigText:
@@ -451,24 +523,15 @@ class TestConfigText:
 
     @pytest.mark.parametrize(("key", "value", "message"), [c[1:] for c in CASES], ids=[c[0] for c in CASES])
     def test_non_string_is_exit_2(self, capsys, tmp_path, key, value, message):
-        raw = json.loads(bundled_config_path().read_text())
-        for name in ("log_csv", "ephemeris_csv", "correction_csv", "logon_sequence_csv", "logon_meta_json"):
-            raw[name] = str(bundled_config_path().parent / raw[name])
-        raw[key] = value
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(raw))
+        path = _config_with(tmp_path, {key: value})
         code, out, err = run(capsys, "descent-bounds", "--config", str(path))
         assert code == 2 and out == ""
         assert err.startswith(f"bfokit: parse/config error: {message}")
         assert "Traceback" not in err
 
     def test_morning_time_after_the_last_reference_date_is_exit_2(self, capsys, tmp_path):
-        raw = json.loads(bundled_config_path().read_text())
-        for name in ("log_csv", "ephemeris_csv", "correction_csv", "logon_sequence_csv", "logon_meta_json"):
-            raw[name] = str(bundled_config_path().parent / raw[name])
-        raw["reference_date"] = "9999-12-31"  # the fit window's 00:11Z falls in year 10000
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(raw))
+        # the fit window's 00:11Z falls in year 10000
+        path = _config_with(tmp_path, {"reference_date": "9999-12-31"})
         code, out, err = run(capsys, "descent-bounds", "--config", str(path))
         assert code == 2 and out == ""
         assert "timestamp '00:11Z' is past the last writable microsecond of year 9999" in err

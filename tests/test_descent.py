@@ -121,6 +121,16 @@ class TestDescentRateBounds:
         with pytest.raises(DomainError):
             descent_rate_bounds(260.0, 280.0, BfoRange(0.0, 1.0), 0.0)
 
+    @pytest.mark.parametrize("expected, adjusted, sensitivity", [
+        (260.0, BfoRange(0.0, 1.0), 5e-324),
+        (1e308, BfoRange(0.0, 1.0), 1.7),
+        (260.0, BfoRange(-1e308, 1e308), 1.7),
+    ])
+    @pytest.mark.parametrize("rounding", [100.0, None])
+    def test_overflowing_rate_is_a_domain_error(self, expected, adjusted, sensitivity, rounding):
+        with pytest.raises(DomainError, match="descent rate is not finite"):
+            descent_rate_bounds(expected, 280.0, adjusted, sensitivity, rounding)
+
 
 class TestRounding:
     def test_half_away_from_zero(self):
@@ -170,6 +180,15 @@ class TestCombination:
                 r = table.row(t)
                 assert lo <= min(r.south_fpm[0], r.north_fpm[0])
                 assert hi >= max(r.south_fpm[1], r.north_fpm[1])
+
+    def test_row_is_the_first_at_its_time_and_nan_matches_none(self):
+        h1, h2 = reference_tables()
+        table = DescentBoundsTable((T29, T29, float("nan")), (h1.rates[0], h2.rates[0], h1.rates[1]))
+        assert table.row(T29) is h1.rates[0]
+        with pytest.raises(DomainError, match="no row at time nan"):
+            table.row(float("nan"))
+        with pytest.raises(DomainError, match="no row at time 8.0"):
+            table.row(T37)
 
     def test_timestamp_mismatch_rejected(self):
         h1, h2 = reference_tables()

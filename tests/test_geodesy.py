@@ -192,3 +192,10 @@ class TestValidation:
     def test_negative_speed(self):
         with pytest.raises(DomainError):
             GroundKinematics(-1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_speed_or_vertical_rate_is_named(self, bad):
+        with pytest.raises(DomainError, match=f"ground_speed_mps {bad} is not finite"):
+            GroundKinematics(bad, 0.0, 0.0)
+        with pytest.raises(DomainError, match=f"vertical_rate_mps {bad} is not finite"):
+            GroundKinematics(10.0, 0.0, bad)

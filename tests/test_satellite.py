@@ -196,6 +196,12 @@ def test_correction_table_rejects_non_finite_values(bad):
         CorrectionTable([bad], [1.0])
 
 
+@pytest.mark.parametrize("times", [[0.0, math.inf], [-math.inf, 0.0]])
+def test_ephemeris_table_rejects_infinite_times(times):
+    with pytest.raises(DomainError, match="ephemeris rows must be finite"):
+        EphemerisTable(times, [GEO_P0, GEO_P0], [[0, 0, 0], [0, 0, 0]])
+
+
 class TestTableShapes:
     """Constructors check shapes before any reshape, and raise DomainError."""
 

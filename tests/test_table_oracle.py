@@ -45,7 +45,7 @@ def oracle_ephemeris(times, positions, velocities):
             raise DomainError(f"ephemeris {what} must have shape ({n}, 3), got {rows.shape}")
     if not np.all(np.diff(times) > 0):
         raise DomainError("ephemeris timestamps must be strictly increasing")
-    if not (np.all(np.isfinite(positions)) and np.all(np.isfinite(velocities))):
+    if not (np.all(np.isfinite(times)) and np.all(np.isfinite(positions)) and np.all(np.isfinite(velocities))):
         raise DomainError("ephemeris rows must be finite")
     radii = np.linalg.norm(positions, axis=1)
     if np.any(np.abs(radii - GEO_RADIUS_M) > GEO_SHELL_HALF_WIDTH_M):

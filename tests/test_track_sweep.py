@@ -104,6 +104,17 @@ class TestCurveShape:
         with pytest.raises(DomainError):
             sweep_fixture(analysis_config, ephemeris, corrections, step_deg=7.0)
 
+    # only steps refused before any array is built: never run a sweep this fine
+    @pytest.mark.parametrize("step", [0.0009, 1e-300, 5e-324])
+    def test_step_finer_than_a_millidegree_rejected(self, analysis_config, ephemeris, corrections, step):
+        with pytest.raises(DomainError, match=f"step_deg {step} gives more than 360,001 points"):
+            sweep_fixture(analysis_config, ephemeris, corrections, step_deg=step)
+
+    @pytest.mark.parametrize("speed_kts", [float("nan"), float("inf")])
+    def test_non_finite_speed_is_named(self, analysis_config, ephemeris, corrections, speed_kts):
+        with pytest.raises(DomainError, match=f"ground_speed_mps {speed_kts} is not finite"):
+            sweep_fixture(analysis_config, ephemeris, corrections, speed_kts=speed_kts)
+
 
 class TestFixtureSweep:
     def test_south_sector_minimum_error(self, analysis_config, ephemeris, corrections):
