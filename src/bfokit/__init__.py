@@ -5,13 +5,10 @@ from .bfo_model import (
     AircraftState,
     BfoTerms,
     ChannelConfig,
-    aes_compensation,
     calibrate_bias,
     descent_sensitivity,
-    downlink_doppler,
     predict_bfo,
     predict_bfo_batch,
-    uplink_doppler,
     vertical_doppler,
 )
 from .config import AnalysisConfig, load_config

@@ -11,8 +11,8 @@ and the satellite at its nominal slot.
 
 The model is written once, as a component-wise kernel over a math
 backend: ``math`` for one state (:func:`predict_bfo`), ``numpy`` for
-arrays of states that share one time (:func:`predict_bfo_batch`). The
-per-term functions use the same term helpers as the kernel.
+arrays of states that share one time (:func:`predict_bfo_batch`). Both
+return every term as :class:`BfoTerms`.
 """
 
 from __future__ import annotations
@@ -124,12 +124,6 @@ def _all(mask) -> bool:
     return bool(mask.all()) if isinstance(mask, (np.ndarray, np.generic)) else mask
 
 
-def _finite(xp, value, what: str):
-    if not _all(xp.isfinite(value)):
-        raise DomainError(f"{what} is not finite")
-    return value
-
-
 def _los_rate(xp, velocity, from_pos, to_pos):
     """Component of ``velocity`` along the from->to line of sight. Each
     argument is an (x, y, z) of floats or arrays."""
@@ -201,45 +195,9 @@ def _bfo_terms(
         sat_plus_afc_hz=deterministic_correction_at(t, corrections),
         bias_hz=bias_hz,
     )
-    _finite(xp, terms.total_hz, "predicted BFO")
+    if not _all(xp.isfinite(terms.total_hz)):
+        raise DomainError("predicted BFO is not finite")
     return terms
-
-
-def _scalar_motion(aircraft: AircraftState):
-    p, k = aircraft.position, aircraft.kinematics
-    return (
-        _frame(math, p.latitude_deg, p.longitude_deg),
-        *_east_north(math, k.ground_speed_mps, k.track_angle_deg),
-    )
-
-
-def uplink_doppler(aircraft: AircraftState, sat: SatelliteState, cfg: ChannelConfig) -> float:
-    """Uplink Doppler shift, Hz.
-
-    (F_up/c) * (v_s - v_x) . (p_x - p_s) / |p_x - p_s|. Closing geometry
-    (range decreasing) gives a positive shift: a climb directly beneath
-    the satellite raises the BFO.
-    """
-    frame, ve, vn = _scalar_motion(aircraft)
-    p, k = aircraft.position, aircraft.kinematics
-    value = _uplink(math, frame, p.altitude_m, ve, vn, k.vertical_rate_mps, sat, cfg)
-    return _finite(math, value, "uplink Doppler")
-
-
-def aes_compensation(aircraft: AircraftState, slot: NominalSlot, cfg: ChannelConfig) -> float:
-    """Doppler pre-compensation applied by the aircraft terminal, Hz.
-
-    Uses the terminal's own approximations: horizontal velocity only,
-    aircraft at sea level, satellite fixed at the nominal slot.
-    """
-    frame, ve, vn = _scalar_motion(aircraft)
-    return _finite(math, _compensation(math, frame, ve, vn, slot, cfg), "AES compensation")
-
-
-def downlink_doppler(sat: SatelliteState, cfg: ChannelConfig) -> float:
-    """Downlink Doppler shift, Hz: satellite motion projected onto the
-    satellite -> ground-station line of sight. Independent of the aircraft."""
-    return _finite(math, _downlink(sat, cfg), "downlink Doppler")
 
 
 def predict_bfo(

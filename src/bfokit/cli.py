@@ -7,13 +7,15 @@ tables with the downward-acceleration estimate, and tarmac bias
 calibration.
 
 Exit codes: 0 success, 1 usage, 2 parse/config error, 3 numerical-domain
-error. ``--format json`` switches both results and errors to JSON.
+error, which includes a result that would hold NaN or an infinity.
+``--format json`` switches both results and errors to JSON.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from itertools import chain
@@ -53,6 +55,18 @@ def _emit(payload, fmt: str) -> None:
                 print(f"{pad}{key}: {value}")
 
     walk(payload)
+
+
+def _check_finite(node, path="") -> None:
+    """Refuse a result that holds NaN or an infinity, naming its key path."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            _check_finite(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, (list, tuple)):
+        for i, value in enumerate(node):
+            _check_finite(value, f"{path}[{i}]")
+    elif isinstance(node, float) and not math.isfinite(node):
+        raise DomainError(f"{path} is not finite")
 
 
 def _fmt_cell(v: float) -> str:
@@ -304,6 +318,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         payload = args.run(load_config(args.config), args)
+        _check_finite(payload)
     except (ParseError, ConfigError) as e:
         _fail(e, args.format, kind="parse/config")
         return 2

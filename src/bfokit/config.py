@@ -30,10 +30,22 @@ from .stats import DEFAULT_NOISE_BOUNDS, NoiseBounds
 
 CONFIG_ENV_VAR = "BFOKIT_CONFIG"
 
+_POSITION_KEYS = dict.fromkeys(("lat", "lon", "alt"))
+# Every key load_config reads; a key whose value is an object maps to that object's keys.
+CONFIG_KEYS = {
+    **dict.fromkeys(("reference_date", "log_csv", "ephemeris_csv", "correction_csv", "logon_sequence_csv",
+                     "logon_meta_json", "fit_window", "bias_hz", "sensitivity_hz_per_100fpm")),
+    "channel": {"uplink_hz": None, "downlink_hz": None, "ges": _POSITION_KEYS},
+    "nominal_slot": dict.fromkeys(("longitude_deg", "latitude_deg", "radius_m")),
+    "noise_bounds": dict.fromkeys(("lower_hz", "upper_hz")),
+    "expected_bfo": dict.fromkeys(("south_hz", "north_hz")),
+    "arc_crossing": _POSITION_KEYS,
+    "tarmac": _POSITION_KEYS,
+}
+
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    base_dir: Path
     log_csv: Path
     ephemeris_csv: Path
     correction_csv: Path
@@ -80,6 +92,19 @@ def _number(obj, key, default, path) -> float:
     return float(value)
 
 
+def _check_keys(obj, keys, path="") -> None:
+    """Refuse any key of ``obj`` that ``keys`` does not name, so a misspelled
+    key cannot fall back to its default. ``path`` names ``obj``."""
+    if not isinstance(obj, dict):
+        return  # the reader of this value reports a non-object
+    for key, value in obj.items():
+        name = f"{path}.{key}" if path else key
+        if key not in keys:
+            raise ConfigError(f"{name}: unknown config key")
+        if keys[key] is not None:
+            _check_keys(value, keys[key], name)
+
+
 def _text(value, name) -> str:
     """``value``, which must be a JSON string; ``name`` is its key path."""
     if not isinstance(value, str):
@@ -112,6 +137,7 @@ def load_config(path=None) -> AnalysisConfig:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise ConfigError(f"config file {path} is not valid JSON: {e}") from e
+    _check_keys(raw, CONFIG_KEYS)
 
     base = path.parent
 
@@ -155,7 +181,6 @@ def load_config(path=None) -> AnalysisConfig:
             raise ConfigError("fit_window out of order")
 
         cfg = AnalysisConfig(
-            base_dir=base,
             log_csv=file_path("log_csv"),
             ephemeris_csv=file_path("ephemeris_csv"),
             correction_csv=file_path("correction_csv"),

@@ -178,25 +178,19 @@ class AccelerationEstimate:
     g: float
 
 
-def estimate_downward_acceleration(
-    bounds: DescentBoundsTable, t1: float, t2: float, method: str = "midpoint"
-) -> AccelerationEstimate:
-    """Average downward acceleration between two bounded timestamps.
-
-    ``method`` picks the representative rate per timestamp: the midpoint
-    of the outer bounds (default), or the shared minima/maxima.
-    """
+def estimate_downward_acceleration(bounds: DescentBoundsTable, t1: float, t2: float) -> AccelerationEstimate:
+    """Average downward acceleration between two bounded timestamps, from
+    the midpoints of their outer bounds."""
     if not t2 > t1:
         raise DomainError(f"need t2 after t1, got t1={t1}, t2={t2}")
-    r1, r2 = bounds.row(t1).outer_fpm, bounds.row(t2).outer_fpm
-    pick = {
-        "midpoint": lambda r: (r[0] + r[1]) / 2.0,
-        "min": lambda r: r[0],
-        "max": lambda r: r[1],
-    }
-    if method not in pick:
-        raise DomainError(f"unknown method {method!r}")
-    fpm_per_s = (pick[method](r2) - pick[method](r1)) / (t2 - t1)
+
+    def midpoint(t):
+        low, high = bounds.row(t).outer_fpm
+        return low / 2.0 + high / 2.0  # halved first, so bounds near the float limit do not overflow
+
+    fpm_per_s = (midpoint(t2) - midpoint(t1)) / (t2 - t1)
+    if not math.isfinite(fpm_per_s):
+        raise DomainError("acceleration is not finite")
     mps2 = fpm_per_s * FPM_TO_MPS
     return AccelerationEstimate(fpm_per_s, mps2, mps2 / G_MPS2)
 

@@ -383,23 +383,20 @@ LOGON_META_SCHEMA = {
 }
 
 
-def _load_logon_meta(meta, seq_ids, csv_path) -> dict:
-    """The log-on sidecar, a mapping or a JSON file path, checked against
-    :data:`LOGON_META_SCHEMA` and against ``seq_ids``, the sequences in
-    ``csv_path``. Any problem raises :class:`ParseError`."""
-    if meta is None:
+def _load_logon_meta(path, seq_ids, csv_path) -> dict:
+    """The log-on sidecar JSON file at ``path`` (None for none), checked
+    against :data:`LOGON_META_SCHEMA` and against ``seq_ids``, the
+    sequences in ``csv_path``. Any problem raises :class:`ParseError`."""
+    if path is None:
         return {}
-    where = "log-on sidecar"
+    try:
+        meta = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as e:
+        raise ParseError(path, [(e.lineno, f"not valid JSON: {e.msg}")]) from e
+    except UnicodeDecodeError as e:
+        raise ParseError(path, [(None, "not UTF-8 text")]) from e
     if not isinstance(meta, dict):
-        where = meta
-        try:
-            meta = json.loads(Path(meta).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as e:
-            raise ParseError(where, [(e.lineno, f"not valid JSON: {e.msg}")]) from e
-        except UnicodeDecodeError as e:
-            raise ParseError(where, [(None, "not UTF-8 text")]) from e
-    if not isinstance(meta, dict):
-        raise ParseError(where, [(None, "expected an object of per-sequence objects")])
+        raise ParseError(path, [(None, "expected an object of per-sequence objects")])
     problems = []
     for seq_id, info in meta.items():
         if not isinstance(info, dict):
@@ -415,15 +412,15 @@ def _load_logon_meta(meta, seq_ids, csv_path) -> dict:
     if unknown:
         problems.append((None, f"sequence id(s) not in {csv_path}: {', '.join(map(repr, unknown))}"))
     if problems:
-        raise ParseError(where, problems)
+        raise ParseError(path, problems)
     return meta
 
 
 def load_logon_csv(path, meta=None) -> list[LogonSequence]:
     """Parse log-on sequences grouped by ``seq_id`` (file order preserved).
 
-    ``meta`` is an optional sidecar mapping (or path to a JSON file)
-    carrying per-sequence outage bounds, notes and the settled-proxy
+    ``meta`` is the path of an optional sidecar JSON file carrying
+    per-sequence outage bounds, notes and the settled-proxy
     annotation, which the CSV schema itself does not hold. The CSV is read
     first; every sequence id in the sidecar must name one of its sequences.
     """

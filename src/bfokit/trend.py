@@ -47,7 +47,10 @@ def fit_linear_trend(measurements, window: tuple[float, float]) -> TrendModel:
     mean_h, mean_y = sum(hours) / len(hours), sum(bfos) / len(bfos)
     dh = [h - mean_h for h in hours]
     slope = sum(d * (y - mean_y) for d, y in zip(dh, bfos)) / sum(d * d for d in dh)
-    rms = math.sqrt(sum((y - mean_y - slope * d) ** 2 for d, y in zip(dh, bfos)) / len(dh))
+    try:
+        rms = math.sqrt(sum((y - mean_y - slope * d) ** 2 for d, y in zip(dh, bfos)) / len(dh))
+    except OverflowError:
+        raise DomainError("trend residuals overflow") from None
     return TrendModel(slope, mean_y - slope * mean_h, (float(t0), float(t1)), rms)
 
 

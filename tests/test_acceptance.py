@@ -8,12 +8,7 @@ import time
 
 import numpy as np
 
-from bfokit.bfo_model import (
-    ChannelConfig,
-    aes_compensation,
-    descent_sensitivity,
-    uplink_doppler,
-)
+from bfokit.bfo_model import ChannelConfig, descent_sensitivity, predict_bfo
 from bfokit.descent import (
     DescentBoundsTable,
     Hypothesis,
@@ -31,7 +26,7 @@ from bfokit.geodesy import (
     geodetic_to_ecef,
 )
 from bfokit.ingest import load_error_samples_csv
-from bfokit.satellite import NominalSlot, nominal_satellite_position, SatelliteState
+from bfokit.satellite import CorrectionTable, NominalSlot, nominal_satellite_position, SatelliteState
 from bfokit.geodesy import EcefVector
 from bfokit.bfo_model import AircraftState
 from bfokit.stats import NoiseBounds, compute_error_stats
@@ -212,6 +207,7 @@ def test_criterion_7_property_suites():
 
     # Doppler-compensation cancellation over 10^4 random states
     sat = SatelliteState(nominal_satellite_position(slot), EcefVector(0.0, 0.0, 0.0))
+    flat = CorrectionTable([-1.0, 1.0], [0.0, 0.0])
     worst_cancellation = 0.0
     for _ in range(10_000):
         state = AircraftState(
@@ -219,7 +215,8 @@ def test_criterion_7_property_suites():
             GroundKinematics(rng.uniform(0, 300), rng.uniform(0, 360), 0.0),
             0.0,
         )
-        total = uplink_doppler(state, sat, cfg) + aes_compensation(state, slot, cfg)
+        terms = predict_bfo(state, sat, flat, 0.0, cfg, slot)[1]
+        total = terms.uplink_doppler_hz + terms.aes_compensation_hz
         worst_cancellation = max(worst_cancellation, abs(total))
 
     # geodesy round trip over 10^4 random points

@@ -14,11 +14,8 @@ import pytest
 from bfokit.bfo_model import (
     AircraftState,
     ChannelConfig,
-    aes_compensation,
-    downlink_doppler,
     predict_bfo,
     predict_bfo_batch,
-    uplink_doppler,
 )
 from bfokit.errors import DomainError
 from bfokit.geodesy import (
@@ -138,9 +135,10 @@ def test_term_functions_match_oracle(analysis_config, ephemeris, corrections):
             t,
         )
         want = oracle_terms(state, sat, corrections, 0.0, cfg, slot)
-        assert abs(uplink_doppler(state, sat, cfg) - want["uplink_doppler_hz"]) <= TOL_HZ
-        assert abs(aes_compensation(state, slot, cfg) - want["aes_compensation_hz"]) <= TOL_HZ
-        assert abs(downlink_doppler(sat, cfg) - want["downlink_doppler_hz"]) <= TOL_HZ
+        terms = predict_bfo(state, sat, corrections, 0.0, cfg, slot)[1]
+        assert abs(terms.uplink_doppler_hz - want["uplink_doppler_hz"]) <= TOL_HZ
+        assert abs(terms.aes_compensation_hz - want["aes_compensation_hz"]) <= TOL_HZ
+        assert abs(terms.downlink_doppler_hz - want["downlink_doppler_hz"]) <= TOL_HZ
 
 
 def test_track_sweep_is_the_scalar_model_per_angle(analysis_config, ephemeris, corrections):

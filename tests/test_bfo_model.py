@@ -5,12 +5,9 @@ from bfokit.bfo_model import (
     AircraftState,
     BfoTerms,
     ChannelConfig,
-    aes_compensation,
     calibrate_bias,
     descent_sensitivity,
-    downlink_doppler,
     predict_bfo,
-    uplink_doppler,
     vertical_doppler,
 )
 from bfokit.errors import DomainError
@@ -44,12 +41,17 @@ def aircraft(lat=0.0, lon=0.0, alt=0.0, gs=0.0, track=0.0, vz=0.0, t=0.0):
     )
 
 
+def terms(state, sat, cfg=CFG) -> BfoTerms:
+    """The terms of ``state``'s predicted BFO, with zero correction and bias."""
+    return predict_bfo(state, sat, flat_corrections(), 0.0, cfg, SLOT)[1]
+
+
 class TestUplinkDoppler:
     def test_zero_relative_velocity(self):
         state = aircraft(lat=10.0, lon=30.0, alt=10000.0, gs=200.0, track=45.0)
         v_x = kinematics_to_ecef_velocity(state.position, state.kinematics)
         sat = SatelliteState(nominal_satellite_position(SLOT), v_x)
-        assert uplink_doppler(state, sat, CFG) == pytest.approx(0.0, abs=1e-12)
+        assert terms(state, sat).uplink_doppler_hz == pytest.approx(0.0, abs=1e-12)
 
     def test_receding_satellite_one_mps(self):
         # satellite moving directly away from a static aircraft: range
@@ -59,7 +61,7 @@ class TestUplinkDoppler:
         p_s = nominal_satellite_position(SLOT)
         away = (p_s - p_x) * (1.0 / (p_s - p_x).norm())
         sat = SatelliteState(p_s, away)
-        assert uplink_doppler(state, sat, CFG) == pytest.approx(-F_OVER_C, rel=1e-12)
+        assert terms(state, sat).uplink_doppler_hz == pytest.approx(-F_OVER_C, rel=1e-12)
 
     def test_approaching_satellite_one_mps(self):
         state = aircraft()
@@ -67,13 +69,13 @@ class TestUplinkDoppler:
         p_s = nominal_satellite_position(SLOT)
         toward = (p_x - p_s) * (1.0 / (p_x - p_s).norm())
         sat = SatelliteState(p_s, toward)
-        assert uplink_doppler(state, sat, CFG) == pytest.approx(F_OVER_C, rel=1e-12)
+        assert terms(state, sat).uplink_doppler_hz == pytest.approx(F_OVER_C, rel=1e-12)
 
     def test_climb_directly_beneath_satellite(self):
         # 100 fpm climb under a static satellite raises the BFO ~2.8 Hz
         state = aircraft(vz=0.508)
         sat = SatelliteState(EcefVector(42164169.0, 0.0, 0.0), EcefVector(0.0, 0.0, 0.0))
-        shift = uplink_doppler(state, sat, CFG)
+        shift = terms(state, sat).uplink_doppler_hz
         assert 2.75 <= shift <= 2.85
 
     def test_sign_flips_with_negated_relative_velocity(self):
@@ -90,33 +92,35 @@ class TestUplinkDoppler:
             )
             v_x = kinematics_to_ecef_velocity(state.position, state.kinematics)
             v_s = EcefVector(*rng.uniform(-80, 80, 3))
-            plus = uplink_doppler(state, SatelliteState(p_s, v_s), CFG)
+            plus = terms(state, SatelliteState(p_s, v_s)).uplink_doppler_hz
             # same aircraft with v_s' = 2 v_x - v_s gives v_s' - v_x = -(v_s - v_x)
             v_s_mirror = 2.0 * v_x - v_s
-            minus = uplink_doppler(state, SatelliteState(p_s, v_s_mirror), CFG)
+            minus = terms(state, SatelliteState(p_s, v_s_mirror)).uplink_doppler_hz
             assert minus == pytest.approx(-plus, abs=1e-9)
 
     def test_coincident_positions_rejected(self):
         state = aircraft()
         sat = SatelliteState(geodetic_to_ecef(state.position), EcefVector(0, 0, 0))
         with pytest.raises(DomainError):
-            uplink_doppler(state, sat, CFG)
+            terms(state, sat)
+
+
+STATIC_SAT = SatelliteState(nominal_satellite_position(SLOT), EcefVector(0.0, 0.0, 0.0))
 
 
 class TestAesCompensation:
     def test_zero_ground_speed(self):
-        assert aes_compensation(aircraft(lat=-30.0, lon=100.0, alt=9000.0), SLOT, CFG) == 0.0
+        assert terms(aircraft(lat=-30.0, lon=100.0, alt=9000.0), STATIC_SAT).aes_compensation_hz == 0.0
 
     def test_vertical_rate_ignored(self):
         a = aircraft(lat=-20.0, lon=90.0, alt=10000.0, gs=230.0, track=200.0, vz=0.0)
         b = aircraft(lat=-20.0, lon=90.0, alt=10000.0, gs=230.0, track=200.0, vz=-50.0)
-        assert aes_compensation(a, SLOT, CFG) == aes_compensation(b, SLOT, CFG)
+        assert terms(a, STATIC_SAT).aes_compensation_hz == terms(b, STATIC_SAT).aes_compensation_hz
 
     def test_perfect_knowledge_cancellation(self):
         # satellite exactly at the nominal slot with zero velocity,
         # aircraft at sea level in level flight: compensation cancels the
         # uplink Doppler for any position, track and speed
-        sat = SatelliteState(nominal_satellite_position(SLOT), EcefVector(0.0, 0.0, 0.0))
         rng = np.random.default_rng(17)
         for _ in range(2000):
             state = aircraft(
@@ -127,14 +131,14 @@ class TestAesCompensation:
                 track=rng.uniform(0, 360),
                 vz=0.0,
             )
-            total = uplink_doppler(state, sat, CFG) + aes_compensation(state, SLOT, CFG)
+            parts = terms(state, STATIC_SAT)
+            total = parts.uplink_doppler_hz + parts.aes_compensation_hz
             assert abs(total) < 1e-9
 
 
 class TestDownlinkDoppler:
     def test_static_satellite(self):
-        sat = SatelliteState(nominal_satellite_position(SLOT), EcefVector(0, 0, 0))
-        assert downlink_doppler(sat, CFG) == 0.0
+        assert terms(aircraft(), STATIC_SAT).downlink_doppler_hz == 0.0
 
     def test_receding_from_ges_at_1p5_ghz(self):
         cfg = ChannelConfig(downlink_hz=1.5e9)
@@ -142,16 +146,17 @@ class TestDownlinkDoppler:
         p_s = nominal_satellite_position(SLOT)
         away = (p_s - p_ges) * (1.0 / (p_s - p_ges).norm())
         sat = SatelliteState(p_s, away)
-        assert downlink_doppler(sat, cfg) == pytest.approx(-5.0029, abs=0.01)
-        assert downlink_doppler(sat, cfg) == pytest.approx(-1.5e9 / SPEED_OF_LIGHT_MPS, rel=1e-12)
+        downlink = terms(aircraft(), sat, cfg).downlink_doppler_hz
+        assert downlink == pytest.approx(-5.0029, abs=0.01)
+        assert downlink == pytest.approx(-1.5e9 / SPEED_OF_LIGHT_MPS, rel=1e-12)
 
     def test_odd_in_satellite_velocity(self):
         rng = np.random.default_rng(4)
         p_s = nominal_satellite_position(SLOT)
         for _ in range(50):
             v = EcefVector(*rng.uniform(-90, 90, 3))
-            plus = downlink_doppler(SatelliteState(p_s, v), CFG)
-            minus = downlink_doppler(SatelliteState(p_s, -1.0 * v), CFG)
+            plus = terms(aircraft(), SatelliteState(p_s, v)).downlink_doppler_hz
+            minus = terms(aircraft(), SatelliteState(p_s, -1.0 * v)).downlink_doppler_hz
             assert minus == pytest.approx(-plus, abs=1e-12)
 
 

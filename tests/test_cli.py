@@ -342,13 +342,14 @@ def _config_with(tmp_path, edits):
     return path
 
 
-def _edited_fixtures(tmp_path, edit_log):
-    """A copy of the bundled fixtures whose burst-log lines pass through ``edit_log``."""
+def _edited_fixtures(tmp_path, edit_lines, name="mh370_bfo_log.csv"):
+    """A copy of the bundled fixtures whose file ``name`` (the burst log by
+    default) has its lines passed through ``edit_lines``."""
     d = tmp_path / "fixtures"
     shutil.copytree(bundled_config_path().parent, d)
-    log = d / "mh370_bfo_log.csv"
-    log.write_text("\n".join(edit_log(log.read_text().splitlines())) + "\n")
-    return d / "mh370_analysis.json", log
+    edited = d / name
+    edited.write_text("\n".join(edit_lines(edited.read_text().splitlines())) + "\n")
+    return d / "mh370_analysis.json", edited
 
 
 class TestFinalLogonPair:
@@ -379,6 +380,55 @@ class TestFinalLogonPair:
         assert code == 0
         assert payload["recorded"]["logon"] == {"time_utc": "2014-03-08T00:19:29Z", "bfo_hz": 182.0}
         assert payload["acceleration"]["fpm_per_s"] == pytest.approx(1337.5)
+
+
+def _set_bfos(bfos):
+    """A line edit that sets the BFO cell, the fourth in both the burst log
+    and the log-on CSV, of each line that starts with a key of ``bfos``."""
+
+    def edit(lines):
+        for i, line in enumerate(lines):
+            for prefix, bfo in bfos.items():
+                if line.startswith(prefix):
+                    cells = line.split(",")
+                    cells[3] = bfo
+                    lines[i] = ",".join(cells)
+        return lines
+
+    return edit
+
+
+TARMAC = ["calibrate-bias", "--tarmac-window", "15:55Z..16:15Z"]
+
+
+class TestNonFiniteResult:
+    """Finite but huge BFOs whose result would hold NaN or an infinity are
+    exit 3, naming the key of the first such number."""
+
+    CASES = {
+        "trend of two huge BFOs": (
+            "mh370_bfo_log.csv", {"2014-03-07T19:41": "1.5e308", "2014-03-07T20:41": "1.5e308"}, ["trend"],
+            "slope_hz_per_hour is not finite",
+        ),
+        "trend residuals overflow": (
+            "mh370_bfo_log.csv", {"2014-03-07T21:41": "1.5e308"}, ["trend"], "trend residuals overflow",
+        ),
+        "tarmac bias": (
+            "mh370_bfo_log.csv", {"2014-03-07T16:00": "1.5e308", "2014-03-07T16:05": "1.5e308"}, TARMAC,
+            "bias_hz is not finite",
+        ),
+        "log-on drift": (
+            "logon_sequences.csv", {"1,2014-02-23T23:57:00Z": "1.5e308", "1,2014-02-23T23:57:08Z": "-1.5e308"},
+            ["logon-drift"], "logon_minus_settled_hz[1] is not finite",
+        ),
+    }
+
+    @pytest.mark.parametrize(("name", "bfos", "argv", "message"), CASES.values(), ids=CASES.keys())
+    def test_non_finite_result_is_exit_3(self, capsys, tmp_path, name, bfos, argv, message):
+        config, _ = _edited_fixtures(tmp_path, _set_bfos(bfos), name)
+        code, out, err = run(capsys, *argv, "--config", str(config))
+        assert (code, out) == (3, "")
+        assert err == f"bfokit: domain error: {message}\n"
 
 
 class TestLogonSidecar:
@@ -505,11 +555,18 @@ class TestOverflowingConfig:
         assert err == "bfokit: domain error: descent rate is not finite\n"
         assert not (tmp_path / "out").exists()
 
+    def test_huge_expected_bfos_give_a_finite_acceleration(self, capsys, tmp_path):
+        # the outer bounds of each row sum past the largest float
+        path = _config_with(tmp_path, {"expected_bfo.south_hz": 1.8e306, "expected_bfo.north_hz": 1.8e306})
+        code, payload, _ = run_json(capsys, "descent-bounds", "--config", str(path))
+        assert code == 0
+        assert payload["acceleration"] == {"fpm_per_s": 0.0, "mps2": 0.0, "g": 0.0}
+
 
 class TestConfigText:
     """A config text value that is not a JSON string, a fit_window that is
-    not a list of two, or a window time past year 9999 is exit 2, naming
-    the key or the time, with no traceback."""
+    not a list of two, a window time past year 9999 or a key the config
+    does not know is exit 2, naming the key or the time, with no traceback."""
 
     CASES = [
         ("window of numbers", "fit_window", [1, 2], "fit_window[0]: 1 is not a string"),
@@ -519,6 +576,9 @@ class TestConfigText:
         ("log path number", "log_csv", 5, "log_csv: 5 is not a string"),
         ("sidecar path list", "logon_meta_json", ["a.json"], "logon_meta_json: ['a.json'] is not a string"),
         ("reference date number", "reference_date", 5, "reference_date: 5 is not a string"),
+        ("misspelled bias", "bias_Hz", 233.64132912782904, "bias_Hz: unknown config key"),
+        ("misspelled south", "expected_bfo.south_Hz", 260.0, "expected_bfo.south_Hz: unknown config key"),
+        ("unknown ges key", "channel.ges.height", 22.0, "channel.ges.height: unknown config key"),
     ]
 
     @pytest.mark.parametrize(("key", "value", "message"), [c[1:] for c in CASES], ids=[c[0] for c in CASES])

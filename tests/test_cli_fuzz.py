@@ -1,9 +1,11 @@
-"""The command line on damaged configs: every run ends in exit 0, 2 or 3
-with no traceback, whatever the config's leaves hold.
+"""The command line on damaged inputs: every run ends in exit 0, 2 or 3
+with no traceback, whatever the config's leaves or the input files hold,
+and a JSON result never holds NaN or an infinity.
 
 Each example copies the bundled config, sets a few of its leaves to a
-non-finite, huge, subnormal or wrongly typed value (or drops them), and
-runs one subcommand in-process through ``cli.main``.
+non-finite, huge, subnormal or wrongly typed value (or drops them), or
+damages a few cells or lines of the burst log or the log-on CSV, and runs
+one subcommand in-process through ``cli.main``.
 """
 
 import io
@@ -68,15 +70,32 @@ def _damaged(edits) -> dict:
     return raw
 
 
-def _run(raw, argv):
+def _run(raw, argv, files=None):
+    """Run ``argv`` on config ``raw``; ``files`` maps a config key to the
+    bytes of a file to write in its place. Returns (exit code, stdout, stderr)."""
     with tempfile.TemporaryDirectory() as d:
+        for key, data in (files or {}).items():
+            raw[key] = os.path.join(d, os.path.basename(raw[key]))
+            with open(raw[key], "wb") as f:
+                f.write(data)
         config = os.path.join(d, "config.json")
         with open(config, "w") as f:
             json.dump(raw, f)
-        err = io.StringIO()
-        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
             code = main([arg.replace("{dir}", d) for arg in argv] + ["--config", config])
-        return code, err.getvalue()
+        return code, out.getvalue(), err.getvalue()
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} in the JSON result")
+
+
+def _check(code, out, err, fmt):
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+    if code == 0 and fmt == "json":
+        json.loads(out, parse_constant=_refuse_constant)
 
 
 @settings(max_examples=150, deadline=None)
@@ -92,7 +111,71 @@ def _run(raw, argv):
     edits=[(("noise_bounds", "lower_hz"), -1e308), (("noise_bounds", "upper_hz"), 1e308)],
     argv=["descent-bounds"], fmt="pretty",
 )
+@example(
+    edits=[(("expected_bfo", "south_hz"), 1.8e306), (("expected_bfo", "north_hz"), 1.8e306)],
+    argv=["descent-bounds"], fmt="json",
+)
 def test_damaged_config_exits_cleanly(edits, argv, fmt):
-    code, err = _run(_damaged(edits), [*argv, "--format", fmt])
-    assert code in (0, 2, 3), err
-    assert "Traceback" not in err
+    _check(*_run(_damaged(edits), [*argv, "--format", fmt]), fmt)
+
+
+# --- damaged input files ------------------------------------------------------
+
+FILES = {"log_csv": BUNDLED["log_csv"], "logon_sequence_csv": BUNDLED["logon_sequence_csv"]}
+LINES = {key: (FIXTURES / name).read_bytes().splitlines() for key, name in FILES.items()}
+CELLS = [b"1.5e308", b"-1.5e308", b"5e-324", b"nan", b"", b"x"]
+
+
+@st.composite
+def _file_edit(draw):
+    """(config key, line index, edit): a cell set to one of :data:`CELLS`,
+    the line dropped or repeated, or one byte of it replaced."""
+    key = draw(st.sampled_from(sorted(FILES)))
+    line = draw(st.integers(0, len(LINES[key]) - 1))
+    edit = draw(st.one_of(
+        st.tuples(st.just("cell"), st.integers(0, 7), st.sampled_from(CELLS)),
+        st.tuples(st.sampled_from(["drop", "repeat"])),
+        st.tuples(st.just("byte"), st.integers(0, 200), st.integers(0, 255)),
+    ))
+    return key, line, edit
+
+
+def _damaged_files(edits) -> dict:
+    """The bytes of each input file after ``edits``, applied from the back
+    so a dropped or repeated line moves no later edit."""
+    lines = {key: list(value) for key, value in LINES.items()}
+    for key, i, edit in sorted(edits, key=lambda e: e[:2], reverse=True):
+        line = lines[key][i]
+        if edit[0] == "cell":
+            cells = line.split(b",")
+            cells[edit[1] % len(cells)] = edit[2]
+            lines[key][i] = b",".join(cells)
+        elif edit[0] == "drop":
+            del lines[key][i]
+        elif edit[0] == "repeat":
+            lines[key].insert(i, line)
+        elif line:
+            at = edit[1] % len(line)
+            lines[key][i] = line[:at] + bytes([edit[2]]) + line[at + 1:]
+    return {key: b"\n".join(value) + b"\n" for key, value in lines.items()}
+
+
+def _bfos(key, values):
+    """Edits that set the BFO cell (the fourth) of line i to each values[i]."""
+    return [(key, i, ("cell", 3, value)) for i, value in values.items()]
+
+
+TARMAC = ["calibrate-bias", "--tarmac-window", "15:55Z..16:15Z"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    edits=st.lists(_file_edit(), min_size=1, max_size=2, unique_by=lambda e: e[:2]),
+    argv=st.sampled_from(COMMANDS[1:]),  # predict-bfo reads neither file
+)
+@example(edits=_bfos("log_csv", {9: b"1.5e308"}), argv=["trend"])  # squared residual overflows
+@example(edits=_bfos("log_csv", {7: b"1.5e308", 8: b"1.5e308"}), argv=["trend"])
+@example(edits=_bfos("log_csv", {2: b"1.5e308", 3: b"1.5e308"}), argv=TARMAC)
+@example(edits=_bfos("logon_sequence_csv", {2: b"1.5e308", 3: b"-1.5e308"}), argv=["logon-drift"])
+def test_damaged_input_files_exit_cleanly(edits, argv):
+    _check(*_run(_damaged([]), [*argv, "--format", "json"], _damaged_files(edits)), "json")

@@ -6,6 +6,7 @@ from bfokit.bfo_model import ChannelConfig, descent_sensitivity, vertical_dopple
 from bfokit.descent import (
     BfoRange,
     DescentBoundsTable,
+    DescentRates,
     Hypothesis,
     adjusted_bfo_range,
     analyze,
@@ -205,10 +206,17 @@ class TestAcceleration:
         assert est.mps2 == pytest.approx(6.7945, abs=1e-6)
         assert est.g == pytest.approx(0.68, abs=0.03)
 
-    def test_min_to_min_estimator(self):
-        combined = combine_hypotheses(*reference_tables())
-        est = estimate_downward_acceleration(combined, T29, T37, method="min")
-        assert est.fpm_per_s == pytest.approx((13800.0 - 2900.0) / 8.0, abs=1e-9)
+    def test_bounds_near_the_float_limit_give_a_finite_midpoint(self):
+        # the two outer bounds of a row sum past the largest float
+        r1 = DescentRates((1.0e308, 1.6e308), (1.0e308, 1.6e308))
+        r2 = DescentRates((1.2e308, 1.6e308), (1.2e308, 1.6e308))
+        est = estimate_downward_acceleration(DescentBoundsTable((T29, T37), (r1, r2)), T29, T37)
+        assert est.fpm_per_s == pytest.approx(0.1e308 / 8.0)
+
+    def test_overflowing_midpoint_difference_rejected(self):
+        low, high = DescentRates((-1e308, -1e308), (-1e308, -1e308)), DescentRates((1e308, 1e308), (1e308, 1e308))
+        with pytest.raises(DomainError, match="acceleration is not finite"):
+            estimate_downward_acceleration(DescentBoundsTable((T29, T37), (low, high)), T29, T37)
 
     def test_identical_bounds_give_zero(self):
         r = rates(260.0, 280.0, BfoRange(28.0, 193.0))

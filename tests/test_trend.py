@@ -76,6 +76,12 @@ class TestFit:
         with pytest.raises(DomainError):
             fit_linear_trend([burst(50, 1.0), burst(50, 2.0)], (0.0, 100.0))
 
+    def test_overflowing_residuals_raise_domain_error(self):
+        # finite BFOs whose squared residuals pass the largest float
+        ms = [burst(600 * i, 1.5e308 * (-1) ** i) for i in range(6)]
+        with pytest.raises(DomainError, match="trend residuals overflow"):
+            fit_linear_trend(ms, (0.0, 3600.0))
+
 
 class TestExtrapolate:
     def test_midpoint_of_symmetric_data_is_mean(self):
