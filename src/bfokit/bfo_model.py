@@ -20,10 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_finite
 from .geodesy import (
     GeodeticPosition,
     GroundKinematics,
@@ -62,6 +63,7 @@ class ChannelConfig:
     ges_position: GeodeticPosition = DEFAULT_GES_POSITION
 
     def __post_init__(self):
+        require_finite(self, "uplink_hz", "downlink_hz")
         if self.uplink_hz <= 0 or self.downlink_hz <= 0:
             raise DomainError("carrier frequencies must be positive")
 
@@ -81,9 +83,8 @@ class AircraftState:
     timestamp: float
 
 
-@dataclass(frozen=True)
-class BfoTerms:
-    """Additive decomposition of a predicted BFO, Hz.
+class BfoTerms(NamedTuple):
+    """Additive decomposition of a predicted BFO, Hz, as an immutable tuple.
 
     From :func:`predict_bfo_batch` the fields are numpy arrays, or floats
     for the terms shared by the whole batch, and ``total_hz`` broadcasts.
@@ -106,13 +107,7 @@ class BfoTerms:
         )
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "uplink_doppler_hz": self.uplink_doppler_hz,
-            "downlink_doppler_hz": self.downlink_doppler_hz,
-            "aes_compensation_hz": self.aes_compensation_hz,
-            "sat_plus_afc_hz": self.sat_plus_afc_hz,
-            "bias_hz": self.bias_hz,
-        }
+        return self._asdict()
 
 
 def _any(mask) -> bool:
@@ -137,10 +132,9 @@ def _los_rate(xp, velocity, from_pos, to_pos):
 def _uplink(xp, frame, altitude_m, ve, vn, vertical_rate_mps, sat, cfg):
     """(F_up/c) * (v_s - v_x) . (p_x - p_s) / |p_x - p_s|."""
     vx, vy, vz = _ecef_velocity(frame, ve, vn, vertical_rate_mps)
-    s_v = sat.velocity
-    rel = (s_v.x - vx, s_v.y - vy, s_v.z - vz)
+    position, (sx, sy, sz) = sat
     return cfg.uplink_hz / SPEED_OF_LIGHT_MPS * _los_rate(
-        xp, rel, sat.position.as_tuple(), _ecef_position(frame, altitude_m)
+        xp, (sx - vx, sy - vy, sz - vz), position, _ecef_position(frame, altitude_m)
     )
 
 
@@ -157,9 +151,7 @@ def _compensation(xp, frame, ve, vn, slot, cfg):
 
 def _downlink(sat, cfg):
     """Satellite motion along the satellite -> ground-station line of sight."""
-    return cfg.downlink_hz / SPEED_OF_LIGHT_MPS * _los_rate(
-        math, sat.velocity.as_tuple(), sat.position.as_tuple(), cfg.ges_ecef
-    )
+    return cfg.downlink_hz / SPEED_OF_LIGHT_MPS * _los_rate(math, sat.velocity, sat.position, cfg.ges_ecef)
 
 
 def _bfo_terms(

@@ -6,6 +6,8 @@ DomainError -> 3. Anything else is a bug.
 
 from __future__ import annotations
 
+import math
+
 
 class BfokitError(Exception):
     """Base class for all errors raised by this package."""
@@ -33,3 +35,12 @@ class ParseError(BfokitError, ValueError):
         self.problems = list(problems)
         lines = "; ".join(msg if n is None else f"line {n}: {msg}" for n, msg in self.problems)
         super().__init__(f"{self.path}: {lines}")
+
+
+def require_finite(obj, *names) -> None:
+    """Raise :class:`DomainError` naming the first field of ``obj`` in
+    ``names`` whose value is not a finite number."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise DomainError(f"{name} {value} is not finite")

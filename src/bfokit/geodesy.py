@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, require_finite
 
 # WGS84 defining constants
 WGS84_A = 6378137.0
@@ -39,17 +40,21 @@ class GeodeticPosition:
             raise DomainError("altitude must be finite")
 
 
-@dataclass(frozen=True)
-class EcefVector:
-    """An ECEF position (m) or velocity (m/s)."""
+class EcefVector(NamedTuple("_EcefFields", [("x", float), ("y", float), ("z", float)])):
+    """An ECEF position (m) or velocity (m/s): an immutable ``(x, y, z)`` tuple.
 
-    x: float
-    y: float
-    z: float
+    ``+``, ``-`` and ``*`` are vector operations, not tuple concatenation
+    or repetition.
+    """
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
+    __slots__ = ()
+    _make = classmethod(lambda cls, xyz: cls(*xyz))  # so ``_replace`` checks too
+    __array_ufunc__ = None  # so a numpy scalar times a vector is this type's ``__rmul__``
+
+    def __new__(cls, x: float, y: float, z: float):
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
             raise DomainError("ECEF components must be finite")
+        return tuple.__new__(cls, (x, y, z))
 
     def __add__(self, other: "EcefVector") -> "EcefVector":
         return EcefVector(self.x + other.x, self.y + other.y, self.z + other.z)
@@ -69,7 +74,7 @@ class EcefVector:
         return math.sqrt(self.dot(self))
 
     def as_tuple(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
+        return tuple(self)
 
 
 @dataclass(frozen=True)
@@ -81,10 +86,7 @@ class GroundKinematics:
     vertical_rate_mps: float = 0.0
 
     def __post_init__(self):
-        for name in ("ground_speed_mps", "vertical_rate_mps"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise DomainError(f"{name} {value} is not finite")
+        require_finite(self, "ground_speed_mps", "vertical_rate_mps")
         if self.ground_speed_mps < 0:
             raise DomainError("ground speed must be >= 0")
         if not 0.0 <= self.track_angle_deg < 360.0:

@@ -15,8 +15,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, require_finite
 from .geodesy import EcefVector
 
 GEO_RADIUS_M = 42164169.0
@@ -25,8 +26,7 @@ SIDEREAL_DAY_S = 86164.0905
 GEO_SHELL_HALF_WIDTH_M = 500e3
 
 
-@dataclass(frozen=True)
-class SatelliteState:
+class SatelliteState(NamedTuple):
     position: EcefVector
     velocity: EcefVector
 
@@ -42,6 +42,9 @@ class NominalSlot:
     longitude_deg: float = 64.5
     latitude_deg: float = 0.0
     radius_m: float = GEO_RADIUS_M
+
+    def __post_init__(self):
+        require_finite(self, "longitude_deg", "latitude_deg", "radius_m")
 
     @cached_property
     def ecef(self) -> tuple[float, float, float]:
@@ -177,7 +180,7 @@ def satellite_state_at(t: float, e: EphemerisTable) -> SatelliteState:
     h01 = -2 * s3 + 3 * s2
     h11 = s3 - s2
     h10dt, h11dt = h10 * dt, h11 * dt
-    pos = EcefVector(
+    pos = (
         h00 * x0 + h10dt * vx0 + h01 * x1 + h11dt * vx1,
         h00 * y0 + h10dt * vy0 + h01 * y1 + h11dt * vy1,
         h00 * z0 + h10dt * vz0 + h01 * z1 + h11dt * vz1,
@@ -187,12 +190,15 @@ def satellite_state_at(t: float, e: EphemerisTable) -> SatelliteState:
     d10 = 3 * s2 - 4 * s + 1
     d01 = -6 * s2 + 6 * s
     d11 = 3 * s2 - 2 * s
-    vel = EcefVector(
+    vel = (
         (d00 * x0 + d01 * x1) / dt + d10 * vx0 + d11 * vx1,
         (d00 * y0 + d01 * y1) / dt + d10 * vy0 + d11 * vy1,
         (d00 * z0 + d01 * z1) / dt + d10 * vz0 + d11 * vz1,
     )
-    return SatelliteState(pos, vel)
+    # the check of EcefVector.__new__, made once for both vectors
+    if not all(map(math.isfinite, pos + vel)):
+        raise DomainError("ECEF components must be finite")
+    return SatelliteState(tuple.__new__(EcefVector, pos), tuple.__new__(EcefVector, vel))
 
 
 def nominal_satellite_position(slot: NominalSlot) -> EcefVector:
@@ -269,5 +275,5 @@ class SyntheticGeoModel:
             raise DomainError("need end > start and a positive step")
         times = [start + k * step_s for k in range(int(round((end - start) / step_s)) + 1)]
         states = [self.state_at(t) for t in times]
-        positions, velocities = [s.position.as_tuple() for s in states], [s.velocity.as_tuple() for s in states]
+        positions, velocities = [s.position for s in states], [s.velocity for s in states]
         return EphemerisTable(times, positions, velocities, provenance)

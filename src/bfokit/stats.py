@@ -13,8 +13,9 @@ import math
 import statistics
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, require_finite
 
 DEFAULT_CN0_DROP_DB = 3.0
 DEFAULT_CN0_WINDOW = 5
@@ -36,26 +37,32 @@ class MessageType(str, Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
-class BfoMeasurement:
-    """One logged burst."""
-
+class _BurstFields(NamedTuple):
     timestamp: float
     channel: Channel
     message_type: MessageType
     bfo_hz: float
-    bto_us: float | None = None
-    ber: float = 0.0
-    cn0_dbhz: float = 0.0
-    signal_db: float | None = None
+    bto_us: float | None
+    ber: float
+    cn0_dbhz: float
+    signal_db: float | None
 
-    def __post_init__(self):
-        if not math.isfinite(self.bfo_hz):
+
+class BfoMeasurement(_BurstFields):
+    """One logged burst, as an immutable tuple of its fields."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so ``_replace`` checks too
+
+    def __new__(cls, timestamp, channel, message_type, bfo_hz, bto_us=None, ber=0.0, cn0_dbhz=0.0,
+                signal_db=None):
+        if not math.isfinite(bfo_hz):
             raise DomainError("BFO must be finite")
-        if not (math.isfinite(self.ber) and self.ber >= 0):
+        if not (math.isfinite(ber) and ber >= 0):
             raise DomainError("BER must be finite and >= 0")
-        if not math.isfinite(self.cn0_dbhz):
+        if not math.isfinite(cn0_dbhz):
             raise DomainError("C/N0 must be finite")
+        return tuple.__new__(cls, (timestamp, channel, message_type, bfo_hz, bto_us, ber, cn0_dbhz, signal_db))
 
 
 @dataclass(frozen=True)
@@ -75,6 +82,7 @@ class NoiseBounds:
     upper_hz: float
 
     def __post_init__(self):
+        require_finite(self, "lower_hz", "upper_hz")
         if self.lower_hz > self.upper_hz:
             raise DomainError("noise bounds out of order")
 

@@ -200,6 +200,34 @@ class TestOtherCommands:
                     "sat_plus_afc_hz", "bias_hz"):
             assert payload[key] == 0.0
 
+    @pytest.mark.parametrize("fmt, stdout", [
+        ("text",
+         "time_utc: 2014-03-08T00:11:00Z\n"
+         "predicted_bfo_hz: 257.8900258067498\n"
+         "uplink_doppler_hz: -796.5250299225427\n"
+         "downlink_doppler_hz: 23.14134212989469\n"
+         "aes_compensation_hz: 783.2468844715687\n"
+         "sat_plus_afc_hz: 14.3855\n"
+         "bias_hz: 233.64132912782904\n"),
+        ("json",
+         '{\n'
+         '  "aes_compensation_hz": 783.2468844715687,\n'
+         '  "bias_hz": 233.64132912782904,\n'
+         '  "downlink_doppler_hz": 23.14134212989469,\n'
+         '  "predicted_bfo_hz": 257.8900258067498,\n'
+         '  "sat_plus_afc_hz": 14.3855,\n'
+         '  "time_utc": "2014-03-08T00:11:00Z",\n'
+         '  "uplink_doppler_hz": -796.5250299225427\n'
+         '}\n'),
+    ])
+    def test_predict_bfo_stdout_is_pinned(self, capsys, fmt, stdout):
+        # The term order, names and every digit of BfoTerms as printed.
+        code, out, err = run(
+            capsys, "predict-bfo", "--config", CONFIG, "--time", "00:11Z", "--lat", "-38.67",
+            "--lon", "85.11", "--alt", "10668", "--speed-kts", "450", "--track-deg", "185", "--format", fmt,
+        )
+        assert (code, out, err) == (0, stdout, "")
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--speed-kts", "nan", "ground_speed_mps nan is not finite"),
         ("--speed-kts", "inf", "ground_speed_mps inf is not finite"),
@@ -524,6 +552,8 @@ class TestConfigNumbers:
         ("south NaN", "expected_bfo.south_hz", float("nan")),
         ("upper NaN", "noise_bounds.upper_hz", float("nan")),
         ("sensitivity NaN", "sensitivity_hz_per_100fpm", float("nan")),
+        ("uplink NaN", "channel.uplink_hz", float("nan")),
+        ("slot longitude Infinity", "nominal_slot.longitude_deg", float("inf")),
         ("south Infinity", "expected_bfo.south_hz", float("inf")),
         ("bias true", "bias_hz", True),
         ("bias string", "bias_hz", "abc"),
