@@ -54,7 +54,7 @@ from .stats import (
     flag_outliers,
 )
 from .track_sweep import TrackSector, bfo_error_vs_track, track_offset
-from .trend import TrendModel, expected_level_flight_bfo, extrapolate, fit_linear_trend
+from .trend import TrendModel, extrapolate, fit_linear_trend
 from .warmup import (
     CompensationMode,
     DriftBounds,

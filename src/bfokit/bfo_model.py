@@ -43,13 +43,6 @@ from .satellite import (
 )
 from .units import FPM_TO_MPS, SPEED_OF_LIGHT_MPS
 
-DEFAULT_UPLINK_HZ = 1646.6525e6
-# Feeder-link and ground-station defaults are placeholders for synthetic
-# scenarios; real analyses must set them in the config.
-DEFAULT_DOWNLINK_HZ = 3615.0e6
-DEFAULT_GES_POSITION = GeodeticPosition(-31.8044, 115.8872, 22.0)
-
-
 @dataclass(frozen=True)
 class ChannelConfig:
     """Carrier frequencies and ground-station location for one channel.
@@ -58,9 +51,11 @@ class ChannelConfig:
     per instance.
     """
 
-    uplink_hz: float = DEFAULT_UPLINK_HZ
-    downlink_hz: float = DEFAULT_DOWNLINK_HZ
-    ges_position: GeodeticPosition = DEFAULT_GES_POSITION
+    uplink_hz: float = 1646.6525e6
+    # Feeder-link and ground-station defaults are placeholders for synthetic
+    # scenarios; real analyses must set them in the config.
+    downlink_hz: float = 3615.0e6
+    ges_position: GeodeticPosition = GeodeticPosition(-31.8044, 115.8872, 22.0)
 
     def __post_init__(self):
         require_finite(self, "uplink_hz", "downlink_hz")

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
 from .bfo_model import ChannelConfig
-from .descent import DEFAULT_EXPECTED_NORTH_HZ, DEFAULT_EXPECTED_SOUTH_HZ, DEFAULT_SENSITIVITY_HZ_PER_100FPM
 from .errors import ConfigError, DomainError
 from .geodesy import GeodeticPosition
 from .ingest import (
@@ -26,22 +25,9 @@ from .ingest import (
     parse_time_utc,
 )
 from .satellite import NominalSlot
-from .stats import DEFAULT_NOISE_BOUNDS, NoiseBounds
+from .stats import NoiseBounds
 
 CONFIG_ENV_VAR = "BFOKIT_CONFIG"
-
-_POSITION_KEYS = dict.fromkeys(("lat", "lon", "alt"))
-# Every key load_config reads; a key whose value is an object maps to that object's keys.
-CONFIG_KEYS = {
-    **dict.fromkeys(("reference_date", "log_csv", "ephemeris_csv", "correction_csv", "logon_sequence_csv",
-                     "logon_meta_json", "fit_window", "bias_hz", "sensitivity_hz_per_100fpm")),
-    "channel": {"uplink_hz": None, "downlink_hz": None, "ges": _POSITION_KEYS},
-    "nominal_slot": dict.fromkeys(("longitude_deg", "latitude_deg", "radius_m")),
-    "noise_bounds": dict.fromkeys(("lower_hz", "upper_hz")),
-    "expected_bfo": dict.fromkeys(("south_hz", "north_hz")),
-    "arc_crossing": _POSITION_KEYS,
-    "tarmac": _POSITION_KEYS,
-}
 
 
 @dataclass(frozen=True)
@@ -79,50 +65,112 @@ class AnalysisConfig:
         return parse_time_utc(text, self.reference_date)
 
 
-def _number(obj, key, default, path) -> float:
-    """``obj[key]`` as a float, or ``default`` when the key is absent (a
-    ``default`` of None makes it required). It must be a JSON number that
-    is finite as a float; a bool is not a number. ``path`` names ``obj``."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: {obj!r} is not an object")
-    value = obj[key] if default is None else obj.get(key, default)
+def _number(value, name, base) -> float:
+    """``value``, a JSON number that is finite as a float; a bool is not a number."""
     if not _finite_number(value):
-        name = f"{path}.{key}" if path else key
         raise ConfigError(f"{name}: {value!r} is not a finite number")
     return float(value)
 
 
-def _check_keys(obj, keys, path="") -> None:
-    """Refuse any key of ``obj`` that ``keys`` does not name, so a misspelled
-    key cannot fall back to its default. ``path`` names ``obj``."""
-    if not isinstance(obj, dict):
-        return  # the reader of this value reports a non-object
-    for key, value in obj.items():
-        name = f"{path}.{key}" if path else key
-        if key not in keys:
-            raise ConfigError(f"{name}: unknown config key")
-        if keys[key] is not None:
-            _check_keys(value, keys[key], name)
-
-
-def _text(value, name) -> str:
-    """``value``, which must be a JSON string; ``name`` is its key path."""
+def _text(value, name, base) -> str:
+    """``value``, which must be a JSON string."""
     if not isinstance(value, str):
         raise ConfigError(f"{name}: {value!r} is not a string")
     return value
 
 
-def _position(obj, path) -> GeodeticPosition:
+def _date(value, name, base) -> date:
+    return date.fromisoformat(_text(value, name, base))
+
+
+def _file(value, name, base) -> Path | None:
+    """The existing file that ``value`` names, or None for a null."""
+    if value is None:
+        return None
+    p = base / _text(value, name, base)
+    if not p.exists():
+        raise ConfigError(f"{name}: file {p} does not exist")
+    return p
+
+
+def _window(value, name, base) -> list[str]:
+    """``value``, a list of two time texts; they are parsed once the reference date is known."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{name}: {value!r} is not a list of two times")
+    return [_text(v, f"{name}[{i}]", base) for i, v in enumerate(value)]
+
+
+REQUIRED = object()  # the default of a key the config must hold
+_POSITION = {"lat": (_number, REQUIRED), "lon": (_number, REQUIRED), "alt": (_number, 0.0)}
+_GES = ChannelConfig.ges_position
+
+# Every config key: {key: (reader, default)}. A reader takes a value, its key
+# path and the directory that relative file paths resolve against; a nested
+# table reads an object. A default is written as the config would write it
+# and is read like one; REQUIRED marks a key the config must hold, None one
+# it may leave out.
+SCHEMA = {
+    "reference_date": (_date, REQUIRED),
+    "log_csv": (_file, REQUIRED),
+    "ephemeris_csv": (_file, REQUIRED),
+    "correction_csv": (_file, REQUIRED),
+    "logon_sequence_csv": (_file, REQUIRED),
+    "logon_meta_json": (_file, None),
+    "channel": ({
+        "uplink_hz": (_number, ChannelConfig.uplink_hz),
+        "downlink_hz": (_number, ChannelConfig.downlink_hz),
+        "ges": (_POSITION, {"lat": _GES.latitude_deg, "lon": _GES.longitude_deg, "alt": _GES.altitude_m}),
+    }, {}),
+    "nominal_slot": ({
+        "longitude_deg": (_number, NominalSlot.longitude_deg),
+        "latitude_deg": (_number, NominalSlot.latitude_deg),
+        "radius_m": (_number, NominalSlot.radius_m),
+    }, {}),
+    # Strict BFO error bounds over the 20 reference flights (Ashton et al. 2015).
+    "noise_bounds": (
+        {"lower_hz": (_number, REQUIRED), "upper_hz": (_number, REQUIRED)},
+        {"lower_hz": -28.0, "upper_hz": 18.0},
+    ),
+    "expected_bfo": ({"south_hz": (_number, 260.0), "north_hz": (_number, 280.0)}, {}),
+    "arc_crossing": (_POSITION, REQUIRED),
+    "tarmac": (_POSITION, None),
+    "fit_window": (_window, REQUIRED),
+    "bias_hz": (_number, 0.0),
+    "sensitivity_hz_per_100fpm": (_number, 1.7),
+}
+
+
+def _read(obj, table, path, base) -> dict:
+    """The values of config object ``obj``, named by ``path``, read against
+    ``table``. A key the table does not name is refused, so a misspelled key
+    cannot fall back to its default; a nested table reads into a dict."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: {obj!r} is not an object")
+    prefix = f"{path}." if path else ""
+    for key in obj:
+        if key not in table:
+            raise ConfigError(f"{prefix}{key}: unknown config key")
+    values = {}
+    for key, (reader, default) in table.items():
+        name = prefix + key
+        value = obj.get(key, default)
+        if key in obj or (value is not None and value is not REQUIRED):
+            value = _read(value, reader, name, base) if isinstance(reader, dict) else reader(value, name, base)
+        if value is REQUIRED or (value is None and default is REQUIRED):  # absent, or a file path of null
+            raise ConfigError(f"config is missing {name!r}")
+        values[key] = value
+    return values
+
+
+def _position(values, name) -> GeodeticPosition:
     try:
-        return GeodeticPosition(
-            _number(obj, "lat", None, path), _number(obj, "lon", None, path), _number(obj, "alt", 0.0, path)
-        )
-    except (KeyError, DomainError) as e:
-        raise ConfigError(f"bad {path} position: {e}") from e
+        return GeodeticPosition(values["lat"], values["lon"], values["alt"])
+    except DomainError as e:
+        raise ConfigError(f"bad {name} position: {e}") from e
 
 
 def load_config(path=None) -> AnalysisConfig:
-    """Load and validate an analysis config.
+    """Load and validate an analysis config against :data:`SCHEMA`.
 
     ``path`` defaults to the ``BFOKIT_CONFIG`` environment variable.
     """
@@ -137,71 +185,36 @@ def load_config(path=None) -> AnalysisConfig:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise ConfigError(f"config file {path} is not valid JSON: {e}") from e
-    _check_keys(raw, CONFIG_KEYS)
-
-    base = path.parent
-
-    def file_path(key, required=True):
-        value = raw.get(key)
-        if value is None:
-            if required:
-                raise ConfigError(f"config is missing {key!r}")
-            return None
-        p = base / _text(value, key)
-        if not p.exists():
-            raise ConfigError(f"{key}: file {p} does not exist")
-        return p
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config file {path} is not a JSON object")
 
     try:
-        reference = date.fromisoformat(_text(raw["reference_date"], "reference_date"))
-        ch = raw.get("channel", {})
-        channel = ChannelConfig(
-            uplink_hz=_number(ch, "uplink_hz", ChannelConfig().uplink_hz, "channel"),
-            downlink_hz=_number(ch, "downlink_hz", ChannelConfig().downlink_hz, "channel"),
-            ges_position=_position(ch["ges"], "channel.ges")
-            if "ges" in ch
-            else ChannelConfig().ges_position,
-        )
-        slot_raw, default_slot = raw.get("nominal_slot", {}), NominalSlot()
-        slot = NominalSlot(
-            longitude_deg=_number(slot_raw, "longitude_deg", default_slot.longitude_deg, "nominal_slot"),
-            latitude_deg=_number(slot_raw, "latitude_deg", default_slot.latitude_deg, "nominal_slot"),
-            radius_m=_number(slot_raw, "radius_m", default_slot.radius_m, "nominal_slot"),
-        )
-        nb = raw.get("noise_bounds", asdict(DEFAULT_NOISE_BOUNDS))
-        noise = NoiseBounds(
-            _number(nb, "lower_hz", None, "noise_bounds"), _number(nb, "upper_hz", None, "noise_bounds")
-        )
-        expected = raw.get("expected_bfo", {})
-        window_raw = raw.get("fit_window")
-        if not isinstance(window_raw, list) or len(window_raw) != 2:
-            raise ConfigError(f"fit_window: {window_raw!r} is not a list of two times")
-        window = tuple(parse_time_utc(_text(w, f"fit_window[{i}]"), reference) for i, w in enumerate(window_raw))
+        v = _read(raw, SCHEMA, "", path.parent)
+        reference, channel, expected = v["reference_date"], v["channel"], v["expected_bfo"]
+        window = tuple(parse_time_utc(w, reference) for w in v["fit_window"])
         if window[0] >= window[1]:
             raise ConfigError("fit_window out of order")
-
-        cfg = AnalysisConfig(
-            log_csv=file_path("log_csv"),
-            ephemeris_csv=file_path("ephemeris_csv"),
-            correction_csv=file_path("correction_csv"),
-            logon_sequence_csv=file_path("logon_sequence_csv"),
-            logon_meta_json=file_path("logon_meta_json", required=False),
-            channel=channel,
-            slot=slot,
-            noise=noise,
-            expected_south_hz=_number(expected, "south_hz", DEFAULT_EXPECTED_SOUTH_HZ, "expected_bfo"),
-            expected_north_hz=_number(expected, "north_hz", DEFAULT_EXPECTED_NORTH_HZ, "expected_bfo"),
-            arc_crossing=_position(raw["arc_crossing"], "arc_crossing"),
-            fit_window=window,
-            bias_hz=_number(raw, "bias_hz", 0.0, ""),
-            reference_date=reference,
-            tarmac=_position(raw["tarmac"], "tarmac") if "tarmac" in raw else None,
-            sensitivity_hz_per_100fpm=_number(
-                raw, "sensitivity_hz_per_100fpm", DEFAULT_SENSITIVITY_HZ_PER_100FPM, ""
+        return AnalysisConfig(
+            log_csv=v["log_csv"],
+            ephemeris_csv=v["ephemeris_csv"],
+            correction_csv=v["correction_csv"],
+            logon_sequence_csv=v["logon_sequence_csv"],
+            logon_meta_json=v["logon_meta_json"],
+            channel=ChannelConfig(
+                channel["uplink_hz"], channel["downlink_hz"], _position(channel["ges"], "channel.ges")
             ),
+            slot=NominalSlot(**v["nominal_slot"]),
+            noise=NoiseBounds(**v["noise_bounds"]),
+            expected_south_hz=expected["south_hz"],
+            expected_north_hz=expected["north_hz"],
+            arc_crossing=_position(v["arc_crossing"], "arc_crossing"),
+            fit_window=window,
+            bias_hz=v["bias_hz"],
+            reference_date=reference,
+            tarmac=None if v["tarmac"] is None else _position(v["tarmac"], "tarmac"),
+            sensitivity_hz_per_100fpm=v["sensitivity_hz_per_100fpm"],
         )
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError, DomainError) as e:
+    except ValueError as e:  # a bad date or time, or a DomainError of a built value
         raise ConfigError(f"config file {path}: {e}") from e
-    return cfg

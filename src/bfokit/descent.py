@@ -23,9 +23,6 @@ from .stats import MessageType, NoiseBounds
 from .units import FPM_TO_MPS, G_MPS2
 from .warmup import DriftBounds
 
-DEFAULT_SENSITIVITY_HZ_PER_100FPM = 1.7
-DEFAULT_EXPECTED_SOUTH_HZ = 260.0
-DEFAULT_EXPECTED_NORTH_HZ = 280.0
 # Longest plausible gap between a log-on request and its acknowledgment;
 # the historical log-on sequences show 6-8 s.
 MAX_LOGON_ACK_GAP_S = 60.0
@@ -111,7 +108,7 @@ def descent_rate_bounds(
     expected_south_hz: float,
     expected_north_hz: float,
     adjusted: BfoRange,
-    sensitivity_hz_per_100fpm: float = DEFAULT_SENSITIVITY_HZ_PER_100FPM,
+    sensitivity_hz_per_100fpm: float,
     rounding_fpm: float | None = 100.0,
 ) -> DescentRates:
     """Descent-rate bounds implied by an adjusted BFO range.

@@ -87,10 +87,6 @@ class NoiseBounds:
             raise DomainError("noise bounds out of order")
 
 
-# Strict BFO error bounds over the 20 reference flights (Ashton et al. 2015).
-DEFAULT_NOISE_BOUNDS = NoiseBounds(-28.0, 18.0)
-
-
 def bfo_error(predicted_hz: float, measured_hz: float) -> float:
     """BFO error: predicted minus measured, Hz."""
     return predicted_hz - measured_hz

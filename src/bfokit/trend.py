@@ -67,9 +67,3 @@ def extrapolate(model: TrendModel, t: float) -> float:
             f"extrapolating {overshoot_h:.1f} h beyond the fit window", stacklevel=2
         )
     return model.value_at(t)
-
-
-def expected_level_flight_bfo(model: TrendModel, t: float, track_offset_hz: float) -> float:
-    """Expected BFO for level flight at ``t`` on a given track: the trend
-    extrapolation plus the track-dependent offset from the track sweep."""
-    return extrapolate(model, t) + track_offset_hz

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import shutil
 import warnings
@@ -353,18 +354,28 @@ def _static_world_config(tmp_path):
     return path
 
 
+DROP = object()  # an edit that deletes its key
+
+
 def _config_with(tmp_path, edits):
     """A copy of the bundled config with absolute file paths, after setting
-    each dotted key path in ``edits`` to its value."""
+    each dotted key path in ``edits`` to its value, or deleting it when the
+    value is ``DROP``. The key path ``""`` replaces the whole document."""
     raw = json.loads(bundled_config_path().read_text())
     for name in ("log_csv", "ephemeris_csv", "correction_csv", "logon_sequence_csv", "logon_meta_json"):
         raw[name] = str(bundled_config_path().parent / raw[name])
     for key, value in edits.items():
+        if not key:
+            raw = value
+            continue
         *parents, leaf = key.split(".")
         node = raw
         for name in parents:
             node = node[name]
-        node[leaf] = value
+        if value is DROP:
+            del node[leaf]
+        else:
+            node[leaf] = value
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw))
     return path
@@ -519,30 +530,59 @@ class TestRejectedRows:
 
 
 class TestConfigDefaults:
-    def test_omitted_keys_load_the_module_constants(self, tmp_path):
-        from bfokit.config import load_config
-        from bfokit.descent import (
-            DEFAULT_EXPECTED_NORTH_HZ,
-            DEFAULT_EXPECTED_SOUTH_HZ,
-            DEFAULT_SENSITIVITY_HZ_PER_100FPM,
-        )
-        from bfokit.satellite import NominalSlot
-        from bfokit.stats import DEFAULT_NOISE_BOUNDS
+    """A config of only the required keys and the log-on sidecar: every
+    optional key takes the default the paper's tables rest on."""
 
-        raw = json.loads(bundled_config_path().read_text())
-        for key in ("expected_bfo", "sensitivity_hz_per_100fpm", "nominal_slot", "noise_bounds"):
-            del raw[key]
-        for key in ("log_csv", "ephemeris_csv", "correction_csv", "logon_sequence_csv", "logon_meta_json"):
-            raw[key] = str(bundled_config_path().parent / raw[key])
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(raw))
-        cfg = load_config(path)
-        assert cfg.expected_south_hz == DEFAULT_EXPECTED_SOUTH_HZ == 260.0
-        assert cfg.expected_north_hz == DEFAULT_EXPECTED_NORTH_HZ == 280.0
-        assert cfg.sensitivity_hz_per_100fpm == DEFAULT_SENSITIVITY_HZ_PER_100FPM == 1.7
+    OMITTED = dict.fromkeys(
+        ("channel", "nominal_slot", "noise_bounds", "expected_bfo", "bias_hz", "tarmac",
+         "sensitivity_hz_per_100fpm", "arc_crossing.alt"),
+        DROP,
+    )
+
+    def test_omitted_keys_load_the_defaults(self, tmp_path):
+        from bfokit.config import load_config
+        from bfokit.geodesy import GeodeticPosition
+        from bfokit.satellite import NominalSlot
+        from bfokit.stats import NoiseBounds
+
+        cfg = load_config(_config_with(tmp_path, self.OMITTED))
+        assert cfg.expected_south_hz == 260.0
+        assert cfg.expected_north_hz == 280.0
+        assert cfg.sensitivity_hz_per_100fpm == 1.7
         assert cfg.slot == NominalSlot() and cfg.slot.longitude_deg == 64.5
-        assert cfg.noise == DEFAULT_NOISE_BOUNDS
+        assert (cfg.slot.latitude_deg, cfg.slot.radius_m) == (0.0, 42164169.0)
+        assert cfg.noise == NoiseBounds(-28.0, 18.0)
         assert (cfg.noise.lower_hz, cfg.noise.upper_hz) == (-28.0, 18.0)
+        assert (cfg.channel.uplink_hz, cfg.channel.downlink_hz) == (1646.6525e6, 3615.0e6)
+        assert cfg.channel.ges_position == GeodeticPosition(-31.8044, 115.8872, 22.0)
+        assert cfg.arc_crossing == GeodeticPosition(-38.67, 85.11, 0.0)
+        assert (cfg.bias_hz, cfg.tarmac) == (0.0, None)
+
+    def test_descent_bounds_write_the_golden_tables(self, capsys, tmp_path):
+        out = tmp_path / "out"
+        code, _, _ = run(capsys, "descent-bounds", "--config", str(_config_with(tmp_path, self.OMITTED)),
+                         "--out-dir", str(out))
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(GOLDEN_FILES)
+        for name in GOLDEN_FILES:
+            assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+    def test_readme_key_table_is_the_schema(self):
+        from bfokit.config import REQUIRED, SCHEMA
+
+        def rows(table, prefix=""):
+            for key, (reader, default) in table.items():
+                if default is REQUIRED:
+                    yield f"`{prefix}{key}`", "required", ""
+                else:
+                    yield f"`{prefix}{key}`", "optional", "none" if default is None else f"`{json.dumps(default)}`"
+                if isinstance(reader, dict):
+                    yield from rows(reader, f"{prefix}{key}.")
+
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        after = readme.split("| config key | required | default |\n| --- | --- | --- |\n")[1]
+        lines = itertools.takewhile(lambda line: line.startswith("|"), after.splitlines())
+        assert [tuple(cell.strip() for cell in line.strip("|").split("|")) for line in lines] == list(rows(SCHEMA))
 
 
 class TestConfigNumbers:
@@ -595,13 +635,16 @@ class TestOverflowingConfig:
 
 class TestConfigText:
     """A config text value that is not a JSON string, a fit_window that is
-    not a list of two, a window time past year 9999 or a key the config
-    does not know is exit 2, naming the key or the time, with no traceback."""
+    not a list of two, a window time past year 9999, a key the config does
+    not know, a missing required key and every other fault of the config is
+    exit 2 with one line naming the key or the value, and no traceback. In
+    a message, {config} stands for the config file and {dir} for its folder."""
 
     CASES = [
         ("window of numbers", "fit_window", [1, 2], "fit_window[0]: 1 is not a string"),
         ("window string", "fit_window", "ab", "fit_window: 'ab' is not a list of two times"),
-        ("window of three", "fit_window", ["19:41Z", "00:11Z", "00:12Z"], "fit_window: "),
+        ("window of three", "fit_window", ["19:41Z", "00:11Z", "00:12Z"],
+         "fit_window: ['19:41Z', '00:11Z', '00:12Z'] is not a list of two times"),
         ("second window time", "fit_window", ["19:41Z", None], "fit_window[1]: None is not a string"),
         ("log path number", "log_csv", 5, "log_csv: 5 is not a string"),
         ("sidecar path list", "logon_meta_json", ["a.json"], "logon_meta_json: ['a.json'] is not a string"),
@@ -609,6 +652,27 @@ class TestConfigText:
         ("misspelled bias", "bias_Hz", 233.64132912782904, "bias_Hz: unknown config key"),
         ("misspelled south", "expected_bfo.south_Hz", 260.0, "expected_bfo.south_Hz: unknown config key"),
         ("unknown ges key", "channel.ges.height", 22.0, "channel.ges.height: unknown config key"),
+        ("no reference date", "reference_date", DROP, "config is missing 'reference_date'"),
+        ("no arc crossing", "arc_crossing", DROP, "config is missing 'arc_crossing'"),
+        ("noise bounds without upper", "noise_bounds.upper_hz", DROP, "config is missing 'noise_bounds.upper_hz'"),
+        ("arc crossing without lat", "arc_crossing.lat", DROP, "config is missing 'arc_crossing.lat'"),
+        ("no fit window", "fit_window", DROP, "config is missing 'fit_window'"),
+        ("top level a list", "", [1], "config file {config} is not a JSON object"),
+        ("top level null", "", None, "config file {config} is not a JSON object"),
+        ("top level a number", "", 5, "config file {config} is not a JSON object"),
+        ("top level a string", "", "abc", "config file {config} is not a JSON object"),
+        ("nonexistent log", "log_csv", "nope.csv", "log_csv: file {dir}/nope.csv does not exist"),
+        ("null log path", "log_csv", None, "config is missing 'log_csv'"),
+        ("channel a number", "channel", 5, "channel: 5 is not an object"),
+        ("ges a number", "channel.ges", 5, "channel.ges: 5 is not an object"),
+        ("noise bounds a number", "noise_bounds", 5, "noise_bounds: 5 is not an object"),
+        ("tarmac a number", "tarmac", 5, "tarmac: 5 is not an object"),
+        ("latitude out of range", "arc_crossing.lat", 91, "bad arc_crossing position: latitude 91.0 outside [-90, 90]"),
+        ("noise bounds out of order", "noise_bounds", {"lower_hz": 20, "upper_hz": 10},
+         "config file {config}: noise bounds out of order"),
+        ("zero uplink", "channel.uplink_hz", 0, "config file {config}: carrier frequencies must be positive"),
+        ("reference date month 13", "reference_date", "2014-13-01", "config file {config}: month must be in 1..12"),
+        ("window out of order", "fit_window", ["00:11Z", "19:41Z"], "fit_window out of order"),
     ]
 
     @pytest.mark.parametrize(("key", "value", "message"), [c[1:] for c in CASES], ids=[c[0] for c in CASES])
@@ -616,8 +680,7 @@ class TestConfigText:
         path = _config_with(tmp_path, {key: value})
         code, out, err = run(capsys, "descent-bounds", "--config", str(path))
         assert code == 2 and out == ""
-        assert err.startswith(f"bfokit: parse/config error: {message}")
-        assert "Traceback" not in err
+        assert err == f"bfokit: parse/config error: {message.format(config=path, dir=tmp_path)}\n"
 
     def test_morning_time_after_the_last_reference_date_is_exit_2(self, capsys, tmp_path):
         # the fit window's 00:11Z falls in year 10000

@@ -5,7 +5,7 @@ from bfokit.errors import DomainError
 from bfokit.ingest import parse_time_utc
 from bfokit.stats import BfoMeasurement, Channel, MessageType
 from bfokit.track_sweep import KNOTS_TO_MPS, TrackSector, bfo_error_vs_track, track_offset
-from bfokit.trend import expected_level_flight_bfo, extrapolate, fit_linear_trend
+from bfokit.trend import extrapolate, fit_linear_trend
 
 
 def burst(t, bfo):
@@ -129,9 +129,7 @@ class TestCruiseFixture:
             slot=analysis_config.slot,
         )
         south = track_offset(curve, TrackSector.SOUTH)
-        expected = expected_level_flight_bfo(
-            model, analysis_config.parse_time("00:19:29Z"), south
-        )
+        expected = extrapolate(model, analysis_config.parse_time("00:19:29Z")) + south
         assert expected == pytest.approx(260.0, abs=2.0)
 
     def test_north_track_uses_canonical_expected_value(self, analysis_config):
