@@ -83,10 +83,8 @@ def _date(value, name, base) -> date:
     return date.fromisoformat(_text(value, name, base))
 
 
-def _file(value, name, base) -> Path | None:
-    """The existing file that ``value`` names, or None for a null."""
-    if value is None:
-        return None
+def _file(value, name, base) -> Path:
+    """The existing file that ``value`` names."""
     p = base / _text(value, name, base)
     if not p.exists():
         raise ConfigError(f"{name}: file {p} does not exist")
@@ -143,7 +141,8 @@ SCHEMA = {
 def _read(obj, table, path, base) -> dict:
     """The values of config object ``obj``, named by ``path``, read against
     ``table``. A key the table does not name is refused, so a misspelled key
-    cannot fall back to its default; a nested table reads into a dict."""
+    cannot fall back to its default; a key set to null reads as if it were
+    left out; a nested table reads into a dict."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: {obj!r} is not an object")
     prefix = f"{path}." if path else ""
@@ -153,11 +152,11 @@ def _read(obj, table, path, base) -> dict:
     values = {}
     for key, (reader, default) in table.items():
         name = prefix + key
-        value = obj.get(key, default)
-        if key in obj or (value is not None and value is not REQUIRED):
-            value = _read(value, reader, name, base) if isinstance(reader, dict) else reader(value, name, base)
-        if value is REQUIRED or (value is None and default is REQUIRED):  # absent, or a file path of null
+        value = default if obj.get(key) is None else obj[key]
+        if value is REQUIRED:
             raise ConfigError(f"config is missing {name!r}")
+        if value is not None:
+            value = _read(value, reader, name, base) if isinstance(reader, dict) else reader(value, name, base)
         values[key] = value
     return values
 

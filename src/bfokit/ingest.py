@@ -204,6 +204,7 @@ def _enum(cls):
         except KeyError:
             raise ValueError(f"{text!r} is not a valid {cls.__qualname__}") from None
 
+    parse.members = members
     return parse
 
 
@@ -227,6 +228,52 @@ ERROR_SCHEMA = {"bfo_error_hz": _float}
 # ---------------------------------------------------------------------------
 # the one CSV reader and the one CSV writer
 
+def _parse_column(parse, cells):
+    """``[parse(c.strip()) for c in cells]``, in one C-level pass if it can; a refused cell raises ValueError."""
+    if parse is _optional and not any(map(str.strip, cells)):
+        return [None] * len(cells)
+    if parse is _float or (parse is _optional and all(map(str.strip, cells))):
+        values = list(map(float, cells))  # float() ignores what str.strip() strips, or refuses the cell
+        good = all(map(math.isfinite, values))
+    elif parse is parse_time_utc:
+        values = list(map(_parse_full_form, map(str.strip, cells)))
+        good = None not in values and max(values) < _END_SECOND
+    elif hasattr(parse, "members"):
+        values = list(map(parse.members.get, map(str.strip, cells)))
+        good = None not in values
+    else:
+        return list(map(parse, map(str.strip, cells)))
+    if not good:
+        raise ValueError("a cell the column pass refuses")
+    return values
+
+
+def _parse_block(cells, linenos, columns, make, items, problems) -> None:
+    """Parse the rows at ``linenos``, fields row after row in ``cells``, a column at a time, and empty both
+    lists. A refused block is parsed again row by row to find each bad row, so ``make`` may see a row twice."""
+    if not linenos:
+        return
+    n = len(columns)
+    try:
+        items += list(map(make, *[_parse_column(parse, cells[i::n]) for i, _, parse in columns]))
+    except ValueError:  # a bad cell (DomainError included), or a row make refuses
+        for lineno, start in zip(linenos, range(0, len(cells), n)):
+            try:
+                items.append(make(*[parse(cells[start + i].strip()) for i, _, parse in columns]))
+            except ValueError as e:
+                for i, column, parse in columns:
+                    try:
+                        parse(cells[start + i].strip())
+                    except ValueError as cell_error:
+                        problems.append((lineno, f"{column}: {cell_error}"))
+                        break
+                else:
+                    if not isinstance(e, DomainError):
+                        raise
+                    problems.append((lineno, str(e)))
+    del cells[:], linenos[:]
+
+
 def _load_table(path, schema, make):
     """Read a CSV table by column name, in any column order.
 
@@ -248,6 +295,7 @@ def _load_table(path, schema, make):
     provenance: list[str] = []
     items: list = []
     problems: list[tuple[int, str]] = []
+    cells, linenos = [], []  # the fields and line numbers of a block's rows
     columns = None
     limit = csv.field_size_limit()
     for lineno, line in enumerate(lines, start=1):
@@ -260,6 +308,7 @@ def _load_table(path, schema, make):
             try:
                 fields = next(csv.reader((line,)))
             except csv.Error as e:  # a field beyond the size limit, or a NUL before Python 3.11
+                _parse_block(cells, linenos, columns, make, items, problems)  # an earlier row raises first
                 raise ParseError(path, [(lineno, str(e))]) from e
         else:
             fields = line.split(",")
@@ -279,20 +328,12 @@ def _load_table(path, schema, make):
         if len(fields) != len(columns):
             problems.append((lineno, f"expected {len(columns)} fields, got {len(fields)}"))
             continue
-        try:
-            items.append(make(*[parse(fields[i].strip()) for i, _, parse in columns]))
-        except ValueError as e:  # from a cell (DomainError included) or from make
-            for i, column, parse in columns:
-                try:
-                    parse(fields[i].strip())
-                except ValueError as cell_error:
-                    problems.append((lineno, f"{column}: {cell_error}"))
-                    break
-            else:
-                if not isinstance(e, DomainError):
-                    raise
-                problems.append((lineno, str(e)))
-    return provenance, items, problems
+        cells += fields
+        linenos.append(lineno)
+        if len(linenos) == 256:  # few enough rows that a block's cells stay small
+            _parse_block(cells, linenos, columns, make, items, problems)
+    _parse_block(cells, linenos, columns, make, items, problems)
+    return provenance, items, sorted(problems)  # a ragged row's problem comes before its block's
 
 
 def _write_csv(path, provenance, header, lines) -> None:

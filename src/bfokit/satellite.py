@@ -197,7 +197,7 @@ def satellite_state_at(t: float, e: EphemerisTable) -> SatelliteState:
     )
     # the check of EcefVector.__new__, made once for both vectors
     if not all(map(math.isfinite, pos + vel)):
-        raise DomainError("ECEF components must be finite")
+        raise DomainError(f"ECEF components must be finite at t={t!r} (ephemeris knots {t0!r} and {times[i + 1]!r})")
     return SatelliteState(tuple.__new__(EcefVector, pos), tuple.__new__(EcefVector, vel))
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from bfokit.cli import main
+from bfokit.config import REQUIRED, SCHEMA, load_config
 from bfokit.fixtures import bundled_config_path
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -381,6 +382,15 @@ def _config_with(tmp_path, edits):
     return path
 
 
+def _optional_keys(table, prefix=""):
+    """The dotted path of every optional key of a config schema, nested ones included."""
+    for key, (reader, default) in table.items():
+        if default is not REQUIRED:
+            yield prefix + key
+        if isinstance(reader, dict):
+            yield from _optional_keys(reader, f"{prefix}{key}.")
+
+
 def _edited_fixtures(tmp_path, edit_lines, name="mh370_bfo_log.csv"):
     """A copy of the bundled fixtures whose file ``name`` (the burst log by
     default) has its lines passed through ``edit_lines``."""
@@ -540,7 +550,6 @@ class TestConfigDefaults:
     )
 
     def test_omitted_keys_load_the_defaults(self, tmp_path):
-        from bfokit.config import load_config
         from bfokit.geodesy import GeodeticPosition
         from bfokit.satellite import NominalSlot
         from bfokit.stats import NoiseBounds
@@ -558,6 +567,17 @@ class TestConfigDefaults:
         assert cfg.arc_crossing == GeodeticPosition(-38.67, 85.11, 0.0)
         assert (cfg.bias_hz, cfg.tarmac) == (0.0, None)
 
+    @pytest.mark.parametrize("key", list(_optional_keys(SCHEMA)))
+    def test_a_null_optional_key_reads_as_left_out(self, tmp_path, key):
+        *parents, leaf = key.split(".")
+        node = json.loads(bundled_config_path().read_text())
+        for name in parents:
+            node = node[name]
+        (tmp_path / "null").mkdir()
+        (tmp_path / "omitted").mkdir()
+        null = load_config(_config_with(tmp_path / "null", {key: None}))
+        assert null == load_config(_config_with(tmp_path / "omitted", {key: DROP} if leaf in node else {}))
+
     def test_descent_bounds_write_the_golden_tables(self, capsys, tmp_path):
         out = tmp_path / "out"
         code, _, _ = run(capsys, "descent-bounds", "--config", str(_config_with(tmp_path, self.OMITTED)),
@@ -568,8 +588,6 @@ class TestConfigDefaults:
             assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
     def test_readme_key_table_is_the_schema(self):
-        from bfokit.config import REQUIRED, SCHEMA
-
         def rows(table, prefix=""):
             for key, (reader, default) in table.items():
                 if default is REQUIRED:
@@ -663,6 +681,11 @@ class TestConfigText:
         ("top level a string", "", "abc", "config file {config} is not a JSON object"),
         ("nonexistent log", "log_csv", "nope.csv", "log_csv: file {dir}/nope.csv does not exist"),
         ("null log path", "log_csv", None, "config is missing 'log_csv'"),
+        ("null reference date", "reference_date", None, "config is missing 'reference_date'"),
+        ("null arc crossing", "arc_crossing", None, "config is missing 'arc_crossing'"),
+        ("null arc crossing lat", "arc_crossing.lat", None, "config is missing 'arc_crossing.lat'"),
+        ("null noise bound", "noise_bounds.lower_hz", None, "config is missing 'noise_bounds.lower_hz'"),
+        ("null fit window", "fit_window", None, "config is missing 'fit_window'"),
         ("channel a number", "channel", 5, "channel: 5 is not an object"),
         ("ges a number", "channel.ges", 5, "channel.ges: 5 is not an object"),
         ("noise bounds a number", "noise_bounds", 5, "noise_bounds: 5 is not an object"),

@@ -254,6 +254,105 @@ def test_make_rejections_after_good_cells(tmp_path):
     assert outcome(_load_table, path, ERROR_SCHEMA, picky) == (ValueError, "picky: a minus one")
 
 
+# Tables of several reading blocks (the reader parses 256 rows at a time), with
+# one fault at a row on either side of the first boundary or deep in a later block.
+LONG = {  # kind: (schema, a good row, the index of its number cell)
+    "log": (LOG_SCHEMA, ["2014-03-07T16:00:00Z", "R", "data", "1.5", "12000", "0.5", "41.7", ""], 3),
+    "error samples": (ERROR_SCHEMA, ["1.5"], 0),
+}
+FAULTS = {  # a faulty row, from a good one and the index of its number cell
+    "bad cell": lambda row, k: row[:k] + ["x"] + row[k + 1:],
+    "ragged": lambda row, k: row[:-1] if len(row) > 1 else row + ["2"],
+    "quoted": lambda row, k: row[:k] + ['"2.5"'] + row[k + 1:],
+    "over the csv field limit": lambda row, k: row[:k] + ["2." + "0" * 70] + row[k + 1:],
+    "make raises DomainError": lambda row, k: row[:k] + ["0"] + row[k + 1:],
+    "make raises ValueError": lambda row, k: row[:k] + ["-1"] + row[k + 1:],
+    # the log's own columns; in a table of error samples each is a bad cell or a ragged row
+    "unpadded time": lambda row, k: ["2014-3-7T16:00Z"] + row[1:],
+    "time in year 10000": lambda row, k: ["9999-12-31T23:59:59.999999Z"] + row[1:],
+    "bad enum": lambda row, k: row[:1] + [" Q "] + row[2:],
+    "blank optional": lambda row, k: row[:4] + [" "] + row[5:],
+}
+
+
+def long_table(path, kind, n, edits):
+    """A table of ``n`` rows of ``kind`` after a provenance line, with blank
+    lines in it and each row ``i`` in ``edits`` replaced by ``edits[i](row, k)``."""
+    schema, row, k = LONG[kind]
+    lines = ["# a long table", ",".join(schema)]
+    for i in range(n):
+        if i % 97 == 5:
+            lines.append("")
+        lines.append(",".join(edits[i](row, k) if i in edits else row))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def both_readers(path, schema, make=picky):
+    """The reader's and the oracle's outcome, under a csv field limit of 64."""
+    old = csv.field_size_limit(64)
+    try:
+        return outcome(_load_table, path, schema, make), outcome(oracle_load_table, path, schema, make)
+    finally:
+        csv.field_size_limit(old)
+
+
+@pytest.mark.parametrize("row", [255, 256, 257, 520])
+@pytest.mark.parametrize("fault", FAULTS)
+@pytest.mark.parametrize("kind", LONG)
+def test_reader_agrees_with_the_oracle_past_one_block(tmp_path, kind, fault, row):
+    path = tmp_path / "long.csv"
+    long_table(path, kind, 600, {row: FAULTS[fault]})
+    got, want = both_readers(path, LONG[kind][0])
+    assert got == want
+    if fault in ("bad cell", "ragged", "make raises DomainError"):
+        assert [p[0] for p in got[2]] == [3 + row + sum(i % 97 == 5 for i in range(row + 1))]
+
+
+@pytest.mark.parametrize("later", [1, 250, 600])
+@pytest.mark.parametrize("kind", LONG)
+def test_a_make_error_on_an_earlier_row_wins_over_a_csv_error_later(tmp_path, kind, later):
+    path = tmp_path / "long.csv"
+    edits = {240: FAULTS["make raises ValueError"], 240 + later: FAULTS["over the csv field limit"]}
+    long_table(path, kind, 900, edits)
+    got, want = both_readers(path, LONG[kind][0])
+    assert got == want == (ValueError, "picky: a minus one")
+    del edits[240]
+    long_table(path, kind, 900, edits)
+    got, want = both_readers(path, LONG[kind][0])
+    assert got == want and got[0] is ParseError
+
+
+def test_many_faults_over_many_blocks(tmp_path):
+    path = tmp_path / "long.csv"
+    faults = ["bad cell", "ragged", "quoted", "make raises DomainError"] * 7
+    edits = {i: FAULTS[f] for i, f in zip(range(3, 1000, 37), faults)}
+    long_table(path, "log", 1000, edits)
+    got, want = both_readers(path, LOG_SCHEMA, BfoMeasurement)  # a BFO of 0 is a good burst
+    assert got == want and len(got[1]) == 1000 - 14 and len(got[2]) == 14
+    got, want = both_readers(path, LOG_SCHEMA)
+    assert got == want and len(got[1]) == 1000 - 20 and len(got[2]) == 20
+
+
+WHITESPACE = [c for c in map(chr, range(0x110000)) if c.isspace()]
+
+
+@pytest.mark.parametrize("space", WHITESPACE, ids=[f"U+{ord(c):04X}" for c in WHITESPACE])
+def test_whitespace_around_a_number_reads_as_the_stripped_cell(tmp_path, space):
+    # float() strips some whitespace itself, and refuses the rest: then the
+    # block goes through the row-by-row parse of the stripped cell.
+    path = tmp_path / "long.csv"
+
+    def padded(row, k):
+        return row[:k] + [f"{space}41.7{space * 2}"] + row[k + 1:]
+
+    for kind in LONG:
+        long_table(path, kind, 300, {280: padded})
+        got, want = both_readers(path, LONG[kind][0])
+        assert got == want
+        if len(f"x{space}x".splitlines()) == 1:
+            assert 41.7 in got[1][280] and got[2] == []
+
+
 # --- the writers ------------------------------------------------------------------
 
 # Integral values, the 1e15 edge and signed zero, where _fmt switches to int text.

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bfokit.errors import DomainError
 from bfokit.ingest import parse_time_utc
@@ -81,6 +83,47 @@ class TestFit:
         ms = [burst(600 * i, 1.5e308 * (-1) ** i) for i in range(6)]
         with pytest.raises(DomainError, match="trend residuals overflow"):
             fit_linear_trend(ms, (0.0, 3600.0))
+
+
+@st.composite
+def cruise(draw):
+    """Bursts on a noisy line, at distinct whole minutes over up to 12 h, in
+    any order, with the window they span."""
+    minutes = draw(st.lists(st.integers(0, 720), min_size=2, max_size=40, unique=True))
+    t0 = draw(st.integers(1_300_000_000, 1_500_000_000)) * 1.0
+    intercept, slope = draw(st.floats(-300.0, 300.0)), draw(st.floats(-60.0, 60.0))
+    noise = draw(st.lists(st.floats(-30.0, 30.0), min_size=len(minutes), max_size=len(minutes)))
+    ms = [burst(t0 + 60 * m, intercept + slope * m / 60 + e) for m, e in zip(minutes, noise)]
+    return ms, (t0, t0 + 60 * max(minutes))
+
+
+def close(a, b):
+    return a == pytest.approx(b, rel=1e-9, abs=1e-9)
+
+
+class TestFitLaws:
+    """Laws of the least-squares line that hold for any bursts."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=cruise(), order=st.randoms(use_true_random=False))
+    def test_order_of_the_measurements_does_not_matter(self, data, order):
+        ms, window = data
+        shuffled = list(ms)
+        order.shuffle(shuffled)
+        a, b = fit_linear_trend(ms, window), fit_linear_trend(shuffled, window)
+        assert close(b.slope_hz_per_hour, a.slope_hz_per_hour)
+        assert close(b.intercept_hz, a.intercept_hz)
+        assert close(b.residual_rms_hz, a.residual_rms_hz)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=cruise(), c=st.floats(-1000.0, 1000.0))
+    def test_a_constant_added_to_every_bfo_moves_only_the_intercept(self, data, c):
+        ms, window = data
+        a = fit_linear_trend(ms, window)
+        b = fit_linear_trend([m._replace(bfo_hz=m.bfo_hz + c) for m in ms], window)
+        assert close(b.slope_hz_per_hour, a.slope_hz_per_hour)
+        assert close(b.intercept_hz, a.intercept_hz + c)
+        assert close(b.residual_rms_hz, a.residual_rms_hz)
 
 
 class TestExtrapolate:

@@ -126,7 +126,8 @@ class TestChecks:
         # Finite rows whose Hermite blend overflows: the state's own check fires.
         fast = [1.5e308, 0.0, 0.0]
         table = EphemerisTable([0.0, 10.0], [[GEO_RADIUS_M, 0.0, 0.0]] * 2, [fast, fast])
-        with pytest.raises(DomainError, match=r"^ECEF components must be finite$"):
+        knots = r"\(ephemeris knots 0\.0 and 10\.0\)"
+        with pytest.raises(DomainError, match=rf"^ECEF components must be finite at t=5\.0 {knots}$"):
             satellite_state_at(5.0, table)
 
     def test_interpolated_state_holds_vectors(self, ephemeris):
