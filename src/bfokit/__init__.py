@@ -28,7 +28,6 @@ from .geodesy import (
     EcefVector,
     GeodeticPosition,
     GroundKinematics,
-    ecef_to_geodetic,
     elevation_angle,
     geodetic_to_ecef,
     kinematics_to_ecef_velocity,

@@ -12,7 +12,11 @@ and the satellite at its nominal slot.
 The model is written once, as a component-wise kernel over a math
 backend: ``math`` for one state (:func:`predict_bfo`), ``numpy`` for
 arrays of states that share one time (:func:`predict_bfo_batch`). Both
-return every term as :class:`BfoTerms`.
+return every term as :class:`BfoTerms`. Per call, the kernel builds the
+local frame, its east/north/up axes and the horizontal velocity once, for
+both the uplink and the compensation. The entry points hold the checks on
+the state (latitude for a batch, ground speed) and on the total's
+finiteness; the kernel checks only that no line of sight is degenerate.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .geodesy import (
     GroundKinematics,
     _east_north,
     _ecef_position,
-    _ecef_velocity,
+    _enu_axes,
     _frame,
 )
 from .satellite import (
@@ -107,11 +111,7 @@ class BfoTerms(NamedTuple):
 
 def _any(mask) -> bool:
     """Reduce an elementwise test from either math backend to one bool."""
-    return bool(mask.any()) if isinstance(mask, (np.ndarray, np.generic)) else mask
-
-
-def _all(mask) -> bool:
-    return bool(mask.all()) if isinstance(mask, (np.ndarray, np.generic)) else mask
+    return mask if mask.__class__ is bool else bool(mask.any())
 
 
 def _los_rate(xp, velocity, from_pos, to_pos):
@@ -122,26 +122,6 @@ def _los_rate(xp, velocity, from_pos, to_pos):
     if _any(r < 1e-6):
         raise DomainError("line-of-sight endpoints coincide")
     return (velocity[0] * lx + velocity[1] * ly + velocity[2] * lz) / r
-
-
-def _uplink(xp, frame, altitude_m, ve, vn, vertical_rate_mps, sat, cfg):
-    """(F_up/c) * (v_s - v_x) . (p_x - p_s) / |p_x - p_s|."""
-    vx, vy, vz = _ecef_velocity(frame, ve, vn, vertical_rate_mps)
-    position, (sx, sy, sz) = sat
-    return cfg.uplink_hz / SPEED_OF_LIGHT_MPS * _los_rate(
-        xp, (sx - vx, sy - vy, sz - vz), position, _ecef_position(frame, altitude_m)
-    )
-
-
-def _compensation(xp, frame, ve, vn, slot, cfg):
-    """The terminal's own estimate: level flight at sea level, satellite
-    fixed at the nominal slot."""
-    return cfg.uplink_hz / SPEED_OF_LIGHT_MPS * _los_rate(
-        xp,
-        _ecef_velocity(frame, ve, vn, 0.0),
-        slot.ecef,
-        _ecef_position(frame, 0.0),
-    )
 
 
 def _downlink(sat, cfg):
@@ -169,22 +149,37 @@ def _bfo_terms(
 
     The aircraft arguments broadcast against each other. Everything else
     is shared, so the terms that do not depend on the aircraft (downlink
-    Doppler, correction, bias) are computed once, as floats.
+    Doppler, correction, bias) are computed once, as floats. The local
+    frame, its east/north/up axes and the horizontal velocity ``h`` are
+    computed once per call and shared by the uplink and the compensation:
+    the aircraft's ECEF velocity is ``h + w*up``, with ``w`` its vertical
+    rate, and the terminal's is ``h + 0.0*up``, the same sums, bit for bit
+    and zero signs included, as building each velocity on its own. The only
+    check here is that no line of sight is degenerate; the callers check
+    the state before and the total after.
+
+    Uplink: (F_up/c) * (v_s - v_x) . (p_x - p_s) / |p_x - p_s|.
+    Compensation: the terminal's own estimate, for level flight at sea
+    level with the satellite fixed at the nominal slot.
     """
-    if _any(ground_speed_mps < 0):
-        raise DomainError("ground speed must be >= 0")
     frame = _frame(xp, latitude_deg, longitude_deg)
     ve, vn = _east_north(xp, ground_speed_mps, track_angle_deg)
-    terms = BfoTerms(
-        uplink_doppler_hz=_uplink(xp, frame, altitude_m, ve, vn, vertical_rate_mps, sat, cfg),
-        downlink_doppler_hz=_downlink(sat, cfg),
-        aes_compensation_hz=_compensation(xp, frame, ve, vn, slot, cfg),
-        sat_plus_afc_hz=deterministic_correction_at(t, corrections),
-        bias_hz=bias_hz,
+    (ex, ey, ez), (nx, ny, nz), (ux, uy, uz) = _enu_axes(frame)
+    hx, hy, hz = ve * ex + vn * nx, ve * ey + vn * ny, ve * ez + vn * nz
+    # A batch holds fewer arrays at once, and so touches fewer fresh pages,
+    # with ve and vn dropped here and the compensation built first; all three
+    # line-of-sight checks raise the same error, so their order is not seen.
+    del ve, vn
+    position, (sx, sy, sz) = sat
+    f_up, w = cfg.uplink_hz / SPEED_OF_LIGHT_MPS, vertical_rate_mps
+    compensation = f_up * _los_rate(
+        xp, (hx + 0.0 * ux, hy + 0.0 * uy, hz + 0.0 * uz), slot.ecef, _ecef_position(frame, 0.0)
     )
-    if not _all(xp.isfinite(terms.total_hz)):
-        raise DomainError("predicted BFO is not finite")
-    return terms
+    uplink = f_up * _los_rate(
+        xp, (sx - (hx + w * ux), sy - (hy + w * uy), sz - (hz + w * uz)), position, _ecef_position(frame, altitude_m)
+    )
+    downlink = _downlink(sat, cfg)
+    return BfoTerms(uplink, downlink, compensation, deterministic_correction_at(t, corrections), bias_hz)
 
 
 def predict_bfo(
@@ -197,12 +192,17 @@ def predict_bfo(
 ) -> tuple[float, BfoTerms]:
     """Predicted BFO (Hz) and its exact additive decomposition."""
     p, k = aircraft.position, aircraft.kinematics
+    if k.ground_speed_mps < 0:
+        raise DomainError("ground speed must be >= 0")
     terms = _bfo_terms(
         math, p.latitude_deg, p.longitude_deg, p.altitude_m,
         k.ground_speed_mps, k.track_angle_deg, k.vertical_rate_mps,
         aircraft.timestamp, sat, corrections, bias_hz, cfg, slot,
     )
-    return terms.total_hz, terms
+    total = terms.total_hz
+    if not math.isfinite(total):
+        raise DomainError("predicted BFO is not finite")
+    return total, terms
 
 
 def predict_bfo_batch(
@@ -236,9 +236,14 @@ def predict_bfo_batch(
     ]
     if _any(np.abs(state[0]) > 90.0):
         raise DomainError("latitude outside [-90, 90]")
-    # Non-finite inputs raise DomainError in the kernel, without numpy's warnings.
+    if _any(state[3] < 0):
+        raise DomainError("ground speed must be >= 0")
+    # Non-finite inputs raise DomainError below, without numpy's warnings.
     with np.errstate(invalid="ignore", over="ignore"):
-        return _bfo_terms(np, *state, t, sat, corrections, bias_hz, cfg, slot)
+        terms = _bfo_terms(np, *state, t, sat, corrections, bias_hz, cfg, slot)
+        if not np.isfinite(terms.total_hz).all():
+            raise DomainError("predicted BFO is not finite")
+    return terms
 
 
 def vertical_doppler(vz_mps: float, elevation_deg: float, cfg: ChannelConfig) -> float:

@@ -149,41 +149,6 @@ def geodetic_to_ecef(p: GeodeticPosition) -> EcefVector:
     return EcefVector(*_ecef_position(_frame(math, p.latitude_deg, p.longitude_deg), p.altitude_m))
 
 
-def ecef_to_geodetic(v: EcefVector) -> GeodeticPosition:
-    """Invert :func:`geodetic_to_ecef`.
-
-    Bowring's closed form seeded with a few fixed-point refinements;
-    round-trips to better than 1e-9 degrees / 1e-6 m over the whole
-    aircraft-to-geostationary altitude range.
-    """
-    x, y, z = v.x, v.y, v.z
-    p = math.hypot(x, y)
-    if p == 0.0 and z == 0.0:
-        raise DomainError("ECEF vector at Earth center has no geodetic image")
-    lon = math.degrees(math.atan2(y, x))
-    if lon <= -180.0:
-        lon = 180.0
-    if p < 1e-9:
-        # On the polar axis the longitude is arbitrary; fix it at 0.
-        lat = math.copysign(90.0, z)
-        return GeodeticPosition(lat, 0.0, abs(z) - WGS84_B)
-
-    # Bowring seed
-    ep2 = (WGS84_A * WGS84_A - WGS84_B * WGS84_B) / (WGS84_B * WGS84_B)
-    theta = math.atan2(z * WGS84_A, p * WGS84_B)
-    st, ct = math.sin(theta), math.cos(theta)
-    lat = math.atan2(z + ep2 * WGS84_B * st**3, p - WGS84_E2 * WGS84_A * ct**3)
-
-    h = 0.0
-    for _ in range(4):
-        sinp = math.sin(lat)
-        n = WGS84_A / math.sqrt(1.0 - WGS84_E2 * sinp * sinp)
-        h = p / math.cos(lat) - n
-        lat = math.atan2(z, p * (1.0 - WGS84_E2 * n / (n + h)))
-
-    return GeodeticPosition(math.degrees(lat), lon, h)
-
-
 def enu_basis(p: GeodeticPosition) -> tuple[EcefVector, EcefVector, EcefVector]:
     """Unit east/north/up vectors of the local tangent frame at ``p``.
 

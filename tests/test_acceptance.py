@@ -22,7 +22,6 @@ from bfokit.fixtures import fixture_path
 from bfokit.geodesy import (
     GeodeticPosition,
     GroundKinematics,
-    ecef_to_geodetic,
     geodetic_to_ecef,
 )
 from bfokit.ingest import load_error_samples_csv
@@ -33,6 +32,7 @@ from bfokit.stats import NoiseBounds, compute_error_stats
 from bfokit.track_sweep import KNOTS_TO_MPS, TrackSector, bfo_error_vs_track, peak_to_peak, track_offset
 from bfokit.trend import extrapolate, fit_linear_trend
 from bfokit.warmup import DriftBounds, extract_drift_bounds
+from test_geodesy import ecef_to_geodetic
 
 
 def report(criterion: str, ok: bool, detail: str):

@@ -1,5 +1,10 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bfokit.bfo_model import (
     AircraftState,
@@ -24,6 +29,7 @@ from bfokit.satellite import (
     NominalSlot,
     SatelliteState,
     nominal_satellite_position,
+    satellite_state_at,
 )
 from bfokit.stats import BfoMeasurement, Channel, MessageType
 from bfokit.units import SPEED_OF_LIGHT_MPS
@@ -275,6 +281,59 @@ class TestPredictBfo:
             total, _ = predict_bfo(state, sat, flat_corrections(corr), bias, CFG, SLOT)
             want = oracle(state, sat_pos, sat_vel, corr, bias, CFG, SLOT)
             assert total == pytest.approx(want, abs=1e-6)
+
+
+def wrap_longitude(lon: float) -> float:
+    """``lon`` in (-180, 180]."""
+    lon = math.remainder(lon, 360.0)
+    return 180.0 if lon == -180.0 else lon
+
+
+class TestRotationLaw:
+    """Every term depends only on relative geometry (Ashton et al. 2015), so
+    turning the whole scene about the Earth's axis leaves the BFO alone."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        angle=st.floats(-360.0, 360.0),
+        lat=st.floats(-90.0, 90.0),
+        lon=st.floats(-180.0, 180.0, exclude_min=True),
+        alt=st.floats(0.0, 13000.0),
+        gs=st.floats(0.0, 300.0),
+        track=st.floats(0.0, 360.0, exclude_max=True),
+        vz=st.floats(-100.0, 100.0),
+        ges=st.tuples(st.floats(-80.0, 80.0), st.floats(-180.0, 180.0, exclude_min=True), st.floats(0.0, 500.0)),
+        slot_lon=st.floats(-180.0, 180.0),
+        when=st.floats(0.0, 1.0),
+    )
+    def test_turning_the_scene_about_the_z_axis_keeps_the_bfo(
+        self, analysis_config, ephemeris, corrections, angle, lat, lon, alt, gs, track, vz, ges, slot_lon, when
+    ):
+        lo, hi = ephemeris.span
+        t = lo + when * (hi - lo)
+        sat = satellite_state_at(t, ephemeris)
+        cfg = replace(analysis_config.channel, ges_position=GeodeticPosition(*ges))
+        slot = NominalSlot(longitude_deg=slot_lon)
+        kinematics = GroundKinematics(gs, track, vz)
+        c, s = math.cos(math.radians(angle)), math.sin(math.radians(angle))
+
+        def turned(v):
+            return EcefVector(v.x * c - v.y * s, v.x * s + v.y * c, v.z)
+
+        before = predict_bfo(
+            AircraftState(GeodeticPosition(lat, lon, alt), kinematics, t),
+            sat, corrections, analysis_config.bias_hz, cfg, slot,
+        )
+        after = predict_bfo(
+            AircraftState(GeodeticPosition(lat, wrap_longitude(lon + angle), alt), kinematics, t),
+            SatelliteState(turned(sat.position), turned(sat.velocity)),
+            corrections,
+            analysis_config.bias_hz,
+            replace(cfg, ges_position=GeodeticPosition(ges[0], wrap_longitude(ges[1] + angle), ges[2])),
+            replace(slot, longitude_deg=slot_lon + angle),
+        )
+        assert after[0] == pytest.approx(before[0], abs=1e-9)
+        assert list(after[1]) == pytest.approx(list(before[1]), abs=1e-9)
 
 
 class TestVerticalDoppler:

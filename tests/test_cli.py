@@ -12,6 +12,7 @@ from bfokit.config import REQUIRED, SCHEMA, load_config
 from bfokit.fixtures import bundled_config_path
 
 GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_FORWARD = Path(__file__).parent / "golden_forward"
 GOLDEN_FILES = [
     "adjusted_bfo_power_outage.csv",
     "adjusted_bfo_other_cause.csv",
@@ -96,6 +97,30 @@ class TestDescentBounds:
         assert code == 0
         assert 1.70 <= payload["sensitivity_hz_per_100fpm"] <= 1.80
         assert payload["sensitivity_hz_per_100fpm"] != 1.7
+
+
+class TestForwardModelGolden:
+    """The forward model's outputs, byte for byte: ``tests/golden_forward``
+    holds what ``predict-bfo``, ``calibrate-bias`` and ``track-sweep`` wrote
+    on the bundled config, as CI's ``diff -r`` checks them too."""
+
+    def test_stdout_json_byte_identical(self, capsys):
+        for name, argv in [
+            ("predict_bfo.json", ["predict-bfo", "--time", "00:11Z", "--lat", "-38.67", "--lon", "85.11",
+                                  "--alt", "10668", "--speed-kts", "450", "--track-deg", "185"]),
+            ("calibrate_bias.json", ["calibrate-bias", "--tarmac-window", "15:55Z..16:15Z"]),
+        ]:
+            code, out, err = run(capsys, *argv, "--config", CONFIG, "--format", "json")
+            assert (code, err) == (0, "")
+            assert out == (GOLDEN_FORWARD / name).read_text(encoding="utf-8"), name
+
+    def test_track_sweep_curves_byte_identical(self, capsys, tmp_path):
+        code, _, _ = run(capsys, "track-sweep", "--config", CONFIG, "--speed-kts", "450,500", "--out-dir", str(tmp_path))
+        assert code == 0
+        curves = sorted(p.name for p in tmp_path.iterdir())
+        assert curves == ["track_sweep_450kts.csv", "track_sweep_500kts.csv"]
+        for name in curves:
+            assert (tmp_path / name).read_bytes() == (GOLDEN_FORWARD / name).read_bytes(), name
 
 
 class TestTrackSweep:

