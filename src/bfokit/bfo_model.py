@@ -124,11 +124,6 @@ def _los_rate(xp, velocity, from_pos, to_pos):
     return (velocity[0] * lx + velocity[1] * ly + velocity[2] * lz) / r
 
 
-def _downlink(sat, cfg):
-    """Satellite motion along the satellite -> ground-station line of sight."""
-    return cfg.downlink_hz / SPEED_OF_LIGHT_MPS * _los_rate(math, sat.velocity, sat.position, cfg.ges_ecef)
-
-
 def _bfo_terms(
     xp,
     latitude_deg,
@@ -178,7 +173,7 @@ def _bfo_terms(
     uplink = f_up * _los_rate(
         xp, (sx - (hx + w * ux), sy - (hy + w * uy), sz - (hz + w * uz)), position, _ecef_position(frame, altitude_m)
     )
-    downlink = _downlink(sat, cfg)
+    downlink = cfg.downlink_hz / SPEED_OF_LIGHT_MPS * _los_rate(math, sat.velocity, position, cfg.ges_ecef)
     return BfoTerms(uplink, downlink, compensation, deterministic_correction_at(t, corrections), bias_hz)
 
 

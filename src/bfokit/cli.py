@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict
 from itertools import chain
 from pathlib import Path
@@ -173,7 +174,11 @@ def _cmd_trend(cfg, args) -> dict:
     }
     for text in args.extrapolate or []:
         t = cfg.parse_time(text)
-        out["extrapolations"][format_time_utc(t)] = extrapolate(model, t)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out["extrapolations"][format_time_utc(t)] = extrapolate(model, t)
+        for record in caught:
+            print(f"bfokit: warning: {record.message}", file=sys.stderr)
     return out
 
 

@@ -85,6 +85,11 @@ def adjusted_bfo_range(
     return BfoRange(base.lower_hz - noise.upper_hz, base.upper_hz - noise.lower_hz)
 
 
+def _envelope(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
+    """The smallest ``(low, high)`` range holding both ranges."""
+    return min(a[0], b[0]), max(a[1], b[1])
+
+
 @dataclass(frozen=True)
 class DescentRates:
     """Descent-rate bounds (fpm, positive down) per track assumption."""
@@ -96,12 +101,7 @@ class DescentRates:
         if self.south_fpm[0] > self.south_fpm[1] or self.north_fpm[0] > self.north_fpm[1]:
             raise DomainError("descent-rate bounds out of order")
 
-    @property
-    def outer_fpm(self) -> tuple[float, float]:
-        return (
-            min(self.south_fpm[0], self.north_fpm[0]),
-            max(self.south_fpm[1], self.north_fpm[1]),
-        )
+    outer_fpm = property(lambda self: _envelope(self.south_fpm, self.north_fpm))
 
 
 def descent_rate_bounds(
@@ -157,15 +157,10 @@ def combine_hypotheses(h1: DescentBoundsTable, h2: DescentBoundsTable) -> Descen
     """Per-timestamp envelope of two bounds tables (outer bounds)."""
     if h1.times != h2.times:
         raise DomainError("bounds tables cover different timestamps")
-    combined = []
-    for a, b in zip(h1.rates, h2.rates):
-        combined.append(
-            DescentRates(
-                south_fpm=(min(a.south_fpm[0], b.south_fpm[0]), max(a.south_fpm[1], b.south_fpm[1])),
-                north_fpm=(min(a.north_fpm[0], b.north_fpm[0]), max(a.north_fpm[1], b.north_fpm[1])),
-            )
-        )
-    return DescentBoundsTable(h1.times, tuple(combined))
+    return DescentBoundsTable(h1.times, tuple(
+        DescentRates(_envelope(a.south_fpm, b.south_fpm), _envelope(a.north_fpm, b.north_fpm))
+        for a, b in zip(h1.rates, h2.rates)
+    ))
 
 
 @dataclass(frozen=True)

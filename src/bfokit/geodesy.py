@@ -5,6 +5,10 @@ velocities in m/s. Latitude is geodetic. ECEF is the standard
 Earth-centered Earth-fixed right-handed frame (+x through 0N 0E,
 +z through the north pole). Track angle is degrees clockwise from true
 north; vertical rate is positive up.
+
+The private ``_frame`` helpers are the one implementation of this geometry:
+the scalar functions at the end of this module and the forward-model
+kernel, over floats or numpy arrays, build one frame per call on them.
 """
 
 from __future__ import annotations
@@ -98,8 +102,6 @@ def _frame(xp, latitude_deg, longitude_deg):
     prime-vertical radius of curvature, at one point or elementwise.
 
     ``xp`` is the math backend: ``math`` for floats, ``numpy`` for arrays.
-    The ``_frame``-based helpers below are the single implementation
-    behind both the scalar geodesy API and the array forward model.
     """
     lat = xp.radians(latitude_deg)
     lon = xp.radians(longitude_deg)
@@ -134,28 +136,9 @@ def _east_north(xp, ground_speed_mps, track_angle_deg):
     return ground_speed_mps * xp.sin(track), ground_speed_mps * xp.cos(track)
 
 
-def _ecef_velocity(frame, east, north, up):
-    """ECEF (x, y, z) of the local vector with components (east, north, up)."""
-    (ex, ey, ez), (nx, ny, nz), (ux, uy, uz) = _enu_axes(frame)
-    return (
-        east * ex + north * nx + up * ux,
-        east * ey + north * ny + up * uy,
-        east * ez + north * nz + up * uz,
-    )
-
-
 def geodetic_to_ecef(p: GeodeticPosition) -> EcefVector:
     """Convert a geodetic position to an ECEF position vector."""
     return EcefVector(*_ecef_position(_frame(math, p.latitude_deg, p.longitude_deg), p.altitude_m))
-
-
-def enu_basis(p: GeodeticPosition) -> tuple[EcefVector, EcefVector, EcefVector]:
-    """Unit east/north/up vectors of the local tangent frame at ``p``.
-
-    Up is the ellipsoidal normal, not the geocentric radial.
-    """
-    east, north, up = _enu_axes(_frame(math, p.latitude_deg, p.longitude_deg))
-    return EcefVector(*east), EcefVector(*north), EcefVector(*up)
 
 
 def kinematics_to_ecef_velocity(p: GeodeticPosition, k: GroundKinematics) -> EcefVector:
@@ -165,20 +148,19 @@ def kinematics_to_ecef_velocity(p: GeodeticPosition, k: GroundKinematics) -> Ece
     local up component is the vertical rate.
     """
     ve, vn = _east_north(math, k.ground_speed_mps, k.track_angle_deg)
-    frame = _frame(math, p.latitude_deg, p.longitude_deg)
-    return EcefVector(*_ecef_velocity(frame, ve, vn, k.vertical_rate_mps))
+    (ex, ey, ez), (nx, ny, nz), (ux, uy, uz) = _enu_axes(_frame(math, p.latitude_deg, p.longitude_deg))
+    w = k.vertical_rate_mps
+    return EcefVector(ve * ex + vn * nx + w * ux, ve * ey + vn * ny + w * uy, ve * ez + vn * nz + w * uz)
 
 
 def elevation_angle(aircraft: GeodeticPosition, satellite_pos: EcefVector) -> float:
     """Signed elevation (degrees) of the satellite above the aircraft's
-    local horizontal plane. Negative values mean below the horizon."""
-    site = geodetic_to_ecef(aircraft)
-    los = satellite_pos - site
-    r = los.norm()
-    if r < 1e-6:
+    local horizontal plane, which is tangent to the ellipsoid (not normal to
+    the geocentric radial). Negative values mean below the horizon."""
+    frame = _frame(math, aircraft.latitude_deg, aircraft.longitude_deg)
+    lx, ly, lz = los = satellite_pos - EcefVector(*_ecef_position(frame, aircraft.altitude_m))
+    if los.norm() < 1e-6:
         raise DomainError("aircraft and satellite positions coincide")
-    east, north, up = enu_basis(aircraft)
-    e = los.dot(east)
-    n = los.dot(north)
-    u = los.dot(up)
-    return math.degrees(math.atan2(u, math.hypot(e, n)))
+    (ex, ey, ez), (nx, ny, nz), (ux, uy, uz) = _enu_axes(frame)
+    e, n = lx * ex + ly * ey + lz * ez, lx * nx + ly * ny + lz * nz
+    return math.degrees(math.atan2(lx * ux + ly * uy + lz * uz, math.hypot(e, n)))

@@ -83,9 +83,7 @@ def _array(rows):
 
 
 class _Table:
-    """Samples held as float lists; their numpy array views are built on first read."""
-
-    times = cached_property(lambda self: _array(self.time_list))
+    """Samples held as float lists."""
 
     def __len__(self):
         return len(self.time_list)
@@ -97,8 +95,10 @@ class _Table:
 
 class EphemerisTable(_Table):
     """Time-ordered (position, velocity) samples of the relay satellite:
-    ``time_list`` and ``row_list``, one ``[x, y, z, vx, vy, vz]`` per row."""
+    ``time_list`` and ``row_list``, one ``[x, y, z, vx, vy, vz]`` per row.
+    Their numpy array views are built on first read."""
 
+    times = cached_property(lambda self: _array(self.time_list))
     positions = cached_property(lambda self: _array([row[:3] for row in self.row_list]))
     velocities = cached_property(lambda self: _array([row[3:] for row in self.row_list]))
 
@@ -129,8 +129,6 @@ class EphemerisTable(_Table):
 
 class CorrectionTable(_Table):
     """Tabulated net deterministic frequency correction (Hz) vs time: ``time_list``, ``value_list``."""
-
-    values = cached_property(lambda self: _array(self.value_list))
 
     def __init__(self, times, values, provenance=()):
         times, t_shape = _floats(times, "correction times")

@@ -20,6 +20,7 @@ from bfokit.geodesy import (
     EcefVector,
     GeodeticPosition,
     GroundKinematics,
+    elevation_angle,
     geodetic_to_ecef,
     kinematics_to_ecef_velocity,
 )
@@ -334,6 +335,38 @@ class TestRotationLaw:
         )
         assert after[0] == pytest.approx(before[0], abs=1e-9)
         assert list(after[1]) == pytest.approx(list(before[1]), abs=1e-9)
+
+
+class TestOneGeometry:
+    """The forward-model kernel and the scalar geodesy API describe one
+    geometry: what a vertical rate adds to the uplink Doppler is the
+    vertical Doppler at the satellite's elevation, the sensitivity that
+    Holland 2017 turns into a descent rate."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        lat=st.floats(-90.0, 90.0),
+        lon=st.floats(-180.0, 180.0, exclude_min=True),
+        alt=st.floats(0.0, 13000.0),
+        gs=st.floats(0.0, 300.0),
+        track=st.floats(0.0, 360.0, exclude_max=True),
+        w=st.floats(-100.0, 100.0),
+        when=st.floats(0.0, 1.0),
+    )
+    def test_vertical_part_of_the_uplink_is_the_vertical_doppler_at_the_elevation(
+        self, analysis_config, ephemeris, corrections, lat, lon, alt, gs, track, w, when
+    ):
+        lo, hi = ephemeris.span
+        t = lo + when * (hi - lo)
+        sat = satellite_state_at(t, ephemeris)
+        position, cfg = GeodeticPosition(lat, lon, alt), analysis_config.channel
+
+        def uplink(vz):
+            state = AircraftState(position, GroundKinematics(gs, track, vz), t)
+            return predict_bfo(state, sat, corrections, 0.0, cfg, analysis_config.slot)[1].uplink_doppler_hz
+
+        want = vertical_doppler(w, elevation_angle(position, sat.position), cfg)
+        assert uplink(w) - uplink(0.0) == pytest.approx(want, abs=1e-9)
 
 
 class TestVerticalDoppler:

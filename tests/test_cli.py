@@ -101,14 +101,16 @@ class TestDescentBounds:
 
 class TestForwardModelGolden:
     """The forward model's outputs, byte for byte: ``tests/golden_forward``
-    holds what ``predict-bfo``, ``calibrate-bias`` and ``track-sweep`` wrote
-    on the bundled config, as CI's ``diff -r`` checks them too."""
+    holds what ``predict-bfo``, ``calibrate-bias``, ``track-sweep`` and
+    ``descent-bounds --exact-sensitivity`` wrote on the bundled config, as
+    CI's ``diff -r`` checks them too."""
 
     def test_stdout_json_byte_identical(self, capsys):
         for name, argv in [
             ("predict_bfo.json", ["predict-bfo", "--time", "00:11Z", "--lat", "-38.67", "--lon", "85.11",
                                   "--alt", "10668", "--speed-kts", "450", "--track-deg", "185"]),
             ("calibrate_bias.json", ["calibrate-bias", "--tarmac-window", "15:55Z..16:15Z"]),
+            ("descent_bounds_exact.json", ["descent-bounds", "--exact-sensitivity"]),
         ]:
             code, out, err = run(capsys, *argv, "--config", CONFIG, "--format", "json")
             assert (code, err) == (0, "")
@@ -187,6 +189,18 @@ class TestTrend:
         assert code == 0
         value = payload["extrapolations"]["2014-03-08T00:19:29Z"]
         assert 252.0 <= value <= 256.0
+
+    def test_far_extrapolation_warns_like_the_other_cli_warnings(self, capsys):
+        far = ["--extrapolate", "2014-03-09T00:00:00Z", "--extrapolate", "00:19:29Z",
+               "--extrapolate", "2014-03-10T00:00:00Z"]
+        code, payload, err = run_json(capsys, "trend", "--config", CONFIG, *far)
+        assert code == 0
+        assert sorted(payload["extrapolations"]) == [
+            "2014-03-08T00:19:29Z", "2014-03-09T00:00:00Z", "2014-03-10T00:00:00Z"]
+        assert err == (
+            "bfokit: warning: extrapolating 23.8 h beyond the fit window\n"
+            "bfokit: warning: extrapolating 47.8 h beyond the fit window\n"
+        )
 
     def test_explicit_window(self, capsys):
         code, payload, _ = run_json(

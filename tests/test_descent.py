@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bfokit import bfo_model, descent, track_sweep, units
 from bfokit.bfo_model import ChannelConfig, descent_sensitivity, vertical_doppler
@@ -282,6 +284,75 @@ class TestAnalyze:
     def test_power_outage_without_drift_rejected(self):
         with pytest.raises(DomainError):
             run_analyze([Hypothesis.POWER_OUTAGE], drift=None)
+
+
+def eighths(lo_hz, hi_hz):
+    """Hz values on a 1/8 Hz grid, exact in binary floating point."""
+    return st.integers(int(lo_hz * 8), int(hi_hz * 8)).map(lambda n: n / 8.0)
+
+
+def ordered(values):
+    return st.tuples(values, values).map(sorted).map(tuple)
+
+
+@st.composite
+def descent_inputs(draw):
+    """Arguments of :func:`analyze` after the pair: drift, noise, expected
+    south and north BFOs, sensitivity.
+
+    Every value is exact in binary floating point. The expected BFOs sit
+    1/16 Hz off the recorded BFOs' 1/8 Hz grid, and the sensitivity is a
+    power of two from 1/4 to 8 Hz per 100 fpm, so no unrounded rate lies
+    exactly halfway between two 100 fpm steps. There, rounding half away
+    from zero is not shift-invariant: 50 fpm rounds to 100 but -50 to -100.
+    """
+    drift = DriftBounds(draw(ordered(eighths(0, 150))), draw(ordered(eighths(0, 150))), (0.0, 6.0))
+    noise = NoiseBounds(*draw(ordered(eighths(-40, 30))))
+    south, north = (draw(eighths(200, 300)) + 1.0 / 16.0 for _ in range(2))
+    return drift, noise, south, north, 2.0 ** draw(st.integers(-2, 3))
+
+
+RECORDED = st.tuples(eighths(-50, 250), eighths(-50, 250))  # the final log-on request's and ack's BFOs
+
+
+def pair_of(logon_hz, ack_hz):
+    return (
+        BfoMeasurement(T29, Channel.R, MessageType.LOGON_REQUEST, logon_hz),
+        BfoMeasurement(T37, Channel.R, MessageType.LOGON_ACK, ack_hz),
+    )
+
+
+class TestAnalyzeLaws:
+    """Laws of the whole descent derivation that hold for any inputs."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(recorded=RECORDED, inputs=descent_inputs())
+    def test_hypothesis_order_does_not_matter(self, recorded, inputs):
+        pair = pair_of(*recorded)
+        a = analyze(pair, *inputs, [Hypothesis.POWER_OUTAGE, Hypothesis.OTHER_CAUSE])
+        b = analyze(pair, *inputs, [Hypothesis.OTHER_CAUSE, Hypothesis.POWER_OUTAGE])
+        assert b.combined == a.combined
+        assert b.acceleration == a.acceleration
+
+    @settings(max_examples=100, deadline=None)
+    @given(recorded=RECORDED, inputs=descent_inputs(), widen=st.tuples(eighths(0, 20), eighths(0, 20)))
+    def test_wider_noise_never_narrows_an_outer_bound(self, recorded, inputs, widen):
+        drift, noise, *rest = inputs
+        wider = NoiseBounds(noise.lower_hz - widen[0], noise.upper_hz + widen[1])
+        hypotheses = list(Hypothesis)
+        base = analyze(pair_of(*recorded), drift, noise, *rest, hypotheses).combined
+        wide = analyze(pair_of(*recorded), drift, wider, *rest, hypotheses).combined
+        for t in (T29, T37):
+            (low, high), (wide_low, wide_high) = base.row(t).outer_fpm, wide.row(t).outer_fpm
+            assert wide_low <= low and wide_high >= high
+
+    @settings(max_examples=100, deadline=None)
+    @given(recorded=RECORDED, inputs=descent_inputs(), k=st.integers(-40, 40))
+    def test_shifting_both_bfos_by_whole_sensitivities_keeps_the_acceleration(self, recorded, inputs, k):
+        shift = k * inputs[-1]
+        base = analyze(pair_of(*recorded), *inputs, list(Hypothesis))
+        moved = analyze(pair_of(recorded[0] + shift, recorded[1] + shift), *inputs, list(Hypothesis))
+        assert moved.acceleration == base.acceleration
 
 
 class TestFinalLogonPair:

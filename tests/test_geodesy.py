@@ -12,6 +12,8 @@ from bfokit.geodesy import (
     EcefVector,
     GeodeticPosition,
     GroundKinematics,
+    _enu_axes,
+    _frame,
     elevation_angle,
     geodetic_to_ecef,
     kinematics_to_ecef_velocity,
@@ -173,11 +175,9 @@ class TestElevation:
         assert elevation_angle(p, up) == pytest.approx(90.0, abs=1e-6)
 
     def test_horizon(self):
-        from bfokit.geodesy import enu_basis
-
         p = GeodeticPosition(-20.0, 60.0, 0.0)
         site = geodetic_to_ecef(p)
-        east, north, _ = enu_basis(p)
+        east, north, _ = map(EcefVector._make, _enu_axes(_frame(math, p.latitude_deg, p.longitude_deg)))
         assert elevation_angle(p, site + 500000.0 * east) == pytest.approx(0.0, abs=1e-9)
         assert elevation_angle(p, site + 500000.0 * north) == pytest.approx(0.0, abs=1e-9)
 

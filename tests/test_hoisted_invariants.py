@@ -26,7 +26,7 @@ from bfokit.geodesy import (
     GroundKinematics,
     _east_north,
     _ecef_position,
-    _ecef_velocity,
+    _enu_axes,
     _frame,
 )
 from bfokit.satellite import (
@@ -42,8 +42,18 @@ TERMS = ("uplink_doppler_hz", "downlink_doppler_hz", "aes_compensation_hz", "sat
 
 # --- oracle: both fixed positions recomputed on every call ----------------------
 
+def oracle_ecef_velocity(frame, east, north, up):
+    """ECEF (x, y, z) of the local vector with components (east, north, up)."""
+    (ex, ey, ez), (nx, ny, nz), (ux, uy, uz) = _enu_axes(frame)
+    return (
+        east * ex + north * nx + up * ux,
+        east * ey + north * ny + up * uy,
+        east * ez + north * nz + up * uz,
+    )
+
+
 def oracle_uplink(xp, frame, altitude_m, ve, vn, vertical_rate_mps, sat, cfg):
-    vx, vy, vz = _ecef_velocity(frame, ve, vn, vertical_rate_mps)
+    vx, vy, vz = oracle_ecef_velocity(frame, ve, vn, vertical_rate_mps)
     position, (sx, sy, sz) = sat
     return cfg.uplink_hz / SPEED_OF_LIGHT_MPS * _los_rate(
         xp, (sx - vx, sy - vy, sz - vz), position, _ecef_position(frame, altitude_m)
@@ -53,7 +63,7 @@ def oracle_uplink(xp, frame, altitude_m, ve, vn, vertical_rate_mps, sat, cfg):
 def oracle_compensation(xp, frame, ve, vn, slot, cfg):
     return cfg.uplink_hz / SPEED_OF_LIGHT_MPS * _los_rate(
         xp,
-        _ecef_velocity(frame, ve, vn, 0.0),
+        oracle_ecef_velocity(frame, ve, vn, 0.0),
         nominal_satellite_position(slot).as_tuple(),
         _ecef_position(frame, 0.0),
     )

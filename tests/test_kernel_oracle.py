@@ -22,7 +22,7 @@ from hypothesis.extra.numpy import arrays, mutually_broadcastable_shapes
 
 from bfokit.bfo_model import AircraftState, BfoTerms, predict_bfo, predict_bfo_batch
 from bfokit.errors import DomainError
-from bfokit.geodesy import EcefVector, _east_north, _ecef_position, _ecef_velocity, _frame
+from bfokit.geodesy import EcefVector, _east_north, _ecef_position, _enu_axes, _frame
 from bfokit.satellite import SatelliteState, deterministic_correction_at, satellite_state_at
 from bfokit.units import SPEED_OF_LIGHT_MPS
 
@@ -45,8 +45,18 @@ def oracle_los_rate(xp, velocity, from_pos, to_pos):
     return (velocity[0] * lx + velocity[1] * ly + velocity[2] * lz) / r
 
 
+def oracle_ecef_velocity(frame, east, north, up):
+    """ECEF (x, y, z) of the local vector with components (east, north, up)."""
+    (ex, ey, ez), (nx, ny, nz), (ux, uy, uz) = _enu_axes(frame)
+    return (
+        east * ex + north * nx + up * ux,
+        east * ey + north * ny + up * uy,
+        east * ez + north * nz + up * uz,
+    )
+
+
 def oracle_uplink(xp, frame, altitude_m, ve, vn, vertical_rate_mps, sat, cfg):
-    vx, vy, vz = _ecef_velocity(frame, ve, vn, vertical_rate_mps)
+    vx, vy, vz = oracle_ecef_velocity(frame, ve, vn, vertical_rate_mps)
     position, (sx, sy, sz) = sat
     return cfg.uplink_hz / SPEED_OF_LIGHT_MPS * oracle_los_rate(
         xp, (sx - vx, sy - vy, sz - vz), position, _ecef_position(frame, altitude_m)
@@ -56,7 +66,7 @@ def oracle_uplink(xp, frame, altitude_m, ve, vn, vertical_rate_mps, sat, cfg):
 def oracle_compensation(xp, frame, ve, vn, slot, cfg):
     return cfg.uplink_hz / SPEED_OF_LIGHT_MPS * oracle_los_rate(
         xp,
-        _ecef_velocity(frame, ve, vn, 0.0),
+        oracle_ecef_velocity(frame, ve, vn, 0.0),
         slot.ecef,
         _ecef_position(frame, 0.0),
     )

@@ -240,9 +240,7 @@ def test_array_views_equal_the_lists():
     eph = EphemerisTable([0.0, 600], [(GEO_RADIUS_M, 0, 0), (0, GEO_RADIUS_M, 0)], np.ones((2, 3)))
     assert eph.times.tolist() == eph.time_list
     assert np.hstack([eph.positions, eph.velocities]).tolist() == eph.row_list
-    corr = CorrectionTable((0, 1), [2, 3.5])
-    assert (corr.times.tolist(), corr.values.tolist()) == (corr.time_list, corr.value_list)
-    assert corr.times is corr.times  # built once
+    assert eph.times is eph.times  # built once
 
 
 # --- trend ---------------------------------------------------------------------

@@ -97,14 +97,15 @@ def oracle_satellite_state_at(t, e):
 
 
 def oracle_correction_at(t, c):
+    times, values = np.array(c.time_list), np.array(c.value_list)
     if len(c) == 1:
-        if t != c.times[0]:
+        if t != times[0]:
             raise DomainError(f"time {t} outside single-row correction table")
-        return float(c.values[0])
-    i = oracle_segment_index(c.times, t)
-    t0, t1 = c.times[i], c.times[i + 1]
+        return float(values[0])
+    i = oracle_segment_index(times, t)
+    t0, t1 = times[i], times[i + 1]
     w = (t - t0) / (t1 - t0)
-    return float((1.0 - w) * c.values[i] + w * c.values[i + 1])
+    return float((1.0 - w) * values[i] + w * values[i + 1])
 
 
 def outcome(f, *args):
