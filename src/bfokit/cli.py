@@ -6,8 +6,8 @@ line, log-on warm-up drift bounds, the two-hypothesis descent-rate
 tables with the downward-acceleration estimate, and tarmac bias
 calibration.
 
-Exit codes: 0 success, 1 usage, 2 parse/config error, 3 numerical-domain
-error, which includes a result that would hold NaN or an infinity.
+Exit codes: 0 success, 1 usage or a closed stdout, 2 parse/config error,
+3 numerical-domain error, which includes a result that would hold NaN or an infinity.
 ``--format json`` switches both results and errors to JSON.
 """
 
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import warnings
 from dataclasses import asdict
@@ -330,7 +331,12 @@ def main(argv=None) -> int:
     except DomainError as e:
         _fail(e, args.format, kind="domain")
         return 3
-    _emit(payload, args.format)
+    try:
+        _emit(payload, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout: say nothing more, and let no exit flush raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

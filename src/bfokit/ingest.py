@@ -4,9 +4,10 @@ All files are UTF-8 CSV with ISO-8601 Zulu timestamps and an optional
 block of leading ``#`` provenance lines, which loaders capture and
 writers re-emit so that read-write round trips are byte identical.
 
-Each table has a schema: an ordered ``{column: parser}`` mapping. One
-reader, :func:`_load_table`, reads every table by column name, so any
-column order loads the same table; writers emit the schema's key order.
+Each table has a schema, an ordered ``{column: parser}`` mapping, that is its
+codec both ways. One reader, :func:`_load_table`, reads any column order by name.
+One writer, :func:`_write_table`, writes the schema's order, each cell by its
+parser's inverse (``_FORMATS``), 256 rows at a time, a column at a time.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from functools import lru_cache
 from itertools import chain, islice
+from operator import attrgetter
 from pathlib import Path
 
 from .errors import DomainError, ParseError
@@ -205,9 +207,12 @@ def _enum(cls):
             raise ValueError(f"{text!r} is not a valid {cls.__qualname__}") from None
 
     parse.members = members
+    _FORMATS[parse] = attrgetter("value")
     return parse
 
 
+# Each parser's inverse: how a writer formats the values it reads. ``_enum`` adds its own.
+_FORMATS = {parse_time_utc: format_time_utc, _float: _fmt, _optional: _fmt, str: str}
 # Columns in BfoMeasurement's field order, so a parsed row is its arguments.
 LOG_SCHEMA = {
     "time_utc": parse_time_utc, "channel": _enum(Channel), "msg_type": _enum(MessageType),
@@ -258,18 +263,17 @@ def _parse_block(cells, linenos, columns, make, items, problems) -> None:
         items += list(map(make, *[_parse_column(parse, cells[i::n]) for i, _, parse in columns]))
     except ValueError:  # a bad cell (DomainError included), or a row make refuses
         for lineno, start in zip(linenos, range(0, len(cells), n)):
-            try:
-                items.append(make(*[parse(cells[start + i].strip()) for i, _, parse in columns]))
-            except ValueError as e:
-                for i, column, parse in columns:
-                    try:
-                        parse(cells[start + i].strip())
-                    except ValueError as cell_error:
-                        problems.append((lineno, f"{column}: {cell_error}"))
-                        break
-                else:
-                    if not isinstance(e, DomainError):
-                        raise
+            row = []
+            for i, column, parse in columns:
+                try:
+                    row.append(parse(cells[start + i].strip()))
+                except ValueError as e:
+                    problems.append((lineno, f"{column}: {e}"))
+                    break
+            else:
+                try:
+                    items.append(make(*row))
+                except DomainError as e:
                     problems.append((lineno, str(e)))
     del cells[:], linenos[:]
 
@@ -336,6 +340,15 @@ def _load_table(path, schema, make):
     return provenance, items, sorted(problems)  # a ragged row's problem comes before its block's
 
 
+def _write_table(path, provenance, schema, rows) -> None:
+    """Write ``rows``, tuples in ``schema`` order, formatting 256 rows at a time, a column at a time."""
+    formats = [_FORMATS[parse] for parse in schema.values()]
+    rows = iter(rows)
+    blocks = iter(lambda: list(islice(rows, 256)), [])
+    lines = (zip(*[list(map(f, column)) for f, column in zip(formats, zip(*block))]) for block in blocks)
+    _write_csv(path, provenance, schema, map(",".join, chain.from_iterable(lines)))
+
+
 def _write_csv(path, provenance, header, lines) -> None:
     """Write finished lines in blocks, so a large table is never held as one string."""
     lines = chain(provenance, [",".join(header)], lines)
@@ -367,12 +380,7 @@ def load_log_csv(path) -> LogRecords:
 
 
 def write_log_csv(path, measurements, provenance=()) -> None:
-    lines = (
-        f"{format_time_utc(m.timestamp)},{m.channel.value},{m.message_type.value},{_fmt(m.bfo_hz)},"
-        f"{_fmt(m.bto_us)},{_fmt(m.ber)},{_fmt(m.cn0_dbhz)},{_fmt(m.signal_db)}"
-        for m in measurements
-    )
-    _write_csv(path, provenance, LOG_SCHEMA, lines)
+    _write_table(path, provenance, LOG_SCHEMA, measurements)
 
 
 # ---------------------------------------------------------------------------
@@ -388,10 +396,7 @@ def load_ephemeris_csv(path) -> EphemerisTable:
 
 
 def write_ephemeris_csv(path, table: EphemerisTable) -> None:
-    lines = (
-        ",".join([format_time_utc(t)] + [_fmt(x) for x in row]) for t, row in zip(table.time_list, table.row_list)
-    )
-    _write_csv(path, table.provenance, EPHEMERIS_SCHEMA, lines)
+    _write_table(path, table.provenance, EPHEMERIS_SCHEMA, ((t, *r) for t, r in zip(table.time_list, table.row_list)))
 
 
 def load_correction_csv(path) -> CorrectionTable:
@@ -402,8 +407,7 @@ def load_correction_csv(path) -> CorrectionTable:
 
 
 def write_correction_csv(path, table: CorrectionTable) -> None:
-    lines = (f"{format_time_utc(t)},{_fmt(v)}" for t, v in zip(table.time_list, table.value_list))
-    _write_csv(path, table.provenance, CORRECTION_SCHEMA, lines)
+    _write_table(path, table.provenance, CORRECTION_SCHEMA, zip(table.time_list, table.value_list))
 
 
 # ---------------------------------------------------------------------------
@@ -500,24 +504,13 @@ def load_logon_csv(path, meta=None) -> list[LogonSequence]:
 
 
 def write_logon_csv(path, sequences, provenance=()) -> None:
-    lines = (
-        ",".join([
-            seq.id,
-            format_time_utc(m.timestamp),
-            m.message_type.value,
-            _fmt(m.bfo_hz),
-            _fmt(m.ber),
-            _fmt(m.cn0_dbhz),
-            seq.compensation_mode.value,
-        ])
-        for seq in sequences
-        for m in seq.measurements
-    )
-    _write_csv(path, provenance, LOGON_SCHEMA, lines)
+    rows = ((seq.id, m.timestamp, m.message_type, m.bfo_hz, m.ber, m.cn0_dbhz, seq.compensation_mode)
+            for seq in sequences for m in seq.measurements)
+    _write_table(path, provenance, LOGON_SCHEMA, rows)
 
 
 # ---------------------------------------------------------------------------
-# sweep curves and error samples
+# sweep curves and error samples, written with repr, which keeps the .0 of -28.0
 
 def write_curve_csv(path, curve, provenance=()) -> None:
     lines = (f"{_fmt(a)},{float(e)!r}" for a, e in curve)

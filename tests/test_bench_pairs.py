@@ -1,6 +1,7 @@
-"""The paired-run rule of tools/bench_pairs.py, on made-up run values."""
+"""The paired-run rule of tools/bench_pairs.py, on made-up run values, and the two trees it runs."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 spec = importlib.util.spec_from_file_location(
@@ -41,3 +42,37 @@ def test_a_lower_is_better_metric_worse_than_its_bound_is_flagged():
     assert not within and not met and "| NO |" in row
     _, within, _ = bench_pairs.summarize("peak_rss_mb", LOWER, BASE, [x * 1.09 for x in BASE])
     assert within
+
+
+def test_both_trees_sit_in_one_directory_and_the_change_holds_untracked_files(tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                       check=True, capture_output=True)
+
+    git("init", "-q")
+    files = {".gitignore": "ignored.txt\n", "kept.txt": "base\n", "gone.txt": "base\n", "sub/deep.txt": "base\n"}
+    for name, text in files.items():
+        (repo / name).parent.mkdir(exist_ok=True)
+        (repo / name).write_text(text)
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (repo / "kept.txt").write_text("change\n")
+    (repo / "gone.txt").unlink()
+    (repo / "sub" / "new.txt").write_text("untracked\n")
+    (repo / "ignored.txt").write_text("ignored\n")
+    (tmp_path / "work").mkdir()
+
+    trees = bench_pairs.make_trees("HEAD", tmp_path / "work", repo)
+
+    assert trees["base"].parent == trees["change"].parent == tmp_path / "work"
+
+    def contents(tree):
+        return {str(f.relative_to(tree)): f.read_text() for f in tree.rglob("*") if f.is_file()}
+
+    assert contents(trees["base"]) == files
+    assert contents(trees["change"]) == {
+        ".gitignore": "ignored.txt\n", "kept.txt": "change\n", "sub/deep.txt": "base\n", "sub/new.txt": "untracked\n",
+    }

@@ -1,12 +1,16 @@
 import csv
 import itertools
 import json
+import os
 import shutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
+import bfokit
 from bfokit.cli import main
 from bfokit.config import REQUIRED, SCHEMA, load_config
 from bfokit.fixtures import bundled_config_path
@@ -360,6 +364,24 @@ class TestErrorHandling:
         payload = json.loads(err)
         assert payload["error"]["kind"] == "parse/config"
 
+    def test_stdout_closed_before_the_result_is_exit_1_without_a_traceback(self):
+        # Each child gets a pipe whose read end is closed before it starts, so every write fails.
+        env = {**os.environ, "PYTHONPATH": str(Path(bfokit.__file__).parent.parent)}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            children = {
+                fmt: subprocess.Popen(
+                    [sys.executable, "-c", "import sys; from bfokit.cli import main; sys.exit(main())",
+                     "descent-bounds", "--config", CONFIG, "--format", fmt],
+                    stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+                )
+                for fmt in ("text", "json", "pretty")
+            }
+        finally:
+            os.close(write_end)
+        outcomes = {fmt: (child.communicate()[1], child.returncode) for fmt, child in children.items()}
+        assert outcomes == dict.fromkeys(children, ("", 1))
 
 def _static_world_config(tmp_path):
     """A minimal config: satellite frozen at the nominal slot, zero

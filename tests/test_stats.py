@@ -1,3 +1,4 @@
+import json
 import math
 import statistics
 
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bfokit.config import SCHEMA
 from bfokit.errors import DomainError
-from bfokit.fixtures import fixture_path
+from bfokit.fixtures import bundled_config_path, fixture_path
 from bfokit.ingest import load_error_samples_csv
 from bfokit.stats import (
     BfoMeasurement,
@@ -159,3 +161,11 @@ class TestNoiseBounds:
     def test_reference_interval(self):
         nb = NoiseBounds(-28.0, 18.0)
         assert nb.lower_hz <= nb.upper_hz
+
+    def test_configured_bounds_are_the_reference_samples_extremes(self):
+        # The config holds the bounds as numbers; they are the extremes of the bundled samples.
+        values, _ = load_error_samples_csv(fixture_path("bfo_error_reference.csv"))
+        extremes = {"lower_hz": min(values), "upper_hz": max(values)}
+        bundled = json.loads(bundled_config_path().read_text(encoding="utf-8"))
+        assert SCHEMA["noise_bounds"][1] == extremes
+        assert bundled["noise_bounds"] == extremes

@@ -9,7 +9,7 @@ with the same text; the writers must write the same bytes.
 
 import csv
 import math
-from itertools import chain, islice
+from itertools import chain, cycle, islice
 from pathlib import Path
 
 import pytest
@@ -24,18 +24,26 @@ from bfokit.ingest import (
     ERROR_SCHEMA,
     LOG_SCHEMA,
     LOGON_SCHEMA,
+    _FORMATS,
+    _float,
     _fmt,
     _load_table,
+    _optional,
     format_time_utc,
     load_correction_csv,
+    load_ephemeris_csv,
     load_log_csv,
+    load_logon_csv,
+    parse_time_utc,
     write_correction_csv,
     write_curve_csv,
+    write_ephemeris_csv,
     write_log_csv,
+    write_logon_csv,
 )
-from bfokit.satellite import CorrectionTable
+from bfokit.satellite import GEO_RADIUS_M, CorrectionTable, EphemerisTable
 from bfokit.stats import BfoMeasurement, Channel, MessageType
-from bfokit.warmup import CompensationMode
+from bfokit.warmup import CompensationMode, LogonSequence
 
 SETTINGS = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -127,6 +135,28 @@ def oracle_write_log_csv(path, measurements, provenance=()):
 def oracle_write_correction_csv(path, table):
     rows = ([format_time_utc(t), oracle_fmt(v)] for t, v in zip(table.time_list, table.value_list))
     oracle_write_csv(path, table.provenance, CORRECTION_SCHEMA, rows)
+
+
+def oracle_write_ephemeris_csv(path, table):
+    rows = ([format_time_utc(t)] + [oracle_fmt(x) for x in row] for t, row in zip(table.time_list, table.row_list))
+    oracle_write_csv(path, table.provenance, EPHEMERIS_SCHEMA, rows)
+
+
+def oracle_write_logon_csv(path, sequences, provenance=()):
+    rows = (
+        [
+            seq.id,
+            format_time_utc(m.timestamp),
+            m.message_type.value,
+            oracle_fmt(m.bfo_hz),
+            oracle_fmt(m.ber),
+            oracle_fmt(m.cn0_dbhz),
+            seq.compensation_mode.value,
+        ]
+        for seq in sequences
+        for m in seq.measurements
+    )
+    oracle_write_csv(path, provenance, LOGON_SCHEMA, rows)
 
 
 def oracle_write_curve_csv(path, curve, provenance=()):
@@ -390,24 +420,23 @@ def test_correction_writer_matches_the_oracle_on_the_fixture(tmp_path):
 provenance = st.lists(one_line.map(lambda s: "# " + s), max_size=3)
 
 
-@SETTINGS
-@given(
-    ms=st.lists(
-        st.builds(
-            BfoMeasurement,
-            timestamp=st.integers(0, 4 * 10**15).map(lambda us: us / 1e6),
-            channel=st.sampled_from(Channel),
-            message_type=st.sampled_from(MessageType),
-            bfo_hz=numbers,
-            bto_us=st.none() | numbers,
-            ber=st.floats(min_value=0, allow_infinity=False) | st.just(0.0),
-            cn0_dbhz=numbers,
-            signal_db=st.none() | numbers,
-        ),
-        max_size=8,
-    ),
-    prov=provenance,
+micro_times = st.integers(0, 4 * 10**15).map(lambda us: us / 1e6)
+bers = st.floats(min_value=0, allow_infinity=False) | st.just(0.0)
+measurement = st.builds(
+    BfoMeasurement,
+    timestamp=micro_times,
+    channel=st.sampled_from(Channel),
+    message_type=st.sampled_from(MessageType),
+    bfo_hz=numbers,
+    bto_us=st.none() | numbers,
+    ber=bers,
+    cn0_dbhz=numbers,
+    signal_db=st.none() | numbers,
 )
+
+
+@SETTINGS
+@given(ms=st.lists(measurement, max_size=8), prov=provenance)
 def test_log_writer_matches_the_oracle_on_generated_logs(tmp_path, ms, prov):
     write_log_csv(tmp_path / "new.csv", ms, prov)
     oracle_write_log_csv(tmp_path / "old.csv", ms, prov)
@@ -445,3 +474,141 @@ def test_writers_match_the_oracle_past_one_write_block(tmp_path):
     oracle_write_curve_csv(tmp_path / "curve_old.csv", curve)
     assert (tmp_path / "log_new.csv").read_bytes() == (tmp_path / "log_old.csv").read_bytes()
     assert (tmp_path / "curve_new.csv").read_bytes() == (tmp_path / "curve_old.csv").read_bytes()
+
+
+# --- the schema writers across write blocks -----------------------------------------
+# The writers format 256 rows at a time, a column at a time: tables one row either
+# side of a block edge and one row past four blocks, with every enum member, blank
+# optional cells, signed zero, integral values either side of _fmt's 1e15 switch
+# and timestamps with microseconds.
+
+SIZES = [255, 256, 257, 1025]
+EDGES = [-0.0, 0.0, 1e15 - 1, 1e15, -(1e15 - 1), -1e15, 1e16, 0.1, 16413.0, 41.75]
+
+
+def same_bytes(tmp_path, writer, oracle, *args):
+    writer(tmp_path / "new.csv", *args)
+    oracle(tmp_path / "old.csv", *args)
+    return (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def cycled(templates, n):
+    """``n`` rows, taken from ``templates`` in turn."""
+    return list(islice(cycle(templates), n))
+
+
+def micro_series(start_us, step_us, n):
+    """``n`` strictly increasing timestamps, ``step_us`` microseconds apart."""
+    return [(start_us + i * step_us) / 1e6 for i in range(n)]
+
+
+def logon_sequences(ms, cuts, ids, modes):
+    """``ms`` cut at ``cuts`` into sequences, each opening with a log-on request."""
+    bounds = [0, *sorted(cuts), len(ms)]
+    return [
+        LogonSequence(
+            id=seq_id,
+            logon_time=ms[a].timestamp,
+            measurements=(ms[a]._replace(message_type=MessageType.LOGON_REQUEST), *ms[a + 1:b]),
+            compensation_mode=mode,
+        )
+        for a, b, seq_id, mode in zip(bounds, bounds[1:], ids, modes)
+    ]
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_schema_writers_match_the_oracles_on_every_member_and_edge(tmp_path, n):
+    times = micro_series(1394150400 * 10**6, 1234567, n)
+    ms = [
+        BfoMeasurement(t, channel, mt, v, None if i % 3 else v, abs(v), -v, None if i % 2 else -v)
+        for i, (t, channel, mt, v) in enumerate(zip(times, cycle(Channel), cycle(MessageType), cycle(EDGES)))
+    ]
+    edges = cycled(EDGES, n)
+    positions = [(GEO_RADIUS_M, v if abs(v) < 1e5 else 0.5, -0.0) for v in edges]
+    ephemeris = EphemerisTable(times, positions, [(v, -v, 0.25) for v in edges], ["# four blocks"])
+    sequences = logon_sequences(ms, range(100, n, 100), map(str, range(n)), cycle(CompensationMode))
+    assert same_bytes(tmp_path, write_log_csv, oracle_write_log_csv, ms, ["# four blocks"])
+    assert same_bytes(tmp_path, write_ephemeris_csv, oracle_write_ephemeris_csv, ephemeris)
+    assert same_bytes(tmp_path, write_correction_csv, oracle_write_correction_csv, CorrectionTable(times, edges))
+    assert same_bytes(tmp_path, write_logon_csv, oracle_write_logon_csv, sequences, ["# four blocks"])
+
+
+sizes = st.sampled_from([0, 1, *SIZES])
+starts = st.integers(0, 4 * 10**15)
+steps = st.integers(1, 10**9)
+BLOCK_SETTINGS = settings(SETTINGS, max_examples=15)  # tables of up to 1,025 rows; the test above has every size
+
+
+@BLOCK_SETTINGS
+@given(templates=st.lists(measurement, min_size=1, max_size=6), n=sizes, prov=provenance)
+def test_log_writer_matches_the_oracle_across_write_blocks(tmp_path, templates, n, prov):
+    assert same_bytes(tmp_path, write_log_csv, oracle_write_log_csv, cycled(templates, n), prov)
+
+
+offsets = st.sampled_from([0.0, -0.0, 0.5, -1.0]) | st.floats(-1e5, 1e5)
+
+
+@BLOCK_SETTINGS
+@given(
+    n=st.sampled_from([2, *SIZES]),
+    start=starts,
+    step=steps,
+    positions=st.lists(st.tuples(offsets.map(GEO_RADIUS_M.__add__), offsets, offsets), min_size=1, max_size=6),
+    velocities=st.lists(st.tuples(numbers, numbers, numbers), min_size=1, max_size=6),
+    prov=provenance,
+)
+def test_ephemeris_writer_matches_the_oracle(tmp_path, n, start, step, positions, velocities, prov):
+    table = EphemerisTable(micro_series(start, step, n), cycled(positions, n), cycled(velocities, n), prov)
+    assert same_bytes(tmp_path, write_ephemeris_csv, oracle_write_ephemeris_csv, table)
+
+
+@BLOCK_SETTINGS
+@given(n=sizes.filter(bool), start=starts, step=steps, values=st.lists(numbers, min_size=1, max_size=6),
+       prov=provenance)
+def test_correction_writer_matches_the_oracle_across_write_blocks(tmp_path, n, start, step, values, prov):
+    table = CorrectionTable(micro_series(start, step, n), cycled(values, n), prov)
+    assert same_bytes(tmp_path, write_correction_csv, oracle_write_correction_csv, table)
+
+
+@BLOCK_SETTINGS
+@given(
+    n=sizes,
+    start=starts,
+    step=steps,
+    bursts=st.lists(st.tuples(st.sampled_from(MessageType), numbers, bers, numbers), min_size=1, max_size=6),
+    data=st.data(),
+    prov=provenance,
+)
+def test_logon_writer_matches_the_oracle(tmp_path, n, start, step, bursts, data, prov):
+    ms = [
+        BfoMeasurement(t, Channel.R, mt, bfo, ber=ber, cn0_dbhz=cn0)
+        for t, (mt, bfo, ber, cn0) in zip(micro_series(start, step, n), cycled(bursts, n))
+    ]
+    cuts = data.draw(st.sets(st.integers(1, n - 1), max_size=3)) if n > 1 else ()
+    k = len(cuts) + bool(n)
+    ids = data.draw(st.lists(one_line, min_size=k, max_size=k))
+    modes = data.draw(st.lists(st.sampled_from(CompensationMode), min_size=k, max_size=k))
+    sequences = logon_sequences(ms, cuts, ids, modes) if n else []
+    assert same_bytes(tmp_path, write_logon_csv, oracle_write_logon_csv, sequences, prov)
+
+
+def test_schema_writers_match_the_oracles_on_fixtures(tmp_path):
+    ephemeris = load_ephemeris_csv(fixture_path("ior_ephemeris_synthetic.csv"))
+    sequences = load_logon_csv(fixture_path("logon_sequences.csv"))
+    assert same_bytes(tmp_path, write_ephemeris_csv, oracle_write_ephemeris_csv, ephemeris)
+    assert same_bytes(tmp_path, write_logon_csv, oracle_write_logon_csv, sequences, ["# sequences"])
+
+
+# A canonical cell of each parser's column: its format must give the same text back.
+CANONICAL = {parse_time_utc: ["2014-03-07T16:42:00.25Z", "2014-03-07T16:42:00Z"], _float: ["-41.5", "16413", "1e+16"],
+             _optional: ["", "0.125"], str: ["7", "seq-1"]}
+
+
+@pytest.mark.parametrize(
+    "schema", [LOG_SCHEMA, EPHEMERIS_SCHEMA, CORRECTION_SCHEMA, LOGON_SCHEMA, ERROR_SCHEMA],
+    ids=["log", "ephemeris", "corrections", "logons", "error samples"],
+)
+def test_every_schema_parser_has_a_format_that_writes_its_cells_back(schema):
+    for column, parse in schema.items():
+        texts = list(parse.members) if hasattr(parse, "members") else CANONICAL[parse]
+        assert [_FORMATS[parse](parse(text)) for text in texts] == texts, column

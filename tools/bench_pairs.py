@@ -4,8 +4,12 @@
     python3 tools/bench_pairs.py --base HEAD~1 --workload reference_flights \\
         --seeds 931-940 [--seconds 30] [--workload cold_cli ...]
 
-The base revision is exported with ``git archive`` into a temporary
-directory; the change is the working tree as it stands. For each seed and
+Both trees sit side by side in one temporary directory, so that neither
+runs from a faster place than the other: the base revision is exported
+with ``git archive``, and the change is a copy of the working tree as it
+stands, its tracked files and the untracked ones that are not ignored
+(``git ls-files --cached --others --exclude-standard``), less the tracked
+files it has deleted. For each seed and
 workload, ``perfbench/run.py --trace 0`` runs once in each tree, and the
 side that runs first alternates from seed to seed. The runs get
 ``PYTHONDONTWRITEBYTECODE=1``, so neither tree gains ``__pycache__``
@@ -28,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -54,10 +59,20 @@ def parse_args(argv):
     return p.parse_args(argv)
 
 
-def export(rev: str, into: Path) -> None:
-    tar = subprocess.run(["git", "-C", str(REPO), "archive", "--format=tar", rev],
+def make_trees(rev: str, into: Path, repo: Path = REPO) -> dict[str, Path]:
+    """``{"base": rev exported, "change": repo's working tree copied}``, side by side in ``into``."""
+    trees = {"base": into / "base", "change": into / "change"}
+    tar = subprocess.run(["git", "-C", str(repo), "archive", "--format=tar", rev],
                          check=True, capture_output=True).stdout
-    subprocess.run(["tar", "-x", "-C", str(into)], input=tar, check=True)
+    trees["base"].mkdir()
+    subprocess.run(["tar", "-x", "-C", str(trees["base"])], input=tar, check=True)
+    names = subprocess.run(["git", "-C", str(repo), "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                           check=True, capture_output=True, text=True).stdout.split("\0")
+    for name in filter(None, names):
+        if (repo / name).is_file():  # not a tracked file deleted from the working tree
+            (trees["change"] / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(repo / name, trees["change"] / name)
+    return trees
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -99,9 +114,7 @@ def main(argv=None) -> int:
     metrics = {m["name"]: m for m in spec["end_to_end"]}
     results = {w: {"base": [], "change": [], "failed": [0, 0]} for w in args.workload}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        base_tree = Path(tmp)
-        export(args.base, base_tree)
-        trees = {"base": base_tree, "change": REPO}
+        trees = make_trees(args.base, Path(tmp))
         for k, seed in enumerate(args.seeds):
             order = ["base", "change"] if k % 2 == 0 else ["change", "base"]
             for w in args.workload:
