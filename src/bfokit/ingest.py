@@ -17,8 +17,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from datetime import date, datetime, timezone
-from functools import lru_cache
 from itertools import chain, islice
 from operator import attrgetter
 from pathlib import Path
@@ -26,148 +24,14 @@ from pathlib import Path
 from .errors import DomainError, ParseError
 from .satellite import CorrectionTable, EphemerisTable
 from .stats import BfoMeasurement, Channel, MessageType
+from .timestamps import (
+    _END_SECOND, _FIRST_SECOND, _full_form_column, _whole_second_text, format_time_utc, parse_time_utc,
+)
 from .warmup import CompensationMode, LogonSequence
 
 
 # ---------------------------------------------------------------------------
-# timestamps
-
-_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
-
-
-@lru_cache(maxsize=4096)
-def _hour_start(prefix: str) -> int | None:
-    """UTC seconds at the start of the hour ``YYYY-MM-DDTHH``, or None
-    unless the text is that form, in ASCII digits, with an hour <= 23 and
-    a date that exists."""
-    if prefix[4] != "-" or prefix[7] != "-" or prefix[10] != "T":
-        return None
-    digits = prefix[:4] + prefix[5:7] + prefix[8:10] + prefix[11:]
-    if not (digits.isascii() and digits.isdigit()):  # isdigit() alone accepts '²' and '٣'
-        return None
-    hour = int(prefix[11:])
-    if hour > 23:
-        return None
-    try:
-        day = date(int(prefix[:4]), int(prefix[5:7]), int(prefix[8:10]))
-    except ValueError:
-        return None
-    return (day.toordinal() - _EPOCH_ORDINAL) * 86400 + hour * 3600
-
-
-def _parse_full_form(s: str) -> float | None:
-    """UTC seconds of ``YYYY-MM-DDTHH:MM[:SS[.f{1,6}]]Z`` read at fixed
-    offsets, or None for any other text.
-
-    The date and hour are checked and converted once per hour of text, by
-    :func:`_hour_start`. The integer formula is the one
-    ``datetime.timestamp()`` uses for aware datetimes, so the value is the
-    same to the bit as the ``strptime`` path's.
-    """
-    n = len(s)
-    if not (n == 17 or n == 20 or 22 <= n <= 27) or s[-1] != "Z" or s[13] != ":":
-        return None
-    if n > 17 and (s[16] != ":" or (n > 20 and s[19] != ".")):
-        return None
-    start = _hour_start(s[:13])
-    if start is None:
-        return None
-    digits = s[14:16] + s[17:19] + s[20:-1]
-    if not (digits.isascii() and digits.isdigit()):
-        return None
-    minute = int(s[14:16])
-    second = int(s[17:19]) if n > 17 else 0
-    if minute > 59 or second > 59:
-        return None
-    micros = int(s[20:-1].ljust(6, "0")) if n > 20 else 0
-    return ((start + minute * 60 + second) * 10**6 + micros) / 10**6
-
-
-def parse_time_utc(text: str, reference_date: date | None = None) -> float:
-    """Parse an ISO-8601 Zulu timestamp to UTC seconds.
-
-    Accepts full timestamps (``2014-03-07T16:42:00Z``) and, when
-    ``reference_date`` is given, time-of-day shorthand (``00:19:29Z``).
-    Shorthand resolves on a noon-to-noon UTC window: hours >= 12 fall on
-    the reference date, hours < 12 on the day after.
-
-    The canonical full form is read at fixed offsets; everything else
-    (unpadded fields, shorthand, every error) goes through ``strptime``.
-    A time in year 10000, such as the last ~15 µs of year 9999 (rounded)
-    or a morning shorthand after 9999-12-31, raises :class:`DomainError`:
-    :func:`format_time_utc` cannot write it.
-    """
-    s = text.strip()
-    value = _parse_full_form(s)
-    if value is None:
-        value = _parse_with_strptime(text, s, reference_date)
-    if value >= _END_SECOND:
-        raise DomainError(f"timestamp {text!r} is past the last writable microsecond of year 9999")
-    return value
-
-
-def _parse_with_strptime(text: str, s: str, reference_date: date | None) -> float:
-    """:func:`parse_time_utc` of ``s``, the stripped ``text``, for every other form and every error."""
-    if not s.endswith("Z"):
-        raise DomainError(f"timestamp {text!r} must be UTC ('Z' suffix)")
-    body = s[:-1]
-    if "T" in body:
-        for fmt in ("%Y-%m-%dT%H:%M:%S", "%Y-%m-%dT%H:%M:%S.%f", "%Y-%m-%dT%H:%M"):
-            try:
-                dt = datetime.strptime(body, fmt).replace(tzinfo=timezone.utc)
-                return dt.timestamp()
-            except ValueError:
-                continue
-        raise DomainError(f"unparsable timestamp {text!r}")
-    if reference_date is None:
-        raise DomainError(f"shorthand time {text!r} needs a reference date")
-    for fmt in ("%H:%M:%S", "%H:%M"):
-        try:
-            t = datetime.strptime(body, fmt).time()
-        except ValueError:
-            continue
-        days = reference_date.toordinal() - _EPOCH_ORDINAL + (t.hour < 12)  # by ordinal: no year-10000 date
-        return float(days * 86400 + t.hour * 3600 + t.minute * 60 + t.second)
-    raise DomainError(f"unparsable timestamp {text!r}")
-
-
-_FIRST_SECOND = -62135596800  # 0001-01-01T00:00:00Z
-_END_SECOND = 253402300800  # 10000-01-01T00:00:00Z
-_TWO_DIGITS = [f"{i:02d}" for i in range(60)]
-
-
-@lru_cache(maxsize=1024)
-def _day_text(days: int) -> str:
-    """``YYYY-MM-DD`` of the day ``days`` after 1970-01-01."""
-    return date.fromordinal(days + _EPOCH_ORDINAL).isoformat()
-
-
-def format_time_utc(t: float) -> str:
-    """ISO-8601 Zulu text of ``t``, rounded to the microsecond.
-
-    ``t`` is split the way ``datetime.fromtimestamp`` splits it (whole
-    seconds, then microseconds rounded half to even), so the text is that
-    of ``fromtimestamp(t, timezone.utc).isoformat()``. Times outside years
-    1-9999, infinities and NaN go to ``datetime``, which raises for them.
-    """
-    if not _FIRST_SECOND <= t < _END_SECOND:
-        return datetime.fromtimestamp(t, tz=timezone.utc).isoformat()  # raises
-    frac, whole = math.modf(t)
-    micros, seconds = round(frac * 1e6), int(whole)
-    if micros >= 1000000:
-        micros -= 1000000
-        seconds += 1
-    elif micros < 0:
-        micros += 1000000
-        seconds -= 1
-    days, seconds = divmod(seconds, 86400)
-    hour, seconds = divmod(seconds, 3600)
-    minute, second = divmod(seconds, 60)
-    text = f"{_day_text(days)}T{_TWO_DIGITS[hour]}:{_TWO_DIGITS[minute]}:{_TWO_DIGITS[second]}"
-    if micros:
-        text += f".{micros:06d}".rstrip("0")
-    return text + "Z"
-
+# schemas: {column: parser}, in write order. Parsers get the stripped cell.
 
 def _fmt(v) -> str:
     if v is None:
@@ -180,9 +44,6 @@ def _fmt(v) -> str:
         int(f)  # raises int()'s OverflowError for ±inf and ValueError for NaN
     return repr(f)
 
-
-# ---------------------------------------------------------------------------
-# schemas: {column: parser}, in write order. Parsers get the stripped cell.
 
 def _float(text: str) -> float:
     value = float(text)
@@ -240,9 +101,8 @@ def _parse_column(parse, cells):
     if parse is _float or (parse is _optional and all(map(str.strip, cells))):
         values = list(map(float, cells))  # float() ignores what str.strip() strips, or refuses the cell
         good = all(map(math.isfinite, values))
-    elif parse is parse_time_utc:
-        values = list(map(_parse_full_form, map(str.strip, cells)))
-        good = None not in values and max(values) < _END_SECOND
+    elif parse is parse_time_utc and (values := _full_form_column(list(map(str.strip, cells)))):
+        good = max(values) < _END_SECOND
     elif hasattr(parse, "members"):
         values = list(map(parse.members.get, map(str.strip, cells)))
         good = None not in values
@@ -340,12 +200,20 @@ def _load_table(path, schema, make):
     return provenance, items, sorted(problems)  # a ragged row's problem comes before its block's
 
 
+def _format_column(write, column) -> list[str]:
+    """``[write(v) for v in column]``; a time column of whole seconds in years 1-9999 from per-hour prefixes."""
+    if write is format_time_utc and _FIRST_SECOND <= min(column) and max(column) < _END_SECOND and all(
+            map(float.is_integer, map(float, column))):  # is_integer() is False for nan and inf
+        return list(map(_whole_second_text, map(int, column)))
+    return list(map(write, column))
+
+
 def _write_table(path, provenance, schema, rows) -> None:
     """Write ``rows``, tuples in ``schema`` order, formatting 256 rows at a time, a column at a time."""
     formats = [_FORMATS[parse] for parse in schema.values()]
     rows = iter(rows)
     blocks = iter(lambda: list(islice(rows, 256)), [])
-    lines = (zip(*[list(map(f, column)) for f, column in zip(formats, zip(*block))]) for block in blocks)
+    lines = (zip(*[_format_column(f, column) for f, column in zip(formats, zip(*block))]) for block in blocks)
     _write_csv(path, provenance, schema, map(",".join, chain.from_iterable(lines)))
 
 
@@ -504,6 +372,11 @@ def load_logon_csv(path, meta=None) -> list[LogonSequence]:
 
 
 def write_logon_csv(path, sequences, provenance=()) -> None:
+    """A ``seq_id`` with a comma, quote, NUL, line break or outer whitespace raises :class:`DomainError`."""
+    sequences = list(sequences)
+    for seq in sequences:
+        if "".join(seq.id.strip().splitlines()) != seq.id or any(c in seq.id for c in ',"\0'):
+            raise DomainError(f"sequence id {seq.id!r} would not read back unchanged from a CSV cell")
     rows = ((seq.id, m.timestamp, m.message_type, m.bfo_hz, m.ber, m.cn0_dbhz, seq.compensation_mode)
             for seq in sequences for m in seq.measurements)
     _write_table(path, provenance, LOGON_SCHEMA, rows)

@@ -9,6 +9,7 @@ with the same text; the writers must write the same bytes.
 
 import csv
 import math
+from dataclasses import replace
 from itertools import chain, cycle, islice
 from pathlib import Path
 
@@ -570,6 +571,10 @@ def test_correction_writer_matches_the_oracle_across_write_blocks(tmp_path, n, s
     assert same_bytes(tmp_path, write_correction_csv, oracle_write_correction_csv, table)
 
 
+# an id a CSV cell holds unchanged: no comma or quote, and no outer whitespace (one_line has no NUL or line break)
+kept_id = one_line.map(str.strip).filter(lambda s: "," not in s and '"' not in s)
+
+
 @BLOCK_SETTINGS
 @given(
     n=sizes,
@@ -586,10 +591,42 @@ def test_logon_writer_matches_the_oracle(tmp_path, n, start, step, bursts, data,
     ]
     cuts = data.draw(st.sets(st.integers(1, n - 1), max_size=3)) if n > 1 else ()
     k = len(cuts) + bool(n)
-    ids = data.draw(st.lists(one_line, min_size=k, max_size=k))
+    ids = data.draw(st.lists(kept_id, min_size=k, max_size=k))
     modes = data.draw(st.lists(st.sampled_from(CompensationMode), min_size=k, max_size=k))
     sequences = logon_sequences(ms, cuts, ids, modes) if n else []
     assert same_bytes(tmp_path, write_logon_csv, oracle_write_logon_csv, sequences, prov)
+
+
+ID_CHARS = [",", '"', "\0", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029", " ", "\t",
+            "\u00a0", "\u3000", "#", "'", ";", "a", "7", "é"]
+
+
+@pytest.mark.parametrize("seq_id", ["a,b", " 2 ", "2 ", '"7"', "a\0b", "a\nb", "a\rb", "a\u2028b", "\t"])
+def test_logon_writer_refuses_an_id_that_does_not_read_back(tmp_path, seq_id):
+    (sequence,) = load_logon_csv(fixture_path("logon_sequences.csv"))[:1]
+    path = tmp_path / "logons.csv"
+    with pytest.raises(DomainError, match="would not read back unchanged") as info:
+        write_logon_csv(path, [sequence, replace(sequence, id=seq_id)])
+    assert repr(seq_id) in str(info.value)
+    assert not path.exists()
+
+
+@SETTINGS
+@given(seq_id=st.text(st.sampled_from(ID_CHARS) | st.characters(blacklist_categories=("Cs",)), max_size=5))
+def test_logon_writer_refuses_every_id_that_does_not_read_back(tmp_path, seq_id):
+    # The oracle writer writes any id as it is; the reader's outcome says whether the id reads back.
+    # The writer also refuses ids that read back only by chance: a quote is kept when csv does not
+    # take it for quoting ('0"'), and a NUL from Python 3.11 on (3.10's csv refuses it).
+    (sequence,) = load_logon_csv(fixture_path("logon_sequences.csv"))[:1]
+    sequences = [replace(sequence, id=seq_id)]
+    oracle_write_logon_csv(tmp_path / "old.csv", sequences)
+    got = outcome(lambda path: [s.id for s in load_logon_csv(path)], tmp_path / "old.csv")
+    refused = outcome(write_logon_csv, tmp_path / "new.csv", sequences)
+    if got == [seq_id] and "\0" not in seq_id and '"' not in seq_id:
+        assert refused is None
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    else:
+        assert refused == (DomainError, f"sequence id {seq_id!r} would not read back unchanged from a CSV cell")
 
 
 def test_schema_writers_match_the_oracles_on_fixtures(tmp_path):

@@ -13,12 +13,12 @@ from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bfokit.errors import DomainError
+from bfokit.errors import DomainError, ParseError
 from bfokit.geodesy import EcefVector
-from bfokit.ingest import _hour_start, _parse_full_form, format_time_utc, parse_time_utc
+from bfokit.ingest import LOG_SCHEMA, _format_column, _parse_column, load_log_csv
 from bfokit.satellite import (
     CorrectionTable,
     SatelliteState,
@@ -26,6 +26,7 @@ from bfokit.satellite import (
     deterministic_correction_at,
     satellite_state_at,
 )
+from bfokit.timestamps import _full_form_column, _hour_start, format_time_utc, parse_time_utc
 
 REF = date(2014, 3, 7)
 
@@ -106,6 +107,12 @@ def oracle_correction_at(t, c):
     t0, t1 = times[i], times[i + 1]
     w = (t - t0) / (t1 - t0)
     return float((1.0 - w) * values[i] + w * values[i + 1])
+
+
+def full_form(text):
+    """``text`` read as a one-cell column of the canonical form: its value, or None."""
+    values = _full_form_column([text])
+    return values[0] if values else None
 
 
 def outcome(f, *args):
@@ -195,7 +202,7 @@ def test_canonical_text_takes_the_fixed_position_path(us, digits):
     if digits:
         text += "." + f"{dt.microsecond:06d}"[:digits]
     text += "Z"
-    value = _parse_full_form(text)
+    value = full_form(text)
     assert value is not None
     assert value == oracle_parse_time_utc(text)
 
@@ -216,7 +223,7 @@ def test_canonical_text_takes_the_fixed_position_path(us, digits):
     "2014-03-07T+1:42Z",
 ])
 def test_other_text_goes_to_strptime(text):
-    assert _parse_full_form(text) is None
+    assert full_form(text) is None
 
 
 # --- format_time_utc -----------------------------------------------------------
@@ -313,7 +320,7 @@ def test_format_last_microsecond_of_year_9999_raises_as_datetime_does():
     ("９999-12-31T23:59:59.999999Z", False),  # a fullwidth digit goes to strptime
 ])
 def test_parse_refuses_text_that_rounds_to_year_10000(text, fixed_offset):
-    assert (_parse_full_form(text) == END_SECOND) if fixed_offset else (_parse_full_form(text) is None)
+    assert (full_form(text) == END_SECOND) if fixed_offset else (full_form(text) is None)
     assert oracle_parse_time_utc(text) == END_SECOND
     with pytest.raises(DomainError, match="past the last writable microsecond of year 9999") as info:
         parse_time_utc(text)
@@ -343,7 +350,7 @@ def test_format_out_of_range_raises_as_datetime_does(t):
     assert got[0] in (ValueError, OverflowError)
 
 
-# --- _parse_full_form: the hour-keyed cache --------------------------------------
+# --- the one-cell column: the hour-keyed cache --------------------------------------
 
 def test_parse_within_one_hour_hits_the_cache():
     _hour_start.cache_clear()
@@ -351,7 +358,7 @@ def test_parse_within_one_hour_hits_the_cache():
         for second in range(60):
             for fraction in ("", ".5", f".{minute * 60 + second:06d}"):
                 text = f"2014-03-07T18:{minute:02d}:{second:02d}{fraction}Z"
-                assert _parse_full_form(text) == oracle_parse_time_utc(text)
+                assert full_form(text) == oracle_parse_time_utc(text)
     info = _hour_start.cache_info()
     assert info.misses == 1 and info.hits == 3 * 3600 - 1
 
@@ -368,8 +375,8 @@ def test_parse_within_one_hour_hits_the_cache():
 ])
 def test_parse_across_hour_and_day_edges(before, after):
     for text in (before, after, before):
-        assert _parse_full_form(text) == oracle_parse_time_utc(text)
-    assert _parse_full_form(before) < _parse_full_form(after)
+        assert full_form(text) == oracle_parse_time_utc(text)
+    assert full_form(before) < full_form(after)
 
 
 @pytest.mark.parametrize("bad", [
@@ -383,11 +390,142 @@ def test_parse_across_hour_and_day_edges(before, after):
 ])
 def test_bad_hour_after_a_cached_hour_of_the_same_date(bad):
     good = "2014-03-07T23:10:00Z"
-    assert _parse_full_form(good) == oracle_parse_time_utc(good)
+    assert full_form(good) == oracle_parse_time_utc(good)
     assert _hour_start(good[:13]) is not None
-    assert _parse_full_form(bad) is None
+    assert full_form(bad) is None
     for reference in (None, REF):
         assert outcome(parse_time_utc, bad, reference) == outcome(oracle_parse_time_utc, bad, reference)
+
+
+# --- the time column: one pass per block against the per-cell path ---------------
+
+FIRST_US, END_US = int(FIRST_SECOND) * 10**6, int(END_SECOND) * 10**6
+BLOCK_SIZES = [1, 255, 256, 257]  # the reader parses 256 rows at a time
+# Cells the block pass must refuse. strptime reads the first two; the rest are errors.
+BAD_CELLS = [
+    "2014-03-07T16:4\u0663:00Z", "\uff12\uff10\uff11\uff14-03-07T16:42:00Z",  # Arabic-Indic and full-width digits
+    "2014-03-07T16:+2:00Z", "2014-03-07T16:42:00.1_5Z", "2014-03-07T16:42: 0Z", "2014-03-07 16:42:00Z",
+    "2014-03-07T16:60:00Z", "2014-03-07T16:60Z", "2014-03-07T16:42:60Z", "2014-03-07T24:00:00Z",
+    "2014-02-29T00:00:00Z", "2014-03-07T16:42:00.1234567Z", "16:42:00Z", "16:42Z",
+    "9999-12-31T23:59:59.999985Z", "9999-12-31T23:59:59.999999Z",  # both round to year 10000
+]
+
+
+def canonical(us, digits):
+    """The canonical text of ``us`` microseconds, without seconds (``digits`` None) or with
+    ``digits`` fraction digits, the rest cut off."""
+    text = (datetime(1970, 1, 1) + timedelta(microseconds=us)).isoformat(timespec="microseconds")
+    return text[:16 if digits is None else 20 + digits if digits else 19] + "Z"
+
+
+@st.composite
+def time_blocks(draw):
+    """``(cells, bad)``: a block of canonical cells of one length or of several, padded or not,
+    and the index of the one bad cell put among them (a spoiled timestamp or one of BAD_CELLS), or None."""
+    k = draw(st.sampled_from(BLOCK_SIZES))
+    step = draw(st.integers(1, 10**9))
+    last = END_US - 1 - k * step
+    start = draw(st.integers(FIRST_US, last) | st.sampled_from([FIRST_US, last, 1394150400 * 10**6]))
+    lengths = draw(st.lists(st.sampled_from([None, 0, 1, 2, 3, 4, 5, 6]), min_size=1, max_size=3))
+    pad = draw(st.sampled_from(["", " ", "\t "]))
+    cells = [pad + canonical(start + i * step, lengths[i % len(lengths)]) + pad for i in range(k)]
+    bad = draw(st.none() | st.integers(0, k - 1))
+    if bad is not None:
+        cells[bad] = draw(st.sampled_from(BAD_CELLS) | timestamps()).replace("\n", "")
+    return cells, bad
+
+
+def oracle_cell(text):
+    """The strptime oracle of a stripped cell, with parse_time_utc's refusal of year 10000."""
+    value = oracle_parse_time_utc(text)
+    if value >= END_SECOND:
+        raise DomainError(f"timestamp {text!r} is past the last writable microsecond of year 9999")
+    return value
+
+
+def assert_column_agrees(cells):
+    """The block pass gives the per-cell values, or refuses a block the per-cell path refuses; returns the
+    stripped cells and whether the per-cell path refuses."""
+    stripped = [c.strip() for c in cells]
+    want = [outcome(oracle_cell, c) for c in stripped]
+    assert [outcome(parse_time_utc, c) for c in stripped] == want
+    refused = any(isinstance(w, tuple) for w in want)
+    try:
+        got = _parse_column(parse_time_utc, cells)
+    except ValueError:
+        assert refused
+    else:
+        assert not refused and got == want and all(type(v) is float for v in got)
+    return stripped, refused
+
+
+@settings(max_examples=40, deadline=None)
+@given(block=time_blocks())
+def test_time_column_agrees_with_the_per_cell_path(block):
+    cells, bad = block
+    stripped, refused = assert_column_agrees(cells)
+    if bad is None and not refused:
+        assert _full_form_column(stripped) == [oracle_cell(c) for c in stripped]  # a pass per length reads it
+
+
+@pytest.mark.parametrize("bad", BAD_CELLS)
+def test_a_bad_cell_among_canonical_cells_of_its_length(bad):
+    digits = {17: None, 20: 0}.get(len(bad), min(max(len(bad) - 21, 0), 6))
+    for k in BLOCK_SIZES:
+        cells = [canonical(1394150400 * 10**6 + 1234567 * i, digits) for i in range(k)]
+        cells[k // 2] = bad
+        assert_column_agrees(cells)
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(block=time_blocks())
+def test_time_blocks_read_as_the_per_cell_path_reads_them(tmp_path, block):
+    cells, _ = block
+    path = tmp_path / "log.csv"
+    path.write_text("# a block\n" + ",".join(LOG_SCHEMA) + "\n" + "".join(f"{c},R,data,1.5,,0,41.7,\n" for c in cells))
+    want = [outcome(oracle_cell, c.strip()) for c in cells]
+    problems = [(i + 3, f"time_utc: {w[1]}") for i, w in enumerate(want) if isinstance(w, tuple)]
+    try:
+        records = load_log_csv(path)
+    except ParseError as e:
+        assert e.problems == problems
+    else:
+        assert not problems and [m.timestamp for m in records.measurements] == sorted(want)
+
+
+ODD_TIMES = [
+    -1.0, -0.0, 0.5, -0.5, -86400.25, 1e-7, 1394150400.9999995, -0.9999995, END_SECOND - 1, FIRST_SECOND, 7, -86401,
+    math.nan, math.inf, -math.inf, END_SECOND, FIRST_SECOND - 1, 10**12,
+]
+
+
+def assert_writer_agrees(column):
+    got = raised(_format_column, format_time_utc, column)
+    assert got == raised(lambda: [format_time_utc(t) for t in column])
+    assert got == raised(lambda: [oracle_isoformat_time_utc(t) for t in column])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    k=st.sampled_from(BLOCK_SIZES),
+    start=st.integers(int(FIRST_SECOND), int(END_SECOND) - 1 - 256 * 7200) | st.sampled_from([int(FIRST_SECOND)]),
+    step=st.integers(1, 7200),
+    odd=st.none() | st.sampled_from(ODD_TIMES),
+    at=st.integers(0, 256),
+)
+def test_time_column_writer_agrees_with_format_time_utc(k, start, step, odd, at):
+    column = [float(start + i * step) for i in range(k)]
+    if odd is not None:
+        column[at % k] = odd
+    assert_writer_agrees(column)
+
+
+@pytest.mark.parametrize("odd", ODD_TIMES)
+def test_time_column_writer_with_one_odd_time(odd):
+    for k in BLOCK_SIZES:
+        column = [1394150400.0 + 61 * i for i in range(k)]
+        column[k // 2] = odd
+        assert_writer_agrees(column)
 
 
 # --- the ephemeris and correction lookups ---------------------------------------

@@ -1,4 +1,9 @@
+from dataclasses import replace
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bfokit.errors import DomainError
 from bfokit.stats import BfoMeasurement, Channel, MessageType
@@ -169,6 +174,28 @@ class TestDriftBounds:
         assert drift.logon_minus_settled == (90.0, 90.0)
         assert drift.ack_minus_settled == (86.0, 86.0)
         assert drift.ack_below_logon == (4.0, 4.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(order=st.permutations(range(7)))
+    def test_invariant_to_the_order_of_the_sequences(self, logon_sequences, order):
+        assert len(logon_sequences) == 7
+        permuted = [logon_sequences[i] for i in order]
+        assert extract_drift_bounds(permuted) == extract_drift_bounds(logon_sequences)
+
+    def test_every_subset_of_the_sequences_lies_inside_the_full_ranges(self, logon_sequences):
+        full = extract_drift_bounds(logon_sequences).as_dict()
+        for size in range(1, len(logon_sequences) + 1):
+            for subset in combinations(logon_sequences, size):
+                for key, (lo, hi) in extract_drift_bounds(subset).as_dict().items():
+                    assert full[key][0] <= lo <= hi <= full[key][1], ([s.id for s in subset], key)
+
+    def test_closed_loop_statistics_are_half_the_open_loop_ones(self, logon_sequences):
+        for seq in logon_sequences:
+            open_loop, closed_loop = (
+                extract_drift_bounds([replace(seq, compensation_mode=mode)]).as_dict()
+                for mode in (CompensationMode.OPEN_LOOP, CompensationMode.CLOSED_LOOP)
+            )
+            assert closed_loop == {key: [v / 2 for v in pair] for key, pair in open_loop.items()}, seq.id
 
     def test_fixture_outage_bounds_carried(self, logon_sequences):
         by_id = {s.id: s for s in logon_sequences}
