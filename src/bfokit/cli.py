@@ -19,7 +19,6 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import asdict
 from itertools import chain
 from pathlib import Path
 
@@ -237,7 +236,7 @@ def _cmd_descent_bounds(cfg, args) -> dict:
         out["drift_bounds"] = drift.as_dict()
     if result.combined is not None:
         out["combined_outer_fpm"] = {t: list(r.outer_fpm) for t, r in zip(times, result.combined.rates)}
-        out["acceleration"] = asdict(result.acceleration)
+        out["acceleration"] = result.acceleration._asdict()
         tables["descent_rates_combined.csv"] = (
             ["time_utc", "min_fpm", "max_fpm"],
             [[t, *map(cell, outer)] for t, outer in out["combined_outer_fpm"].items()],

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
+from typing import NamedTuple
 
 from .bfo_model import ChannelConfig
 from .errors import ConfigError, DomainError
@@ -30,8 +30,7 @@ from .stats import NoiseBounds
 CONFIG_ENV_VAR = "BFOKIT_CONFIG"
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
+class AnalysisConfig(NamedTuple):
     log_csv: Path
     ephemeris_csv: Path
     correction_csv: Path

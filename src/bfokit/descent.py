@@ -14,8 +14,8 @@ acceleration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import DomainError
 from .ingest import format_time_utc
@@ -34,14 +34,14 @@ class Hypothesis(Enum):
     OTHER_CAUSE = "other_cause"
 
 
-@dataclass(frozen=True)
-class BfoRange:
-    lower_hz: float
-    upper_hz: float
+class BfoRange(NamedTuple("_RangeFields", [("lower_hz", float), ("upper_hz", float)])):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so ``_replace`` checks too
 
-    def __post_init__(self):
-        if self.lower_hz > self.upper_hz:
+    def __new__(cls, lower_hz, upper_hz):
+        if lower_hz > upper_hz:
             raise DomainError("BFO range out of order")
+        return tuple.__new__(cls, (lower_hz, upper_hz))
 
 
 def round_to_fpm(rate: float, quantum: float = 100.0) -> float:
@@ -90,16 +90,16 @@ def _envelope(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, fl
     return min(a[0], b[0]), max(a[1], b[1])
 
 
-@dataclass(frozen=True)
-class DescentRates:
-    """Descent-rate bounds (fpm, positive down) per track assumption."""
+class DescentRates(NamedTuple("_RatesFields", [("south_fpm", tuple), ("north_fpm", tuple)])):
+    """Descent-rate bounds (fpm, positive down) per track assumption, each ``(low, high)``."""
 
-    south_fpm: tuple[float, float]
-    north_fpm: tuple[float, float]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so ``_replace`` checks too
 
-    def __post_init__(self):
-        if self.south_fpm[0] > self.south_fpm[1] or self.north_fpm[0] > self.north_fpm[1]:
+    def __new__(cls, south_fpm, north_fpm):
+        if south_fpm[0] > south_fpm[1] or north_fpm[0] > north_fpm[1]:
             raise DomainError("descent-rate bounds out of order")
+        return tuple.__new__(cls, (south_fpm, north_fpm))
 
     outer_fpm = property(lambda self: _envelope(self.south_fpm, self.north_fpm))
 
@@ -134,16 +134,16 @@ def descent_rate_bounds(
     )
 
 
-@dataclass(frozen=True)
-class DescentBoundsTable:
-    """Descent-rate bounds per timestamp, with outer bounds per row."""
+class DescentBoundsTable(NamedTuple("_TableFields", [("times", tuple), ("rates", tuple)])):
+    """Descent-rate bounds per timestamp: ``rates[i]``, a :class:`DescentRates`, holds at ``times[i]``."""
 
-    times: tuple[float, ...]
-    rates: tuple[DescentRates, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so ``_replace`` checks too
 
-    def __post_init__(self):
-        if len(self.times) != len(self.rates):
+    def __new__(cls, times, rates):
+        if len(times) != len(rates):
             raise DomainError("times and rates must match")
+        return tuple.__new__(cls, (times, rates))
 
     def row(self, t: float) -> DescentRates:
         """The first row whose time equals ``t`` exactly (NaN equals none)."""
@@ -163,8 +163,7 @@ def combine_hypotheses(h1: DescentBoundsTable, h2: DescentBoundsTable) -> Descen
     ))
 
 
-@dataclass(frozen=True)
-class AccelerationEstimate:
+class AccelerationEstimate(NamedTuple):
     fpm_per_s: float
     mps2: float
     g: float
@@ -208,8 +207,7 @@ def final_logon_pair(measurements):
     return request, ack
 
 
-@dataclass(frozen=True)
-class HypothesisBounds:
+class HypothesisBounds(NamedTuple):
     """One hypothesis's BFO ranges and rate table, one entry per message in :data:`MESSAGES`."""
 
     drift_removed: tuple[BfoRange, BfoRange] | None  # None under the other-cause hypothesis
@@ -217,8 +215,7 @@ class HypothesisBounds:
     table: DescentBoundsTable
 
 
-@dataclass(frozen=True)
-class DescentAnalysis:
+class DescentAnalysis(NamedTuple):
     """The descent result for the final log-on pair; ``combined`` and
     ``acceleration`` are None unless both hypotheses ran."""
 

@@ -16,10 +16,10 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
 from itertools import chain, islice
 from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import DomainError, ParseError
 from .satellite import CorrectionTable, EphemerisTable
@@ -228,8 +228,7 @@ def _write_csv(path, provenance, header, lines) -> None:
 # ---------------------------------------------------------------------------
 # BFO logs
 
-@dataclass(frozen=True)
-class LogRecords:
+class LogRecords(NamedTuple):
     measurements: tuple[BfoMeasurement, ...]
     provenance: tuple[str, ...]
     rejected: tuple[tuple[int, str], ...]
@@ -372,10 +371,11 @@ def load_logon_csv(path, meta=None) -> list[LogonSequence]:
 
 
 def write_logon_csv(path, sequences, provenance=()) -> None:
-    """A ``seq_id`` with a comma, quote, NUL, line break or outer whitespace raises :class:`DomainError`."""
-    sequences = list(sequences)
+    """A ``seq_id`` with a comma, quote, NUL, line break or outer whitespace, or longer than the csv field
+    limit, raises :class:`DomainError`."""
+    sequences, limit = list(sequences), csv.field_size_limit()
     for seq in sequences:
-        if "".join(seq.id.strip().splitlines()) != seq.id or any(c in seq.id for c in ',"\0'):
+        if "".join(seq.id.strip().splitlines()) != seq.id or any(c in seq.id for c in ',"\0') or len(seq.id) > limit:
             raise DomainError(f"sequence id {seq.id!r} would not read back unchanged from a CSV cell")
     rows = ((seq.id, m.timestamp, m.message_type, m.bfo_hz, m.ber, m.cn0_dbhz, seq.compensation_mode)
             for seq in sequences for m in seq.measurements)

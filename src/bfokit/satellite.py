@@ -223,8 +223,7 @@ def deterministic_correction_at(t: float, c: CorrectionTable) -> float:
     return (1.0 - w) * values[i] + w * values[i + 1]
 
 
-@dataclass(frozen=True)
-class SyntheticGeoModel:
+class SyntheticGeoModel(NamedTuple):
     """Closed-form inclined, slightly eccentric geosynchronous orbit in the
     Earth-fixed frame.
 

@@ -10,7 +10,6 @@ relative to neighboring bursts.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -65,8 +64,7 @@ class BfoMeasurement(_BurstFields):
         return tuple.__new__(cls, (timestamp, channel, message_type, bfo_hz, bto_us, ber, cn0_dbhz, signal_db))
 
 
-@dataclass(frozen=True)
-class ErrorStats:
+class ErrorStats(NamedTuple):
     mean_hz: float
     std_hz: float
     min_hz: float
@@ -94,6 +92,8 @@ def bfo_error(predicted_hz: float, measured_hz: float) -> float:
 
 def compute_error_stats(errors) -> ErrorStats:
     """Sample mean/std (n-1 denominator), min and max of BFO errors."""
+    import statistics  # no subcommand calls this, so its imports stay off the cold path
+
     values = [float(e) for e in errors]
     if len(values) < 2:
         raise DomainError("error statistics need at least 2 samples")
@@ -129,6 +129,8 @@ def flag_outliers(
         if not neighbors:
             flags.append(False)
             continue
-        drop = statistics.median(neighbors) - m.cn0_dbhz
+        neighbors.sort()  # the median, by statistics.median's arithmetic
+        mid = len(neighbors) // 2
+        drop = (neighbors[mid] if len(neighbors) % 2 else (neighbors[mid - 1] + neighbors[mid]) / 2) - m.cn0_dbhz
         flags.append(drop >= cn0_drop_threshold_db)
     return flags

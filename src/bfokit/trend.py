@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
 
 EXTRAPOLATION_WARN_HOURS = 2.0
 
 
-@dataclass(frozen=True)
-class TrendModel:
+class TrendModel(NamedTuple):
     """Least-squares BFO line. The intercept is the line value at the
     window start (the reference epoch); slope is Hz per hour."""
 

@@ -13,8 +13,8 @@ sequences bound the warm-up contribution to a later log-on's BFO.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import DomainError
 from .stats import DEFAULT_CN0_DROP_DB, BfoMeasurement, MessageType, flag_outliers
@@ -28,51 +28,56 @@ class CompensationMode(str, Enum):
     CLOSED_LOOP = "closed_loop"
 
 
-@dataclass(frozen=True)
-class LogonSequence:
-    """Ordered BFO measurements following one terminal log-on."""
-
+class _LogonFields(NamedTuple):
     id: str
     logon_time: float
     measurements: tuple[BfoMeasurement, ...]
     compensation_mode: CompensationMode
-    outage_bounds_min: tuple[float, float] | None = None  # minutes (min, max)
-    notes: str = ""
-    settled_proxy: bool = False  # final sample stands in for the settled value
+    outage_bounds_min: tuple[float, float] | None  # minutes (min, max)
+    notes: str
+    settled_proxy: bool  # final sample stands in for the settled value
 
-    def __post_init__(self):
-        if not self.measurements:
-            raise DomainError(f"log-on {self.id}: empty sequence")
-        times = [m.timestamp for m in self.measurements]
+
+class LogonSequence(_LogonFields):
+    """Ordered BFO measurements following one terminal log-on."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so ``_replace`` checks too
+
+    def __new__(cls, id, logon_time, measurements, compensation_mode, outage_bounds_min=None, notes="",
+                settled_proxy=False):
+        if not measurements:
+            raise DomainError(f"log-on {id}: empty sequence")
+        times = [m.timestamp for m in measurements]
         if any(b < a for a, b in zip(times, times[1:])):
-            raise DomainError(f"log-on {self.id}: measurements not time-ordered")
-        if self.measurements[0].message_type is not MessageType.LOGON_REQUEST:
-            raise DomainError(f"log-on {self.id}: first message must be a log-on request")
-        if self.outage_bounds_min is not None:
-            lo, hi = self.outage_bounds_min
+            raise DomainError(f"log-on {id}: measurements not time-ordered")
+        if measurements[0].message_type is not MessageType.LOGON_REQUEST:
+            raise DomainError(f"log-on {id}: first message must be a log-on request")
+        if outage_bounds_min is not None:
+            lo, hi = outage_bounds_min
             if lo > hi:
-                raise DomainError(f"log-on {self.id}: outage bounds out of order")
+                raise DomainError(f"log-on {id}: outage bounds out of order")
+        return tuple.__new__(
+            cls, (id, logon_time, measurements, compensation_mode, outage_bounds_min, notes, settled_proxy)
+        )
 
 
-@dataclass(frozen=True)
-class DriftBounds:
-    """Warm-up drift ranges (Hz) over a set of log-on sequences."""
+class DriftBounds(NamedTuple("_DriftFields", [
+    ("logon_minus_settled", tuple), ("ack_minus_settled", tuple), ("ack_below_logon", tuple)
+])):
+    """Warm-up drift ranges (Hz) over a set of log-on sequences, each ``(low, high)``."""
 
-    logon_minus_settled: tuple[float, float]
-    ack_minus_settled: tuple[float, float]
-    ack_below_logon: tuple[float, float]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so ``_replace`` checks too
 
-    def __post_init__(self):
-        for lo, hi in (self.logon_minus_settled, self.ack_minus_settled, self.ack_below_logon):
+    def __new__(cls, logon_minus_settled, ack_minus_settled, ack_below_logon):
+        for lo, hi in (logon_minus_settled, ack_minus_settled, ack_below_logon):
             if lo > hi:
                 raise DomainError("drift bounds out of order")
+        return tuple.__new__(cls, (logon_minus_settled, ack_minus_settled, ack_below_logon))
 
     def as_dict(self) -> dict:
-        return {
-            "logon_minus_settled_hz": list(self.logon_minus_settled),
-            "ack_minus_settled_hz": list(self.ack_minus_settled),
-            "ack_below_logon_hz": list(self.ack_below_logon),
-        }
+        return {f"{name}_hz": list(bounds) for name, bounds in zip(self._fields, self)}
 
 
 def normalize_to_ack(

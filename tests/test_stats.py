@@ -4,7 +4,7 @@ import statistics
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bfokit.config import SCHEMA
@@ -139,6 +139,20 @@ class TestFlagOutliers:
     def test_matches_quadratic_definition(self, rows, threshold, window):
         ms = [burst(i, ber=b, cn0=c) for i, (b, c) in enumerate(rows)]
         assert flag_outliers(ms, threshold, window) == self.quadratic_oracle(ms, threshold, window)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([-41.5, -3.0, 0.0, 5e-324, 37.6, 41.7]) | st.floats(-1e300, 1e300),
+                    min_size=1, max_size=12))
+    @example([41.7, -3.0, 41.7])  # odd, with a repeated and a negative value
+    @example([-3.0, 37.6, -3.0, -41.5])  # even
+    @example([5e-324, 5e-324])  # the sum is halved, not each value: 5e-324 / 2 rounds to 0
+    def test_neighbor_median_is_the_statistics_median(self, values):
+        # The first burst has every other burst as a neighbor and C/N0 0, so its drop is the median itself.
+        # It is flagged at statistics.median's value and not at the next float above only if the two are equal.
+        median = statistics.median(values)
+        ms = [burst(0, ber=1.0, cn0=0.0), *(burst(i, cn0=c) for i, c in enumerate(values, start=1))]
+        assert flag_outliers(ms, median, 2 * len(values))[0]
+        assert not flag_outliers(ms, math.nextafter(median, math.inf), 2 * len(values))[0]
 
 
 class TestMeasurementValidation:

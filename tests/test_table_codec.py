@@ -9,7 +9,6 @@ with the same text; the writers must write the same bytes.
 
 import csv
 import math
-from dataclasses import replace
 from itertools import chain, cycle, islice
 from pathlib import Path
 
@@ -606,9 +605,21 @@ def test_logon_writer_refuses_an_id_that_does_not_read_back(tmp_path, seq_id):
     (sequence,) = load_logon_csv(fixture_path("logon_sequences.csv"))[:1]
     path = tmp_path / "logons.csv"
     with pytest.raises(DomainError, match="would not read back unchanged") as info:
-        write_logon_csv(path, [sequence, replace(sequence, id=seq_id)])
+        write_logon_csv(path, [sequence, sequence._replace(id=seq_id)])
     assert repr(seq_id) in str(info.value)
     assert not path.exists()
+
+
+def test_logon_writer_refuses_an_id_longer_than_the_csv_field_limit(tmp_path):
+    # A line that long goes to csv.reader, which refuses a field beyond the limit.
+    (sequence,) = load_logon_csv(fixture_path("logon_sequences.csv"))[:1]
+    path = tmp_path / "logons.csv"
+    with pytest.raises(DomainError, match="would not read back unchanged"):
+        write_logon_csv(path, [sequence, sequence._replace(id="7" * 140_000)])
+    assert not path.exists()
+    at_limit = sequence._replace(id="7" * csv.field_size_limit())
+    write_logon_csv(path, [at_limit])
+    assert load_logon_csv(path) == [at_limit]
 
 
 @SETTINGS
@@ -618,7 +629,7 @@ def test_logon_writer_refuses_every_id_that_does_not_read_back(tmp_path, seq_id)
     # The writer also refuses ids that read back only by chance: a quote is kept when csv does not
     # take it for quoting ('0"'), and a NUL from Python 3.11 on (3.10's csv refuses it).
     (sequence,) = load_logon_csv(fixture_path("logon_sequences.csv"))[:1]
-    sequences = [replace(sequence, id=seq_id)]
+    sequences = [sequence._replace(id=seq_id)]
     oracle_write_logon_csv(tmp_path / "old.csv", sequences)
     got = outcome(lambda path: [s.id for s in load_logon_csv(path)], tmp_path / "old.csv")
     refused = outcome(write_logon_csv, tmp_path / "new.csv", sequences)

@@ -1,11 +1,16 @@
-"""The per-burst value types are immutable tuple types.
+"""The value types are immutable tuple types, except six dataclasses.
 
-``BfoMeasurement``, ``EcefVector``, ``SatelliteState`` and ``BfoTerms``
-are ``NamedTuple`` types. These tests pin what they keep from the frozen
-dataclasses they replace (field names and order, defaults, keyword
-construction, every check and its text, immutability, equality and hash
-by value, vector arithmetic) and what a tuple type adds: equality with a
-plain tuple of the same items.
+The per-burst types ``BfoMeasurement``, ``EcefVector``, ``SatelliteState``
+and ``BfoTerms`` are ``NamedTuple`` types, and so are the 13 types built
+once per run (``AnalysisConfig``, ``LogRecords``, ``ErrorStats``,
+``TrendModel``, ``LogonSequence``, ``DriftBounds``, ``BfoRange``,
+``DescentRates``, ``DescentBoundsTable``, ``AccelerationEstimate``,
+``HypothesisBounds``, ``DescentAnalysis``, ``SyntheticGeoModel``). These
+tests pin what they keep from the frozen dataclasses they replace (field
+names and order, defaults, keyword construction, every check and its text,
+checks on ``_replace``, immutability, equality and hash by value, the
+``repr`` text, vector arithmetic) and what a tuple type adds: equality with
+a plain tuple of the same items.
 
 The dataclass value types (``ChannelConfig``, ``NoiseBounds``,
 ``NominalSlot``) refuse a non-finite field when built, naming the field.
@@ -13,22 +18,38 @@ The dataclass value types (``ChannelConfig``, ``NoiseBounds``,
 
 import math
 import pickle
+from datetime import date
+from pathlib import PurePosixPath
 
 import numpy as np
 import pytest
 
 from bfokit.bfo_model import BfoTerms, ChannelConfig, predict_bfo_batch
+from bfokit.config import AnalysisConfig
+from bfokit.descent import (
+    AccelerationEstimate,
+    BfoRange,
+    DescentAnalysis,
+    DescentBoundsTable,
+    DescentRates,
+    Hypothesis,
+    HypothesisBounds,
+)
 from bfokit.errors import DomainError
 from bfokit.geodesy import EcefVector, GeodeticPosition
+from bfokit.ingest import LogRecords
 from bfokit.satellite import (
     GEO_RADIUS_M,
     EphemerisTable,
     NominalSlot,
     SatelliteState,
+    SyntheticGeoModel,
     nominal_satellite_position,
     satellite_state_at,
 )
-from bfokit.stats import BfoMeasurement, Channel, MessageType, NoiseBounds
+from bfokit.stats import BfoMeasurement, Channel, ErrorStats, MessageType, NoiseBounds
+from bfokit.trend import TrendModel
+from bfokit.warmup import CompensationMode, DriftBounds, LogonSequence
 
 NAN, INF = math.nan, math.inf
 
@@ -261,3 +282,209 @@ class TestNonFiniteDataclassFields:
             ChannelConfig(uplink_hz=-1.0)
         with pytest.raises(DomainError, match="^noise bounds out of order$"):
             NoiseBounds(1.0, -1.0)
+
+
+# ---------------------------------------------------------------------------
+# the types built once per run
+
+REQUEST = BfoMeasurement(0.0, Channel.R, MessageType.LOGON_REQUEST, 142.0)
+ACK = BfoMeasurement(8.0, Channel.R, MessageType.LOGON_ACK, 140.0)
+RATES = DescentRates((100.0, 200.0), (-300.0, 0.0))
+TABLE = DescentBoundsTable((1.0, 9.0), (RATES, RATES))
+
+
+def once_per_run():
+    """One value of each type, built positionally."""
+    return [
+        AnalysisConfig(PurePosixPath("log.csv"), PurePosixPath("eph.csv"), PurePosixPath("corr.csv"),
+                       PurePosixPath("logon.csv"), None, ChannelConfig(), NominalSlot(), NoiseBounds(-7.0, 7.0),
+                       182.0, -2.0, GeodeticPosition(-38.67, 85.11), (0.0, 3600.0), 150.0, date(2014, 3, 7),
+                       None, 1.21),
+        LogRecords((REQUEST,), ("# log",), ((3, "bad row"),)),
+        ErrorStats(0.5, 4.3, -7.0, 7.0, 12),
+        TrendModel(2.0, 252.0, (0.0, 3600.0), 0.5),
+        LogonSequence("7", 0.0, (REQUEST, ACK), CompensationMode.CLOSED_LOOP, (1.0, 2.5), "note", True),
+        DriftBounds((17.0, 136.0), (17.0, 130.0), (0.0, 6.0)),
+        BfoRange(-1.5, 2.0),
+        RATES,
+        TABLE,
+        AccelerationEstimate(-12.5, -0.0635, -0.00648),
+        HypothesisBounds(None, (BfoRange(1.0, 2.0), BfoRange(3.0, 4.0)), TABLE),
+        DescentAnalysis((1.0, 9.0), (182.0, -2.0), {Hypothesis.OTHER_CAUSE: None}, None, None),
+        SyntheticGeoModel(64.0, 1.5, 10.0, 0.001, 20.0, 4.2e7),
+    ]
+
+
+def type_name(value):
+    return type(value).__name__
+
+
+FIELDS = {
+    AnalysisConfig: (
+        "log_csv", "ephemeris_csv", "correction_csv", "logon_sequence_csv", "logon_meta_json", "channel", "slot",
+        "noise", "expected_south_hz", "expected_north_hz", "arc_crossing", "fit_window", "bias_hz",
+        "reference_date", "tarmac", "sensitivity_hz_per_100fpm",
+    ),
+    LogRecords: ("measurements", "provenance", "rejected"),
+    ErrorStats: ("mean_hz", "std_hz", "min_hz", "max_hz", "count"),
+    TrendModel: ("slope_hz_per_hour", "intercept_hz", "fit_window", "residual_rms_hz"),
+    LogonSequence: (
+        "id", "logon_time", "measurements", "compensation_mode", "outage_bounds_min", "notes", "settled_proxy"
+    ),
+    DriftBounds: ("logon_minus_settled", "ack_minus_settled", "ack_below_logon"),
+    BfoRange: ("lower_hz", "upper_hz"),
+    DescentRates: ("south_fpm", "north_fpm"),
+    DescentBoundsTable: ("times", "rates"),
+    AccelerationEstimate: ("fpm_per_s", "mps2", "g"),
+    HypothesisBounds: ("drift_removed", "noise_extended", "table"),
+    DescentAnalysis: ("times", "recorded", "hypotheses", "combined", "acceleration"),
+    SyntheticGeoModel: ("longitude_deg", "inclination_deg", "node_time", "eccentricity", "perigee_time", "radius_m"),
+}
+
+# The parent's dataclass repr of each value of once_per_run(), as it was printed.
+BURST = ("BfoMeasurement(timestamp={}, channel=<Channel.R: 'R'>, message_type=<MessageType.{}>, bfo_hz={}, "
+         "bto_us=None, ber=0.0, cn0_dbhz=0.0, signal_db=None)")
+REQUEST_TEXT = BURST.format(0.0, "LOGON_REQUEST: 'logon_request'", 142.0)
+ACK_TEXT = BURST.format(8.0, "LOGON_ACK: 'logon_ack'", 140.0)
+RATES_TEXT = "DescentRates(south_fpm=(100.0, 200.0), north_fpm=(-300.0, 0.0))"
+TABLE_TEXT = f"DescentBoundsTable(times=(1.0, 9.0), rates=({RATES_TEXT}, {RATES_TEXT}))"
+REPRS = [
+    "AnalysisConfig(log_csv=PurePosixPath('log.csv'), ephemeris_csv=PurePosixPath('eph.csv'), "
+    "correction_csv=PurePosixPath('corr.csv'), logon_sequence_csv=PurePosixPath('logon.csv'), "
+    "logon_meta_json=None, channel=ChannelConfig(uplink_hz=1646652500.0, downlink_hz=3615000000.0, "
+    "ges_position=GeodeticPosition(latitude_deg=-31.8044, longitude_deg=115.8872, altitude_m=22.0)), "
+    "slot=NominalSlot(longitude_deg=64.5, latitude_deg=0.0, radius_m=42164169.0), "
+    "noise=NoiseBounds(lower_hz=-7.0, upper_hz=7.0), expected_south_hz=182.0, expected_north_hz=-2.0, "
+    "arc_crossing=GeodeticPosition(latitude_deg=-38.67, longitude_deg=85.11, altitude_m=0.0), "
+    "fit_window=(0.0, 3600.0), bias_hz=150.0, reference_date=datetime.date(2014, 3, 7), tarmac=None, "
+    "sensitivity_hz_per_100fpm=1.21)",
+    f"LogRecords(measurements=({REQUEST_TEXT},), provenance=('# log',), rejected=((3, 'bad row'),))",
+    "ErrorStats(mean_hz=0.5, std_hz=4.3, min_hz=-7.0, max_hz=7.0, count=12)",
+    "TrendModel(slope_hz_per_hour=2.0, intercept_hz=252.0, fit_window=(0.0, 3600.0), residual_rms_hz=0.5)",
+    f"LogonSequence(id='7', logon_time=0.0, measurements=({REQUEST_TEXT}, {ACK_TEXT}), "
+    "compensation_mode=<CompensationMode.CLOSED_LOOP: 'closed_loop'>, outage_bounds_min=(1.0, 2.5), "
+    "notes='note', settled_proxy=True)",
+    "DriftBounds(logon_minus_settled=(17.0, 136.0), ack_minus_settled=(17.0, 130.0), ack_below_logon=(0.0, 6.0))",
+    "BfoRange(lower_hz=-1.5, upper_hz=2.0)",
+    RATES_TEXT,
+    TABLE_TEXT,
+    "AccelerationEstimate(fpm_per_s=-12.5, mps2=-0.0635, g=-0.00648)",
+    "HypothesisBounds(drift_removed=None, noise_extended=(BfoRange(lower_hz=1.0, upper_hz=2.0), "
+    f"BfoRange(lower_hz=3.0, upper_hz=4.0)), table={TABLE_TEXT})",
+    "DescentAnalysis(times=(1.0, 9.0), recorded=(182.0, -2.0), "
+    "hypotheses={<Hypothesis.OTHER_CAUSE: 'other_cause'>: None}, combined=None, acceleration=None)",
+    "SyntheticGeoModel(longitude_deg=64.0, inclination_deg=1.5, node_time=10.0, eccentricity=0.001, "
+    "perigee_time=20.0, radius_m=42000000.0)",
+]
+
+
+def logon(**kw):
+    fields = {"id": "7", "logon_time": 0.0, "measurements": (REQUEST, ACK),
+              "compensation_mode": CompensationMode.OPEN_LOOP, **kw}
+    return LogonSequence(**fields)
+
+
+# Each check of a once-per-run type, with the value that fails it and the text it raises.
+CHECKS = [
+    (lambda: logon(measurements=()), "log-on 7: empty sequence"),
+    (lambda: logon(measurements=(REQUEST, ACK._replace(timestamp=-1.0))), "log-on 7: measurements not time-ordered"),
+    (lambda: logon(measurements=(ACK,)), "log-on 7: first message must be a log-on request"),
+    (lambda: logon(outage_bounds_min=(3.0, 2.0)), "log-on 7: outage bounds out of order"),
+    (lambda: DriftBounds((2.0, 1.0), (0.0, 1.0), (0.0, 1.0)), "drift bounds out of order"),
+    (lambda: DriftBounds((0.0, 1.0), (2.0, 1.0), (0.0, 1.0)), "drift bounds out of order"),
+    (lambda: DriftBounds((0.0, 1.0), (0.0, 1.0), (2.0, 1.0)), "drift bounds out of order"),
+    (lambda: BfoRange(2.0, 1.0), "BFO range out of order"),
+    (lambda: DescentRates((2.0, 1.0), (0.0, 1.0)), "descent-rate bounds out of order"),
+    (lambda: DescentRates((0.0, 1.0), (2.0, 1.0)), "descent-rate bounds out of order"),
+    (lambda: DescentBoundsTable((1.0, 9.0), (RATES,)), "times and rates must match"),
+]
+
+# For each checked type, a value and a _replace that fails its check.
+REPLACES = [
+    (logon(), {"measurements": ()}, "log-on 7: empty sequence"),
+    (logon(), {"measurements": (ACK,)}, "log-on 7: first message must be a log-on request"),
+    (logon(), {"outage_bounds_min": (3.0, 2.0)}, "log-on 7: outage bounds out of order"),
+    (DriftBounds((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)), {"ack_below_logon": (2.0, 1.0)}, "drift bounds out of order"),
+    (BfoRange(1.0, 2.0), {"upper_hz": 0.5}, "BFO range out of order"),
+    (RATES, {"north_fpm": (2.0, 1.0)}, "descent-rate bounds out of order"),
+    (TABLE, {"rates": ()}, "times and rates must match"),
+]
+
+
+class TestOncePerRunTypes:
+    def test_covers_every_type_once(self):
+        assert [type(v) for v in once_per_run()] == list(FIELDS)
+
+    @pytest.mark.parametrize("value", once_per_run(), ids=type_name)
+    def test_field_names_and_order(self, value):
+        assert value._fields == FIELDS[type(value)]
+        assert type(value).__name__ == type(value).__qualname__
+
+    def test_defaults(self):
+        seq = LogonSequence("7", 0.0, (REQUEST,), CompensationMode.OPEN_LOOP)
+        assert (seq.outage_bounds_min, seq.notes, seq.settled_proxy) == (None, "", False)
+        assert tuple(SyntheticGeoModel()) == (64.5, 1.65, 0.0, 0.0, 0.0, GEO_RADIUS_M)
+        assert SyntheticGeoModel(node_time=5.0) == (64.5, 1.65, 5.0, 0.0, 0.0, GEO_RADIUS_M)
+
+    @pytest.mark.parametrize("value", once_per_run(), ids=type_name)
+    def test_keyword_construction_matches_positional(self, value):
+        by_keyword = type(value)(**dict(reversed(value._asdict().items())))
+        assert type(by_keyword) is type(value) and by_keyword == value
+        assert type(value)(*value) == value
+
+    @pytest.mark.parametrize("value", once_per_run(), ids=type_name)
+    def test_missing_or_extra_argument_is_a_type_error(self, value):
+        if type(value) is not SyntheticGeoModel:  # every field of the orbit has a default
+            with pytest.raises(TypeError):
+                type(value)()
+        with pytest.raises(TypeError):
+            type(value)(*value, 0.0)
+        with pytest.raises(TypeError):
+            type(value)(*value, extra=0.0)
+
+    @pytest.mark.parametrize("make, text", CHECKS)
+    def test_checks_keep_their_texts(self, make, text):
+        with pytest.raises(DomainError, match=f"^{text}$"):
+            make()
+
+    @pytest.mark.parametrize("value, changes, text", REPLACES)
+    def test_replace_runs_the_checks(self, value, changes, text):
+        with pytest.raises(DomainError, match=f"^{text}$"):
+            value._replace(**changes)
+
+    @pytest.mark.parametrize("value", once_per_run(), ids=type_name)
+    def test_replace_keeps_the_type_and_the_other_fields(self, value):
+        name = value._fields[0]
+        copy = value._replace(**{name: value[0]})
+        assert type(copy) is type(value) and copy == value and copy is not value
+
+    @pytest.mark.parametrize("value", once_per_run(), ids=type_name)
+    def test_assigning_a_field_raises(self, value):
+        for name in value._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, 0.0)
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(AttributeError):
+            value.extra = 1.0
+
+    @pytest.mark.parametrize("value, text", list(zip(once_per_run(), REPRS)), ids=map(type_name, once_per_run()))
+    def test_repr_is_the_dataclass_text(self, value, text):
+        assert repr(value) == text
+
+    @pytest.mark.parametrize("value", once_per_run(), ids=type_name)
+    def test_equal_by_value_and_to_a_plain_tuple(self, value):
+        twin = pickle.loads(pickle.dumps(value))
+        assert twin is not value and type(twin) is type(value) and twin == value
+        assert value == tuple(value) and tuple(value) == value
+        if type(value) is not DescentAnalysis:  # its hypotheses are a dict, as they were
+            assert hash(twin) == hash(value) == hash(tuple(value))
+
+    def test_methods_work_on_the_tuple_types(self):
+        cfg, _, _, trend, _, drift, _, rates, table, *_, model = once_per_run()
+        assert cfg.parse_time("16:42Z") == 1394210520.0
+        assert trend.value_at(1800.0) == 253.0
+        assert drift.as_dict() == {"logon_minus_settled_hz": [17.0, 136.0], "ack_minus_settled_hz": [17.0, 130.0],
+                                   "ack_below_logon_hz": [0.0, 6.0]}
+        assert rates.outer_fpm == (-300.0, 200.0)
+        assert table.row(9.0) is rates
+        assert model.state_at(0.0) == SyntheticGeoModel(*model).state_at(0.0)

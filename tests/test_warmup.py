@@ -1,4 +1,3 @@
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -192,7 +191,7 @@ class TestDriftBounds:
     def test_closed_loop_statistics_are_half_the_open_loop_ones(self, logon_sequences):
         for seq in logon_sequences:
             open_loop, closed_loop = (
-                extract_drift_bounds([replace(seq, compensation_mode=mode)]).as_dict()
+                extract_drift_bounds([seq._replace(compensation_mode=mode)]).as_dict()
                 for mode in (CompensationMode.OPEN_LOOP, CompensationMode.CLOSED_LOOP)
             )
             assert closed_loop == {key: [v / 2 for v in pair] for key, pair in open_loop.items()}, seq.id
