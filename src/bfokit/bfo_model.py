@@ -62,7 +62,7 @@ class ChannelConfig:
     ges_position: GeodeticPosition = GeodeticPosition(-31.8044, 115.8872, 22.0)
 
     def __post_init__(self):
-        require_finite(self, "uplink_hz", "downlink_hz")
+        require_finite(uplink_hz=self.uplink_hz, downlink_hz=self.downlink_hz)
         if self.uplink_hz <= 0 or self.downlink_hz <= 0:
             raise DomainError("carrier frequencies must be positive")
 

@@ -93,11 +93,14 @@ def _load_log(cfg):
 
 
 def _window(cfg, text: str, flag: str) -> tuple[float, float]:
-    """The ``START..END`` value of ``flag`` as two UTC seconds."""
+    """The ``START..END`` value of ``flag`` as two UTC seconds; an END before START is refused."""
     start_text, _, end_text = text.partition("..")
     if not end_text:
         raise ConfigError(f"{flag} must look like START..END")
-    return cfg.parse_time(start_text), cfg.parse_time(end_text)
+    start, end = cfg.parse_time(start_text), cfg.parse_time(end_text)
+    if end < start:
+        raise ConfigError(f"{flag} out of order")
+    return start, end
 
 
 # ---------------------------------------------------------------------------

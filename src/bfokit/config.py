@@ -79,7 +79,12 @@ def _text(value, name, base) -> str:
 
 
 def _date(value, name, base) -> date:
-    return date.fromisoformat(_text(value, name, base))
+    """``value``, a ``YYYY-MM-DD`` text; ``date.fromisoformat`` reads more forms on Python 3.11 and later."""
+    text = _text(value, name, base)
+    digits = text[:4] + text[5:7] + text[8:]
+    if not (len(text) == 10 and text[4] == text[7] == "-" and digits.isascii() and digits.isdigit()):
+        raise ConfigError(f"{name}: {text!r} is not a YYYY-MM-DD date")
+    return date.fromisoformat(text)
 
 
 def _file(value, name, base) -> Path:

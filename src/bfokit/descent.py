@@ -18,8 +18,8 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import DomainError
-from .ingest import format_time_utc
 from .stats import MessageType, NoiseBounds
+from .timestamps import format_time_utc
 from .units import FPM_TO_MPS, G_MPS2
 from .warmup import DriftBounds
 

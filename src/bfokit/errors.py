@@ -37,10 +37,9 @@ class ParseError(BfokitError, ValueError):
         super().__init__(f"{self.path}: {lines}")
 
 
-def require_finite(obj, *names) -> None:
-    """Raise :class:`DomainError` naming the first field of ``obj`` in
-    ``names`` whose value is not a finite number."""
-    for name in names:
-        value = getattr(obj, name)
+def require_finite(**values) -> None:
+    """Raise :class:`DomainError` naming the first of the ``name=value``
+    pairs whose value is not a finite number."""
+    for name, value in values.items():
         if not math.isfinite(value):
             raise DomainError(f"{name} {value} is not finite")

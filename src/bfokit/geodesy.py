@@ -90,7 +90,7 @@ class GroundKinematics:
     vertical_rate_mps: float = 0.0
 
     def __post_init__(self):
-        require_finite(self, "ground_speed_mps", "vertical_rate_mps")
+        require_finite(ground_speed_mps=self.ground_speed_mps, vertical_rate_mps=self.vertical_rate_mps)
         if self.ground_speed_mps < 0:
             raise DomainError("ground speed must be >= 0")
         if not 0.0 <= self.track_angle_deg < 360.0:

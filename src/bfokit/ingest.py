@@ -24,9 +24,7 @@ from typing import NamedTuple
 from .errors import DomainError, ParseError
 from .satellite import CorrectionTable, EphemerisTable
 from .stats import BfoMeasurement, Channel, MessageType
-from .timestamps import (
-    _END_SECOND, _FIRST_SECOND, _full_form_column, _whole_second_text, format_time_utc, parse_time_utc,
-)
+from .timestamps import format_time_column, format_time_utc, parse_time_column, parse_time_utc
 from .warmup import CompensationMode, LogonSequence
 
 
@@ -56,27 +54,14 @@ def _optional(text: str) -> float | None:
     return _float(text) if text else None
 
 
-def _enum(cls):
-    """Parser of ``cls``'s values by one dict lookup; a miss raises Enum's
-    own ``ValueError`` text."""
-    members = {m.value: m for m in cls}
-
-    def parse(text: str):
-        try:
-            return members[text]
-        except KeyError:
-            raise ValueError(f"{text!r} is not a valid {cls.__qualname__}") from None
-
-    parse.members = members
-    _FORMATS[parse] = attrgetter("value")
-    return parse
-
-
-# Each parser's inverse: how a writer formats the values it reads. ``_enum`` adds its own.
-_FORMATS = {parse_time_utc: format_time_utc, _float: _fmt, _optional: _fmt, str: str}
+# Each Enum column's lookup, {value: member}; a cell it misses is read by the Enum, which raises.
+_MEMBERS = {cls: {m.value: m for m in cls} for cls in (Channel, MessageType, CompensationMode)}
+# Each parser's inverse: how a writer formats the values it reads.
+_FORMATS = {parse_time_utc: format_time_utc, _float: _fmt, _optional: _fmt, str: str,
+            **dict.fromkeys(_MEMBERS, attrgetter("value"))}
 # Columns in BfoMeasurement's field order, so a parsed row is its arguments.
 LOG_SCHEMA = {
-    "time_utc": parse_time_utc, "channel": _enum(Channel), "msg_type": _enum(MessageType),
+    "time_utc": parse_time_utc, "channel": Channel, "msg_type": MessageType,
     "bfo_hz": _float, "bto_us": _optional, "ber": _float, "cn0_dbhz": _float, "signal_db": _optional,
 }
 EPHEMERIS_SCHEMA = {
@@ -85,8 +70,8 @@ EPHEMERIS_SCHEMA = {
 }
 CORRECTION_SCHEMA = {"time_utc": parse_time_utc, "delta_f_hz": _float}
 LOGON_SCHEMA = {
-    "seq_id": str, "time_utc": parse_time_utc, "msg_type": _enum(MessageType), "bfo_hz": _float,
-    "ber": _float, "cn0_dbhz": _float, "comp_mode": _enum(CompensationMode),
+    "seq_id": str, "time_utc": parse_time_utc, "msg_type": MessageType, "bfo_hz": _float,
+    "ber": _float, "cn0_dbhz": _float, "comp_mode": CompensationMode,
 }
 ERROR_SCHEMA = {"bfo_error_hz": _float}
 
@@ -98,13 +83,13 @@ def _parse_column(parse, cells):
     """``[parse(c.strip()) for c in cells]``, in one C-level pass if it can; a refused cell raises ValueError."""
     if parse is _optional and not any(map(str.strip, cells)):
         return [None] * len(cells)
+    if parse is parse_time_utc:
+        return parse_time_column(list(map(str.strip, cells)))
     if parse is _float or (parse is _optional and all(map(str.strip, cells))):
         values = list(map(float, cells))  # float() ignores what str.strip() strips, or refuses the cell
         good = all(map(math.isfinite, values))
-    elif parse is parse_time_utc and (values := _full_form_column(list(map(str.strip, cells)))):
-        good = max(values) < _END_SECOND
-    elif hasattr(parse, "members"):
-        values = list(map(parse.members.get, map(str.strip, cells)))
+    elif parse in _MEMBERS:
+        values = list(map(_MEMBERS[parse].get, map(str.strip, cells)))
         good = None not in values
     else:
         return list(map(parse, map(str.strip, cells)))
@@ -201,11 +186,8 @@ def _load_table(path, schema, make):
 
 
 def _format_column(write, column) -> list[str]:
-    """``[write(v) for v in column]``; a time column of whole seconds in years 1-9999 from per-hour prefixes."""
-    if write is format_time_utc and _FIRST_SECOND <= min(column) and max(column) < _END_SECOND and all(
-            map(float.is_integer, map(float, column))):  # is_integer() is False for nan and inf
-        return list(map(_whole_second_text, map(int, column)))
-    return list(map(write, column))
+    """``[write(v) for v in column]``, a time column by :func:`format_time_column`."""
+    return format_time_column(column) if write is format_time_utc else list(map(write, column))
 
 
 def _write_table(path, provenance, schema, rows) -> None:

@@ -44,7 +44,7 @@ class NominalSlot:
     radius_m: float = GEO_RADIUS_M
 
     def __post_init__(self):
-        require_finite(self, "longitude_deg", "latitude_deg", "radius_m")
+        require_finite(longitude_deg=self.longitude_deg, latitude_deg=self.latitude_deg, radius_m=self.radius_m)
 
     @cached_property
     def ecef(self) -> tuple[float, float, float]:
@@ -55,19 +55,16 @@ class NominalSlot:
 def _flat_floats(values):
     """``values`` as one flat array of doubles, with the shape ``numpy.asarray(values,
     dtype=float)`` gives it; ragged rows or a non-number raise ValueError or TypeError."""
-    if not isinstance(values, (list, tuple)):
-        if hasattr(values, "tolist"):  # a numpy array or scalar
-            return _flat_floats(values.tolist())
-        return array("d", [float(values)]), ()
-    try:  # numbers, or rows of numbers of one length: no object per row
-        if all(isinstance(row, (list, tuple)) for row in values) and len(set(map(len, values))) == 1:
-            return array("d", chain.from_iterable(values)), (len(values), len(values[0]))
-        return array("d", values), (len(values),)
-    except TypeError:  # deeper rows, or rows and numbers mixed
-        parts, shapes = zip(*map(_flat_floats, values))
-    if len(set(shapes)) > 1:
-        raise ValueError("ragged rows")
-    return array("d", chain.from_iterable(parts)), (len(parts), *shapes[0])
+    if isinstance(values, (list, tuple)):
+        try:  # numbers, or rows of numbers of one length: no numpy and no object per row
+            if all(isinstance(row, (list, tuple)) for row in values) and len(set(map(len, values))) == 1:
+                return array("d", chain.from_iterable(values)), (len(values), len(values[0]))
+            return array("d", values), (len(values),)
+        except TypeError:  # deeper rows, or rows and numbers mixed
+            pass
+    import numpy as np  # any other input takes numpy's own rule
+    flat = np.asarray(values, dtype=float)
+    return array("d", flat.ravel().tolist()), flat.shape
 
 
 def _floats(values, what: str):
@@ -78,7 +75,7 @@ def _floats(values, what: str):
 
 
 def _array(rows):
-    import numpy as np  # only the array views need numpy
+    import numpy as np  # the array views are numpy's
     return np.array(rows)
 
 

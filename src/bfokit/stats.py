@@ -80,7 +80,7 @@ class NoiseBounds:
     upper_hz: float
 
     def __post_init__(self):
-        require_finite(self, "lower_hz", "upper_hz")
+        require_finite(lower_hz=self.lower_hz, upper_hz=self.upper_hz)
         if self.lower_hz > self.upper_hz:
             raise DomainError("noise bounds out of order")
 

@@ -1,5 +1,6 @@
 """ISO-8601 Zulu timestamps as float UTC seconds: the canonical form read and written a
-column at a time, every other form and every error through ``strptime``."""
+column at a time (:func:`parse_time_column`, :func:`format_time_column`), every other form
+and every error through ``strptime``."""
 
 from __future__ import annotations
 
@@ -88,6 +89,15 @@ def parse_time_utc(text: str, reference_date: date | None = None) -> float:
     return value
 
 
+def parse_time_column(cells: list[str]) -> list[float]:
+    """:func:`parse_time_utc` of each of the stripped ``cells``, in one pass when all are canonical and
+    before year 10000; any other column is read a cell at a time, and its first bad cell raises."""
+    values = _full_form_column(cells) if cells else []
+    if values is None or values and max(values) >= _END_SECOND:
+        return list(map(parse_time_utc, cells))
+    return values
+
+
 def _parse_with_strptime(text: str, s: str, reference_date: date | None) -> float:
     """:func:`parse_time_utc` of ``s``, the stripped ``text``, for every other form and every error."""
     if not s.endswith("Z"):
@@ -129,6 +139,14 @@ def _hour_text(hours: int) -> str:
 def _whole_second_text(t: int) -> str:
     """The canonical text of ``t``, whole UTC seconds in years 1-9999."""
     return _hour_text(t // 3600) + _MINUTES[t // 60 % 60] + _SECONDS[t % 60]
+
+
+def format_time_column(values) -> list[str]:
+    """:func:`format_time_utc` of each of ``values``; whole seconds in years 1-9999 from per-hour prefixes."""
+    if _FIRST_SECOND <= min(values, default=0) and max(values, default=0) < _END_SECOND and all(
+            map(float.is_integer, map(float, values))):  # is_integer() is False for nan and inf
+        return list(map(_whole_second_text, map(int, values)))
+    return list(map(format_time_utc, values))
 
 
 def format_time_utc(t: float) -> str:

@@ -8,13 +8,12 @@ offsets used to build expected BFOs for south and north tracks.
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 
 import numpy as np
 
 from .bfo_model import ChannelConfig, predict_bfo_batch
-from .errors import DomainError
+from .errors import DomainError, require_finite
 from .geodesy import GeodeticPosition
 from .satellite import CorrectionTable, EphemerisTable, NominalSlot, satellite_state_at
 from .units import KNOTS_TO_MPS  # noqa: F401  (re-exported)
@@ -43,11 +42,7 @@ def bfo_error_vs_track(
     ``step_deg`` must divide 360 and be no finer than 0.001 deg. Both
     endpoints are emitted so the curve's periodicity is visible in the output.
     """
-    for name, value in (
-        ("step_deg", step_deg), ("ground_speed_mps", ground_speed_mps), ("measured_bfo_hz", measured_bfo_hz)
-    ):
-        if not math.isfinite(value):
-            raise DomainError(f"{name} {value} is not finite")
+    require_finite(step_deg=step_deg, ground_speed_mps=ground_speed_mps, measured_bfo_hz=measured_bfo_hz)
     if step_deg <= 0:
         raise DomainError("step must be positive")
     steps = 360.0 / step_deg

@@ -105,9 +105,10 @@ class TestDescentBounds:
 
 class TestForwardModelGolden:
     """The forward model's outputs, byte for byte: ``tests/golden_forward``
-    holds what ``predict-bfo``, ``calibrate-bias``, ``track-sweep`` and
-    ``descent-bounds --exact-sensitivity`` wrote on the bundled config, as
-    CI's ``diff -r`` checks them too."""
+    holds what ``predict-bfo``, ``calibrate-bias``, ``track-sweep``,
+    ``descent-bounds --exact-sensitivity``, ``trend --extrapolate 00:19:29Z``
+    and ``logon-drift`` wrote on the bundled config, as CI's ``diff -r``
+    checks them too."""
 
     def test_stdout_json_byte_identical(self, capsys):
         for name, argv in [
@@ -115,6 +116,8 @@ class TestForwardModelGolden:
                                   "--alt", "10668", "--speed-kts", "450", "--track-deg", "185"]),
             ("calibrate_bias.json", ["calibrate-bias", "--tarmac-window", "15:55Z..16:15Z"]),
             ("descent_bounds_exact.json", ["descent-bounds", "--exact-sensitivity"]),
+            ("trend.json", ["trend", "--extrapolate", "00:19:29Z"]),
+            ("logon_drift.json", ["logon-drift"]),
         ]:
             code, out, err = run(capsys, *argv, "--config", CONFIG, "--format", "json")
             assert (code, err) == (0, "")
@@ -295,6 +298,20 @@ class TestOtherCommands:
         code, out, err = run(capsys, *argv, "--config", CONFIG)
         assert (code, out) == (2, "")
         assert err == f"bfokit: parse/config error: {flag} must look like START..END\n"
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["trend", "--window", "00:11Z..19:41Z"], "--window"),
+        (["calibrate-bias", "--tarmac-window", "16:15Z..15:55Z"], "--tarmac-window"),
+    ])
+    def test_window_ending_before_its_start_is_exit_2(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv, "--config", CONFIG)
+        assert (code, out) == (2, "")
+        assert err == f"bfokit: parse/config error: {flag} out of order\n"
+
+    def test_window_of_equal_bounds_is_left_to_the_trend_fit(self, capsys):
+        code, out, err = run(capsys, "trend", "--window", "00:11Z..00:11Z", "--config", CONFIG)
+        assert (code, out) == (3, "")
+        assert err == "bfokit: domain error: fit window must have t_start < t_end\n"
 
     @pytest.mark.parametrize("argv", [
         ["predict-bfo", "--time", "00:11Z", "--lat", "0", "--lon", "85"],
@@ -756,6 +773,10 @@ class TestConfigText:
          "config file {config}: noise bounds out of order"),
         ("zero uplink", "channel.uplink_hz", 0, "config file {config}: carrier frequencies must be positive"),
         ("reference date month 13", "reference_date", "2014-13-01", "config file {config}: month must be in 1..12"),
+        ("reference date without dashes", "reference_date", "20140307",
+         "reference_date: '20140307' is not a YYYY-MM-DD date"),
+        ("reference date as a week", "reference_date", "2014-W10-5",
+         "reference_date: '2014-W10-5' is not a YYYY-MM-DD date"),
         ("window out of order", "fit_window", ["00:11Z", "19:41Z"], "fit_window out of order"),
     ]
 

@@ -658,5 +658,5 @@ CANONICAL = {parse_time_utc: ["2014-03-07T16:42:00.25Z", "2014-03-07T16:42:00Z"]
 )
 def test_every_schema_parser_has_a_format_that_writes_its_cells_back(schema):
     for column, parse in schema.items():
-        texts = list(parse.members) if hasattr(parse, "members") else CANONICAL[parse]
+        texts = CANONICAL[parse] if parse in CANONICAL else [m.value for m in parse]
         assert [_FORMATS[parse](parse(text)) for text in texts] == texts, column

@@ -5,12 +5,13 @@
         --seeds 931-940 [--seconds 30] [--workload cold_cli ...]
 
 Both trees sit side by side in one temporary directory, so that neither
-runs from a faster place than the other: the base revision is exported
-with ``git archive``, and the change is a copy of the working tree as it
-stands, its tracked files and the untracked ones that are not ignored
-(``git ls-files --cached --others --exclude-standard``), less the tracked
-files it has deleted. For each seed and
-workload, ``perfbench/run.py --trace 0`` runs once in each tree, and the
+runs from a faster place than the other, and both are unpacked by
+``tar -x``, so that neither is written differently: the base revision
+from ``git archive``, and the change from a ``tar -c`` of the working
+tree as it stands, its tracked files and the untracked ones that are not
+ignored (``git ls-files --cached --others --exclude-standard``), less the
+tracked files it has deleted. For each seed and workload,
+``perfbench/run.py --trace 0`` runs once in each tree, and the
 side that runs first alternates from seed to seed. The runs get
 ``PYTHONDONTWRITEBYTECODE=1``, so neither tree gains ``__pycache__``
 directories; nothing else is written in either tree except what
@@ -32,7 +33,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shutil
 import statistics
 import subprocess
 import sys
@@ -60,18 +60,22 @@ def parse_args(argv):
 
 
 def make_trees(rev: str, into: Path, repo: Path = REPO) -> dict[str, Path]:
-    """``{"base": rev exported, "change": repo's working tree copied}``, side by side in ``into``."""
-    trees = {"base": into / "base", "change": into / "change"}
-    tar = subprocess.run(["git", "-C", str(repo), "archive", "--format=tar", rev],
-                         check=True, capture_output=True).stdout
-    trees["base"].mkdir()
-    subprocess.run(["tar", "-x", "-C", str(trees["base"])], input=tar, check=True)
-    names = subprocess.run(["git", "-C", str(repo), "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
-                           check=True, capture_output=True, text=True).stdout.split("\0")
-    for name in filter(None, names):
-        if (repo / name).is_file():  # not a tracked file deleted from the working tree
-            (trees["change"] / name).parent.mkdir(parents=True, exist_ok=True)
-            shutil.copy2(repo / name, trees["change"] / name)
+    """``{"base": rev exported, "change": repo's working tree copied}``, side by side in ``into``, both
+    unpacked by ``tar -x`` from a tar stream, so that the two trees are written the same way."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(repo), *args], check=True, capture_output=True).stdout
+
+    names = git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split(b"\0")
+    present = [n for n in names if n and (repo / os.fsdecode(n)).is_file()]  # not a tracked file since deleted
+    streams = {
+        "base": git("archive", "--format=tar", rev),
+        "change": subprocess.run(["tar", "-c", "-C", str(repo), "--null", "-T", "-"], input=b"\0".join(present),
+                                 check=True, capture_output=True).stdout,
+    }
+    trees = {side: into / side for side in streams}
+    for side, stream in streams.items():
+        trees[side].mkdir()
+        subprocess.run(["tar", "-x", "-C", str(trees[side])], input=stream, check=True)
     return trees
 
 
