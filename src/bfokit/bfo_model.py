@@ -22,13 +22,12 @@ finiteness; the kernel checks only that no line of sight is degenerate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, require_finite
+from .errors import CheckedTuple, DomainError, require_finite
 from .geodesy import (
     GeodeticPosition,
     GroundKinematics,
@@ -47,24 +46,23 @@ from .satellite import (
 )
 from .units import FPM_TO_MPS, SPEED_OF_LIGHT_MPS
 
-@dataclass(frozen=True)
-class ChannelConfig:
+class ChannelConfig(CheckedTuple, NamedTuple("_ChannelFields", [
+    ("uplink_hz", float), ("downlink_hz", float), ("ges_position", GeodeticPosition)
+])):
     """Carrier frequencies and ground-station location for one channel.
 
-    The ground station's ECEF position, :attr:`ges_ecef`, is computed once
-    per instance.
+    The ground station's ECEF position, :attr:`ges_ecef`, is computed once per
+    instance and held in its ``__dict__`` (no ``__slots__``), outside equality.
     """
 
-    uplink_hz: float = 1646.6525e6
     # Feeder-link and ground-station defaults are placeholders for synthetic
     # scenarios; real analyses must set them in the config.
-    downlink_hz: float = 3615.0e6
-    ges_position: GeodeticPosition = GeodeticPosition(-31.8044, 115.8872, 22.0)
-
-    def __post_init__(self):
-        require_finite(uplink_hz=self.uplink_hz, downlink_hz=self.downlink_hz)
-        if self.uplink_hz <= 0 or self.downlink_hz <= 0:
+    def __new__(cls, uplink_hz=1646.6525e6, downlink_hz=3615.0e6,
+                ges_position=GeodeticPosition(-31.8044, 115.8872, 22.0)):
+        require_finite(uplink_hz=uplink_hz, downlink_hz=downlink_hz)
+        if uplink_hz <= 0 or downlink_hz <= 0:
             raise DomainError("carrier frequencies must be positive")
+        return tuple.__new__(cls, (uplink_hz, downlink_hz, ges_position))
 
     @cached_property
     def ges_ecef(self) -> tuple[float, float, float]:
@@ -73,8 +71,7 @@ class ChannelConfig:
         return _ecef_position(_frame(math, g.latitude_deg, g.longitude_deg), g.altitude_m)
 
 
-@dataclass(frozen=True)
-class AircraftState:
+class AircraftState(NamedTuple):
     """Aircraft position and kinematics at a UTC timestamp (seconds)."""
 
     position: GeodeticPosition

@@ -6,8 +6,9 @@ line, log-on warm-up drift bounds, the two-hypothesis descent-rate
 tables with the downward-acceleration estimate, and tarmac bias
 calibration.
 
-Exit codes: 0 success, 1 usage or a closed stdout, 2 parse/config error,
-3 numerical-domain error, which includes a result that would hold NaN or an infinity.
+Exit codes: 0 success, 1 usage or a closed stdout, 2 parse/config error or a path
+the system refuses, 3 numerical-domain error, which includes a result that would
+hold NaN or an infinity.
 ``--format json`` switches both results and errors to JSON.
 """
 
@@ -327,7 +328,7 @@ def main(argv=None) -> int:
     try:
         payload = args.run(load_config(args.config), args)
         _check_finite(payload)
-    except (ParseError, ConfigError) as e:
+    except (ParseError, ConfigError, OSError) as e:  # OSError: a path the system refuses to read or write
         _fail(e, args.format, kind="parse/config")
         return 2
     except DomainError as e:

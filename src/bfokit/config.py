@@ -84,14 +84,19 @@ def _date(value, name, base) -> date:
     digits = text[:4] + text[5:7] + text[8:]
     if not (len(text) == 10 and text[4] == text[7] == "-" and digits.isascii() and digits.isdigit()):
         raise ConfigError(f"{name}: {text!r} is not a YYYY-MM-DD date")
-    return date.fromisoformat(text)
+    try:
+        return date.fromisoformat(text)
+    except ValueError as e:  # a month or day out of range
+        raise ConfigError(f"{name}: {text!r} is not a date: {e}") from e
 
 
 def _file(value, name, base) -> Path:
-    """The existing file that ``value`` names."""
+    """The existing regular file that ``value`` names."""
     p = base / _text(value, name, base)
     if not p.exists():
         raise ConfigError(f"{name}: file {p} does not exist")
+    if not p.is_file():
+        raise ConfigError(f"{name}: {p} is not a regular file")
     return p
 
 
@@ -104,7 +109,7 @@ def _window(value, name, base) -> list[str]:
 
 REQUIRED = object()  # the default of a key the config must hold
 _POSITION = {"lat": (_number, REQUIRED), "lon": (_number, REQUIRED), "alt": (_number, 0.0)}
-_GES = ChannelConfig.ges_position
+_CHANNEL = ChannelConfig()
 
 # Every config key: {key: (reader, default)}. A reader takes a value, its key
 # path and the directory that relative file paths resolve against; a nested
@@ -119,15 +124,11 @@ SCHEMA = {
     "logon_sequence_csv": (_file, REQUIRED),
     "logon_meta_json": (_file, None),
     "channel": ({
-        "uplink_hz": (_number, ChannelConfig.uplink_hz),
-        "downlink_hz": (_number, ChannelConfig.downlink_hz),
-        "ges": (_POSITION, {"lat": _GES.latitude_deg, "lon": _GES.longitude_deg, "alt": _GES.altitude_m}),
+        "uplink_hz": (_number, _CHANNEL.uplink_hz),
+        "downlink_hz": (_number, _CHANNEL.downlink_hz),
+        "ges": (_POSITION, dict(zip(_POSITION, _CHANNEL.ges_position))),
     }, {}),
-    "nominal_slot": ({
-        "longitude_deg": (_number, NominalSlot.longitude_deg),
-        "latitude_deg": (_number, NominalSlot.latitude_deg),
-        "radius_m": (_number, NominalSlot.radius_m),
-    }, {}),
+    "nominal_slot": ({key: (_number, value) for key, value in NominalSlot()._asdict().items()}, {}),
     # Strict BFO error bounds over the 20 reference flights (Ashton et al. 2015).
     "noise_bounds": (
         {"lower_hz": (_number, REQUIRED), "upper_hz": (_number, REQUIRED)},
@@ -186,7 +187,7 @@ def load_config(path=None) -> AnalysisConfig:
         raise ConfigError(f"config file {path} does not exist")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:  # JSON text is UTF-8
         raise ConfigError(f"config file {path} is not valid JSON: {e}") from e
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} is not a JSON object")

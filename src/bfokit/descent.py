@@ -17,7 +17,7 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import CheckedTuple, DomainError
 from .stats import MessageType, NoiseBounds
 from .timestamps import format_time_utc
 from .units import FPM_TO_MPS, G_MPS2
@@ -34,9 +34,8 @@ class Hypothesis(Enum):
     OTHER_CAUSE = "other_cause"
 
 
-class BfoRange(NamedTuple("_RangeFields", [("lower_hz", float), ("upper_hz", float)])):
+class BfoRange(CheckedTuple, NamedTuple("_RangeFields", [("lower_hz", float), ("upper_hz", float)])):
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so ``_replace`` checks too
 
     def __new__(cls, lower_hz, upper_hz):
         if lower_hz > upper_hz:
@@ -90,11 +89,10 @@ def _envelope(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, fl
     return min(a[0], b[0]), max(a[1], b[1])
 
 
-class DescentRates(NamedTuple("_RatesFields", [("south_fpm", tuple), ("north_fpm", tuple)])):
+class DescentRates(CheckedTuple, NamedTuple("_RatesFields", [("south_fpm", tuple), ("north_fpm", tuple)])):
     """Descent-rate bounds (fpm, positive down) per track assumption, each ``(low, high)``."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so ``_replace`` checks too
 
     def __new__(cls, south_fpm, north_fpm):
         if south_fpm[0] > south_fpm[1] or north_fpm[0] > north_fpm[1]:
@@ -134,11 +132,10 @@ def descent_rate_bounds(
     )
 
 
-class DescentBoundsTable(NamedTuple("_TableFields", [("times", tuple), ("rates", tuple)])):
+class DescentBoundsTable(CheckedTuple, NamedTuple("_TableFields", [("times", tuple), ("rates", tuple)])):
     """Descent-rate bounds per timestamp: ``rates[i]``, a :class:`DescentRates`, holds at ``times[i]``."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so ``_replace`` checks too
 
     def __new__(cls, times, rates):
         if len(times) != len(rates):

@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types, and the checks of the value types, shared across the package.
 
 The CLI maps these onto exit codes: ParseError/ConfigError -> 2,
 DomainError -> 3. Anything else is a bug.
@@ -35,6 +35,18 @@ class ParseError(BfokitError, ValueError):
         self.problems = list(problems)
         lines = "; ".join(msg if n is None else f"line {n}: {msg}" for n, msg in self.problems)
         super().__init__(f"{self.path}: {lines}")
+
+
+class CheckedTuple:
+    """Base of a checked value type, ``class T(CheckedTuple, NamedTuple(...))``, whose
+    ``__new__`` checks its arguments, then calls ``tuple.__new__``. ``_replace`` and
+    unpickling build through it too, and no attribute can be assigned."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so ``_replace`` checks too
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
 
 def require_finite(**values) -> None:

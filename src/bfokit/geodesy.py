@@ -14,10 +14,9 @@ kernel, over floats or numpy arrays, build one frame per call on them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DomainError, require_finite
+from .errors import CheckedTuple, DomainError, require_finite
 
 # WGS84 defining constants
 WGS84_A = 6378137.0
@@ -26,25 +25,25 @@ WGS84_B = WGS84_A * (1.0 - WGS84_F)
 WGS84_E2 = WGS84_F * (2.0 - WGS84_F)  # first eccentricity squared
 
 
-@dataclass(frozen=True)
-class GeodeticPosition:
+class GeodeticPosition(CheckedTuple, NamedTuple("_GeodeticFields", [
+    ("latitude_deg", float), ("longitude_deg", float), ("altitude_m", float)
+])):
     """Geodetic latitude/longitude (degrees) and height above the WGS84
     ellipsoid (meters)."""
 
-    latitude_deg: float
-    longitude_deg: float
-    altitude_m: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not -90.0 <= self.latitude_deg <= 90.0:
-            raise DomainError(f"latitude {self.latitude_deg} outside [-90, 90]")
-        if not -180.0 < self.longitude_deg <= 180.0:
-            raise DomainError(f"longitude {self.longitude_deg} outside (-180, 180]")
-        if not math.isfinite(self.altitude_m):
+    def __new__(cls, latitude_deg, longitude_deg, altitude_m=0.0):
+        if not -90.0 <= latitude_deg <= 90.0:
+            raise DomainError(f"latitude {latitude_deg} outside [-90, 90]")
+        if not -180.0 < longitude_deg <= 180.0:
+            raise DomainError(f"longitude {longitude_deg} outside (-180, 180]")
+        if not math.isfinite(altitude_m):
             raise DomainError("altitude must be finite")
+        return tuple.__new__(cls, (latitude_deg, longitude_deg, altitude_m))
 
 
-class EcefVector(NamedTuple("_EcefFields", [("x", float), ("y", float), ("z", float)])):
+class EcefVector(CheckedTuple, NamedTuple("_EcefFields", [("x", float), ("y", float), ("z", float)])):
     """An ECEF position (m) or velocity (m/s): an immutable ``(x, y, z)`` tuple.
 
     ``+``, ``-`` and ``*`` are vector operations, not tuple concatenation
@@ -52,7 +51,6 @@ class EcefVector(NamedTuple("_EcefFields", [("x", float), ("y", float), ("z", fl
     """
 
     __slots__ = ()
-    _make = classmethod(lambda cls, xyz: cls(*xyz))  # so ``_replace`` checks too
     __array_ufunc__ = None  # so a numpy scalar times a vector is this type's ``__rmul__``
 
     def __new__(cls, x: float, y: float, z: float):
@@ -81,20 +79,20 @@ class EcefVector(NamedTuple("_EcefFields", [("x", float), ("y", float), ("z", fl
         return tuple(self)
 
 
-@dataclass(frozen=True)
-class GroundKinematics:
+class GroundKinematics(CheckedTuple, NamedTuple("_KinematicsFields", [
+    ("ground_speed_mps", float), ("track_angle_deg", float), ("vertical_rate_mps", float)
+])):
     """Horizontal speed over ground, track angle and vertical rate."""
 
-    ground_speed_mps: float
-    track_angle_deg: float
-    vertical_rate_mps: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        require_finite(ground_speed_mps=self.ground_speed_mps, vertical_rate_mps=self.vertical_rate_mps)
-        if self.ground_speed_mps < 0:
+    def __new__(cls, ground_speed_mps, track_angle_deg, vertical_rate_mps=0.0):
+        require_finite(ground_speed_mps=ground_speed_mps, vertical_rate_mps=vertical_rate_mps)
+        if ground_speed_mps < 0:
             raise DomainError("ground speed must be >= 0")
-        if not 0.0 <= self.track_angle_deg < 360.0:
-            raise DomainError(f"track angle {self.track_angle_deg} outside [0, 360)")
+        if not 0.0 <= track_angle_deg < 360.0:
+            raise DomainError(f"track angle {track_angle_deg} outside [0, 360)")
+        return tuple.__new__(cls, (ground_speed_mps, track_angle_deg, vertical_rate_mps))
 
 
 def _frame(xp, latitude_deg, longitude_deg):

@@ -12,12 +12,11 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
 
-from .errors import DomainError, require_finite
+from .errors import CheckedTuple, DomainError, require_finite
 from .geodesy import EcefVector
 
 GEO_RADIUS_M = 42164169.0
@@ -31,20 +30,19 @@ class SatelliteState(NamedTuple):
     velocity: EcefVector
 
 
-@dataclass(frozen=True)
-class NominalSlot:
+class NominalSlot(CheckedTuple, NamedTuple("_SlotFields", [
+    ("longitude_deg", float), ("latitude_deg", float), ("radius_m", float)
+])):
     """The orbital slot the aircraft terminal assumes for its own Doppler
     pre-compensation: on the equator at a fixed longitude.
 
-    Its ECEF position, :attr:`ecef`, is computed once per instance.
+    Its ECEF position, :attr:`ecef`, is computed once per instance and held
+    in its ``__dict__`` (no ``__slots__``), outside equality.
     """
 
-    longitude_deg: float = 64.5
-    latitude_deg: float = 0.0
-    radius_m: float = GEO_RADIUS_M
-
-    def __post_init__(self):
-        require_finite(longitude_deg=self.longitude_deg, latitude_deg=self.latitude_deg, radius_m=self.radius_m)
+    def __new__(cls, longitude_deg=64.5, latitude_deg=0.0, radius_m=GEO_RADIUS_M):
+        require_finite(longitude_deg=longitude_deg, latitude_deg=latitude_deg, radius_m=radius_m)
+        return tuple.__new__(cls, (longitude_deg, latitude_deg, radius_m))
 
     @cached_property
     def ecef(self) -> tuple[float, float, float]:

@@ -10,11 +10,10 @@ relative to neighboring bursts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import DomainError, require_finite
+from .errors import CheckedTuple, DomainError, require_finite
 
 DEFAULT_CN0_DROP_DB = 3.0
 DEFAULT_CN0_WINDOW = 5
@@ -47,11 +46,10 @@ class _BurstFields(NamedTuple):
     signal_db: float | None
 
 
-class BfoMeasurement(_BurstFields):
+class BfoMeasurement(CheckedTuple, _BurstFields):
     """One logged burst, as an immutable tuple of its fields."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so ``_replace`` checks too
 
     def __new__(cls, timestamp, channel, message_type, bfo_hz, bto_us=None, ber=0.0, cn0_dbhz=0.0,
                 signal_db=None):
@@ -72,17 +70,16 @@ class ErrorStats(NamedTuple):
     count: int
 
 
-@dataclass(frozen=True)
-class NoiseBounds:
+class NoiseBounds(CheckedTuple, NamedTuple("_NoiseFields", [("lower_hz", float), ("upper_hz", float)])):
     """Strict bounds on the BFO error (predicted minus measured), Hz."""
 
-    lower_hz: float
-    upper_hz: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        require_finite(lower_hz=self.lower_hz, upper_hz=self.upper_hz)
-        if self.lower_hz > self.upper_hz:
+    def __new__(cls, lower_hz, upper_hz):
+        require_finite(lower_hz=lower_hz, upper_hz=upper_hz)
+        if lower_hz > upper_hz:
             raise DomainError("noise bounds out of order")
+        return tuple.__new__(cls, (lower_hz, upper_hz))
 
 
 def bfo_error(predicted_hz: float, measured_hz: float) -> float:

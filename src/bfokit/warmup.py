@@ -16,7 +16,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import CheckedTuple, DomainError
 from .stats import DEFAULT_CN0_DROP_DB, BfoMeasurement, MessageType, flag_outliers
 
 SETTLE_TOLERANCE_HZ = 3.0
@@ -38,11 +38,10 @@ class _LogonFields(NamedTuple):
     settled_proxy: bool  # final sample stands in for the settled value
 
 
-class LogonSequence(_LogonFields):
+class LogonSequence(CheckedTuple, _LogonFields):
     """Ordered BFO measurements following one terminal log-on."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so ``_replace`` checks too
 
     def __new__(cls, id, logon_time, measurements, compensation_mode, outage_bounds_min=None, notes="",
                 settled_proxy=False):
@@ -62,13 +61,12 @@ class LogonSequence(_LogonFields):
         )
 
 
-class DriftBounds(NamedTuple("_DriftFields", [
+class DriftBounds(CheckedTuple, NamedTuple("_DriftFields", [
     ("logon_minus_settled", tuple), ("ack_minus_settled", tuple), ("ack_below_logon", tuple)
 ])):
     """Warm-up drift ranges (Hz) over a set of log-on sequences, each ``(low, high)``."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so ``_replace`` checks too
 
     def __new__(cls, logon_minus_settled, ack_minus_settled, ack_below_logon):
         for lo, hi in (logon_minus_settled, ack_minus_settled, ack_below_logon):

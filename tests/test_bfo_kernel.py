@@ -6,7 +6,6 @@ bias) written with ``EcefVector`` arithmetic. ``predict_bfo`` (floats)
 and ``predict_bfo_batch`` (arrays) must agree with it term by term.
 """
 
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -57,9 +56,9 @@ def oracle_terms(aircraft, sat, corrections, bias_hz, cfg, slot) -> dict[str, fl
     uplink = f_up * _los_projection(sat.velocity - v_x, sat.position, p_x)
 
     v_hat = kinematics_to_ecef_velocity(
-        aircraft.position, replace(aircraft.kinematics, vertical_rate_mps=0.0)
+        aircraft.position, aircraft.kinematics._replace(vertical_rate_mps=0.0)
     )
-    p_hat = geodetic_to_ecef(replace(aircraft.position, altitude_m=0.0))
+    p_hat = geodetic_to_ecef(aircraft.position._replace(altitude_m=0.0))
     compensation = f_up * _los_projection(v_hat, nominal_satellite_position(slot), p_hat)
 
     p_ges = geodetic_to_ecef(cfg.ges_position)

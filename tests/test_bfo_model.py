@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -313,7 +312,7 @@ class TestRotationLaw:
         lo, hi = ephemeris.span
         t = lo + when * (hi - lo)
         sat = satellite_state_at(t, ephemeris)
-        cfg = replace(analysis_config.channel, ges_position=GeodeticPosition(*ges))
+        cfg = analysis_config.channel._replace(ges_position=GeodeticPosition(*ges))
         slot = NominalSlot(longitude_deg=slot_lon)
         kinematics = GroundKinematics(gs, track, vz)
         c, s = math.cos(math.radians(angle)), math.sin(math.radians(angle))
@@ -330,8 +329,8 @@ class TestRotationLaw:
             SatelliteState(turned(sat.position), turned(sat.velocity)),
             corrections,
             analysis_config.bias_hz,
-            replace(cfg, ges_position=GeodeticPosition(ges[0], wrap_longitude(ges[1] + angle), ges[2])),
-            replace(slot, longitude_deg=slot_lon + angle),
+            cfg._replace(ges_position=GeodeticPosition(ges[0], wrap_longitude(ges[1] + angle), ges[2])),
+            slot._replace(longitude_deg=slot_lon + angle),
         )
         assert after[0] == pytest.approx(before[0], abs=1e-9)
         assert list(after[1]) == pytest.approx(list(before[1]), abs=1e-9)

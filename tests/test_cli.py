@@ -617,6 +617,47 @@ class TestRejectedRows:
         assert code == 0 and err == ""
 
 
+class TestRefusedPaths:
+    """A path the system will not read or write as asked is exit 2 with one
+    line on stderr, in text or JSON, and never a traceback. A file key that
+    names a directory is a case of ``TestConfigText``."""
+
+    @pytest.fixture
+    def a_file(self, tmp_path):
+        path = tmp_path / "a_file"
+        path.write_text("")
+        return path
+
+    def refused(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith("bfokit: parse/config error: ")
+        return err
+
+    def test_config_naming_a_directory(self, capsys, tmp_path):
+        assert str(tmp_path) in self.refused(capsys, "logon-drift", "--config", str(tmp_path))
+
+    def test_config_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_bytes(bundled_config_path().read_bytes().replace(b"mh370_bfo_log", b"mh370_bfo_log\xff"))
+        err = self.refused(capsys, "logon-drift", "--config", str(path))
+        assert err.startswith(f"bfokit: parse/config error: config file {path} is not valid JSON: 'utf-8' codec")
+
+    def test_descent_out_dir_naming_a_file(self, capsys, a_file):
+        assert str(a_file) in self.refused(capsys, "descent-bounds", "--config", CONFIG, "--out-dir", str(a_file))
+        assert a_file.read_text() == ""
+
+    def test_sweep_out_dir_inside_a_file(self, capsys, a_file):
+        err = self.refused(capsys, "track-sweep", "--config", CONFIG, "--out-dir", str(a_file / "x"))
+        assert str(a_file / "x") in err
+
+    def test_json_error_payload(self, capsys, a_file):
+        code, out, err = run(capsys, "descent-bounds", "--config", CONFIG, "--out-dir", str(a_file), "--format", "json")
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["kind"] == "parse/config" and str(a_file) in error["message"]
+
+
 class TestConfigDefaults:
     """A config of only the required keys and the log-on sidecar: every
     optional key takes the default the paper's tables rest on."""
@@ -758,6 +799,7 @@ class TestConfigText:
         ("top level a number", "", 5, "config file {config} is not a JSON object"),
         ("top level a string", "", "abc", "config file {config} is not a JSON object"),
         ("nonexistent log", "log_csv", "nope.csv", "log_csv: file {dir}/nope.csv does not exist"),
+        ("log path a directory", "log_csv", ".", "log_csv: {dir} is not a regular file"),
         ("null log path", "log_csv", None, "config is missing 'log_csv'"),
         ("null reference date", "reference_date", None, "config is missing 'reference_date'"),
         ("null arc crossing", "arc_crossing", None, "config is missing 'arc_crossing'"),
@@ -772,7 +814,8 @@ class TestConfigText:
         ("noise bounds out of order", "noise_bounds", {"lower_hz": 20, "upper_hz": 10},
          "config file {config}: noise bounds out of order"),
         ("zero uplink", "channel.uplink_hz", 0, "config file {config}: carrier frequencies must be positive"),
-        ("reference date month 13", "reference_date", "2014-13-01", "config file {config}: month must be in 1..12"),
+        ("reference date month 13", "reference_date", "2014-13-01",
+         "reference_date: '2014-13-01' is not a date: month must be in 1..12"),
         ("reference date without dashes", "reference_date", "20140307",
          "reference_date: '20140307' is not a YYYY-MM-DD date"),
         ("reference date as a week", "reference_date", "2014-W10-5",

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bfokit import bfo_model, descent, track_sweep, units
-from bfokit.bfo_model import ChannelConfig, descent_sensitivity, vertical_doppler
+from bfokit.bfo_model import AircraftState, ChannelConfig, descent_sensitivity, predict_bfo, vertical_doppler
 from bfokit.descent import (
     BfoRange,
     DescentBoundsTable,
@@ -20,6 +20,8 @@ from bfokit.descent import (
     round_to_fpm,
 )
 from bfokit.errors import DomainError
+from bfokit.geodesy import GeodeticPosition, GroundKinematics, elevation_angle
+from bfokit.satellite import satellite_state_at
 from bfokit.stats import BfoMeasurement, Channel, MessageType, NoiseBounds
 from bfokit.warmup import DriftBounds
 
@@ -353,6 +355,71 @@ class TestAnalyzeLaws:
         base = analyze(pair_of(*recorded), *inputs, list(Hypothesis))
         moved = analyze(pair_of(recorded[0] + shift, recorded[1] + shift), *inputs, list(Hypothesis))
         assert moved.acceleration == base.acceleration
+
+
+class TestPlantedDescent:
+    """The forward model and the descent chain in one closed loop: plant a
+    descent at the 7th arc, record its BFOs with :func:`predict_bfo`, and
+    recover the planted rates and acceleration.
+
+    An aircraft near the arc descends at ``w1`` fpm at 00:19:29Z and at
+    ``w2 <= w1`` at 00:19:37Z (negative down) on a south track. The expected
+    BFOs are its level-flight BFOs on a south and a north track at 00:19:29Z,
+    and the sensitivity is that at its elevation then. A recovered rate may
+    miss the planted one by the 50 fpm of rounding, plus how far the
+    level-flight BFO moves in the 8 s between the two messages.
+    """
+
+    RATE_SLACK_FPM = 60.0
+    ACCELERATION_SLACK_FPM_PER_S = 15.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        lat=st.floats(-40.0, -36.0), lon=st.floats(82.0, 90.0), alt=st.floats(0.0, 12000.0),
+        speed_kts=st.floats(350.0, 520.0), south=st.floats(160.0, 200.0), north=st.floats(0.0, 20.0),
+        rates=st.lists(st.floats(-15000.0, 0.0), min_size=2, max_size=2).map(sorted),
+        drift_at=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    )
+    def test_recovers_the_planted_rates(
+        self, analysis_config, ephemeris, corrections, lat, lon, alt, speed_kts, south, north, rates, drift_at
+    ):
+        cfg = analysis_config
+        w2, w1 = rates
+        times = cfg.parse_time("00:19:29Z"), cfg.parse_time("00:19:37Z")
+        position = GeodeticPosition(lat, lon, alt)
+
+        def bfo(track, w_fpm, t):
+            state = AircraftState(position, GroundKinematics(speed_kts * units.KNOTS_TO_MPS, track,
+                                                             w_fpm * units.FPM_TO_MPS), t)
+            sat = satellite_state_at(t, ephemeris)
+            return predict_bfo(state, sat, corrections, cfg.bias_hz, cfg.channel, cfg.slot)[0]
+
+        recorded = bfo(south, w1, times[0]), bfo(south, w2, times[1])
+        expected = bfo(south, 0.0, times[0]), bfo(north, 0.0, times[0])
+        sat_position = satellite_state_at(times[0], ephemeris).position
+        sensitivity = descent_sensitivity(elevation_angle(position, sat_position), cfg.channel)
+
+        def run(hypothesis, drift, logon_hz, ack_hz):
+            pair = (BfoMeasurement(times[0], Channel.R, MessageType.LOGON_REQUEST, logon_hz),
+                    BfoMeasurement(times[1], Channel.R, MessageType.LOGON_ACK, ack_hz))
+            return analyze(pair, drift, NoiseBounds(0.0, 0.0), *expected, sensitivity, [hypothesis])
+
+        other = run(Hypothesis.OTHER_CAUSE, None, *recorded).hypotheses[Hypothesis.OTHER_CAUSE].table
+        for row, w in zip(other.rates, (w1, w2)):
+            for bound in row.south_fpm:  # the planted descent rate, positive down, is -w
+                assert abs(bound + w) <= self.RATE_SLACK_FPM
+        acceleration = estimate_downward_acceleration(other, *times)
+        assert abs(acceleration.fpm_per_s - (w1 - w2) / 8.0) <= self.ACCELERATION_SLACK_FPM_PER_S
+
+        # A drift planted inside DRIFT, at least the rate slack away from its edges, adds to each BFO.
+        margin = self.RATE_SLACK_FPM / 100.0 * sensitivity
+        drifted = [
+            rec + lo + margin + at * (hi - lo - 2.0 * margin)
+            for rec, (lo, hi), at in zip(recorded, (DRIFT.logon_minus_settled, DRIFT.ack_minus_settled), drift_at)
+        ]
+        outage = run(Hypothesis.POWER_OUTAGE, DRIFT, *drifted).hypotheses[Hypothesis.POWER_OUTAGE].table
+        for row, w in zip(outage.rates, (w1, w2)):
+            assert row.south_fpm[0] <= -w <= row.south_fpm[1]
 
 
 class TestFinalLogonPair:

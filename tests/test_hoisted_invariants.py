@@ -8,7 +8,6 @@ Scalar and batch predictions must equal it exactly, term by term.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -97,7 +96,7 @@ OTHER_SLOTS = [NominalSlot(longitude_deg=-15.5), NominalSlot(longitude_deg=143.5
 
 def channels_and_slots(analysis_config):
     cfg, slot = analysis_config.channel, analysis_config.slot
-    moved = replace(cfg, ges_position=MOVED_GES)
+    moved = cfg._replace(ges_position=MOVED_GES)
     return [(cfg, slot), (moved, slot), *((cfg, other) for other in OTHER_SLOTS)]
 
 
@@ -142,11 +141,11 @@ def test_scalar_and_batch_equal_the_unhoisted_kernel(analysis_config, ephemeris,
 def test_each_instance_holds_its_own_positions(analysis_config):
     cfg, slot = analysis_config.channel, analysis_config.slot
     cached = cfg.ges_ecef, slot.ecef  # computed before the copies below exist
-    moved = replace(cfg, ges_position=MOVED_GES)
+    moved = cfg._replace(ges_position=MOVED_GES)
     assert moved.ges_ecef == _ecef_position(_frame(math, 51.5, -0.1), 50.0)
     assert moved.ges_ecef != cached[0]
-    assert replace(cfg, uplink_hz=1.6e9).ges_ecef == cached[0]
-    for other in [*OTHER_SLOTS, replace(slot, radius_m=slot.radius_m + 1e3)]:
+    assert cfg._replace(uplink_hz=1.6e9).ges_ecef == cached[0]
+    for other in [*OTHER_SLOTS, slot._replace(radius_m=slot.radius_m + 1e3)]:
         assert other.ecef == nominal_satellite_position(other).as_tuple()
         assert other.ecef != cached[1]
     assert (cfg.ges_ecef, slot.ecef) == cached

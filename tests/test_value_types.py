@@ -1,4 +1,4 @@
-"""The value types are immutable tuple types, except six dataclasses.
+"""The value types are immutable tuple types.
 
 The per-burst types ``BfoMeasurement``, ``EcefVector``, ``SatelliteState``
 and ``BfoTerms`` are ``NamedTuple`` types, and so are the 13 types built
@@ -12,8 +12,11 @@ checks on ``_replace``, immutability, equality and hash by value, the
 ``repr`` text, vector arithmetic) and what a tuple type adds: equality with
 a plain tuple of the same items.
 
-The dataclass value types (``ChannelConfig``, ``NoiseBounds``,
-``NominalSlot``) refuse a non-finite field when built, naming the field.
+The six types of the forward model's inputs and the noise bounds
+(``GeodeticPosition``, ``GroundKinematics``, ``AircraftState``,
+``ChannelConfig``, ``NominalSlot``, ``NoiseBounds``) were frozen
+dataclasses too, and get the same pins. ``ChannelConfig``, ``NoiseBounds``
+and ``NominalSlot`` refuse a non-finite field when built, naming the field.
 """
 
 import math
@@ -24,7 +27,7 @@ from pathlib import PurePosixPath
 import numpy as np
 import pytest
 
-from bfokit.bfo_model import BfoTerms, ChannelConfig, predict_bfo_batch
+from bfokit.bfo_model import AircraftState, BfoTerms, ChannelConfig, predict_bfo_batch
 from bfokit.config import AnalysisConfig
 from bfokit.descent import (
     AccelerationEstimate,
@@ -36,7 +39,7 @@ from bfokit.descent import (
     HypothesisBounds,
 )
 from bfokit.errors import DomainError
-from bfokit.geodesy import EcefVector, GeodeticPosition
+from bfokit.geodesy import EcefVector, GeodeticPosition, GroundKinematics
 from bfokit.ingest import LogRecords
 from bfokit.satellite import (
     GEO_RADIUS_M,
@@ -195,10 +198,8 @@ class TestEqualityAndHash:
         assert hash(terms) == hash((1.0, 2.0, 3.0, 4.0, 5.0))
         slot = NominalSlot()
         assert nominal_satellite_position(slot) == slot.ecef
-
-    def test_never_equal_to_a_dataclass(self):
-        assert EcefVector(1.0, 2.0, 3.0) != GeodeticPosition(1.0, 2.0, 3.0)
-        assert GeodeticPosition(1.0, 2.0, 3.0) != EcefVector(1.0, 2.0, 3.0)
+        assert EcefVector(1.0, 2.0, 3.0) == GeodeticPosition(1.0, 2.0, 3.0)
+        assert GeodeticPosition(1.0, 2.0, 3.0) == EcefVector(1.0, 2.0, 3.0)
 
 
 class TestVectorArithmetic:
@@ -488,3 +489,167 @@ class TestOncePerRunTypes:
         assert rates.outer_fpm == (-300.0, 200.0)
         assert table.row(9.0) is rates
         assert model.state_at(0.0) == SyntheticGeoModel(*model).state_at(0.0)
+
+
+# ---------------------------------------------------------------------------
+# the inputs of the forward model, and the noise bounds
+
+KINEMATICS = GroundKinematics(231.5, 185.0, -2.5)
+
+
+def model_inputs():
+    """One value of each type, built positionally."""
+    return [
+        GeodeticPosition(-38.67, 85.11, 10668.0),
+        KINEMATICS,
+        AircraftState(GeodeticPosition(-38.67, 85.11), KINEMATICS, 1394238569.0),
+        ChannelConfig(1.6e9, 3.6e9, GeodeticPosition(51.5, -0.1, 50.0)),
+        NominalSlot(64.0, 0.5, 4.2e7),
+        NoiseBounds(-28.0, 18.0),
+    ]
+
+
+INPUT_FIELDS = {
+    GeodeticPosition: ("latitude_deg", "longitude_deg", "altitude_m"),
+    GroundKinematics: ("ground_speed_mps", "track_angle_deg", "vertical_rate_mps"),
+    AircraftState: ("position", "kinematics", "timestamp"),
+    ChannelConfig: ("uplink_hz", "downlink_hz", "ges_position"),
+    NominalSlot: ("longitude_deg", "latitude_deg", "radius_m"),
+    NoiseBounds: ("lower_hz", "upper_hz"),
+}
+
+# Each check of these types, in the order they run, with the value that fails it and its text.
+INPUT_CHECKS = [
+    (lambda: GeodeticPosition(90.5, 181.0, NAN), r"latitude 90\.5 outside \[-90, 90\]"),
+    (lambda: GeodeticPosition(NAN, 0.0), r"latitude nan outside \[-90, 90\]"),
+    (lambda: GeodeticPosition(0.0, -180.0, NAN), r"longitude -180\.0 outside \(-180, 180\]"),
+    (lambda: GeodeticPosition(0.0, 180.0, INF), "altitude must be finite"),
+    (lambda: GroundKinematics(NAN, 400.0, INF), "ground_speed_mps nan is not finite"),
+    (lambda: GroundKinematics(-1.0, 400.0, INF), "vertical_rate_mps inf is not finite"),
+    (lambda: GroundKinematics(-1.0, 400.0), "ground speed must be >= 0"),
+    (lambda: GroundKinematics(0.0, 360.0), r"track angle 360\.0 outside \[0, 360\)"),
+    (lambda: GroundKinematics(0.0, NAN), r"track angle nan outside \[0, 360\)"),
+    (lambda: ChannelConfig(-1.0, NAN), "downlink_hz nan is not finite"),
+    (lambda: ChannelConfig(1.6e9, 0.0), "carrier frequencies must be positive"),
+    (lambda: NominalSlot(INF, NAN), "longitude_deg inf is not finite"),
+    (lambda: NoiseBounds(1.0, -INF), "upper_hz -inf is not finite"),
+    (lambda: NoiseBounds(1.0, -1.0), "noise bounds out of order"),
+]
+
+INPUT_REPLACES = [
+    (GeodeticPosition(1.0, 2.0), {"latitude_deg": -91.0}, r"latitude -91\.0 outside \[-90, 90\]"),
+    (GeodeticPosition(1.0, 2.0), {"altitude_m": NAN}, "altitude must be finite"),
+    (KINEMATICS, {"ground_speed_mps": -1.0}, "ground speed must be >= 0"),
+    (KINEMATICS, {"track_angle_deg": -1.0}, r"track angle -1\.0 outside \[0, 360\)"),
+    (ChannelConfig(), {"uplink_hz": 0.0}, "carrier frequencies must be positive"),
+    (NominalSlot(), {"radius_m": INF}, "radius_m inf is not finite"),
+    (NoiseBounds(-1.0, 1.0), {"lower_hz": 2.0}, "noise bounds out of order"),
+]
+
+# repr and hash of each value as the frozen dataclasses these types replace printed them (64-bit CPython)
+GES_TEXT = "GeodeticPosition(latitude_deg=-31.8044, longitude_deg=115.8872, altitude_m=22.0)"
+CHANNEL_TEXT = f"ChannelConfig(uplink_hz=1646652500.0, downlink_hz=3615000000.0, ges_position={GES_TEXT})"
+SLOT_TEXT = "NominalSlot(longitude_deg=64.5, latitude_deg=0.0, radius_m=42164169.0)"
+NOISE_TEXT = "NoiseBounds(lower_hz=-28.0, upper_hz=18.0)"
+CROSSING_TEXT = "GeodeticPosition(latitude_deg=-38.67, longitude_deg=85.11, altitude_m=0.0)"
+TARMAC_TEXT = "GeodeticPosition(latitude_deg=2.7456, longitude_deg=101.7099, altitude_m=21.0)"
+PARENT_TEXTS = [
+    ("ChannelConfig()", lambda cfg: ChannelConfig(), CHANNEL_TEXT, -2245147252205248467),
+    ("NominalSlot()", lambda cfg: NominalSlot(), SLOT_TEXT, 8040551998519626620),
+    ("NoiseBounds", lambda cfg: NoiseBounds(-28.0, 18.0), NOISE_TEXT, -7429955809684300355),
+    ("GeodeticPosition", lambda cfg: GeodeticPosition(1.0, 2.0),
+     "GeodeticPosition(latitude_deg=1.0, longitude_deg=2.0, altitude_m=0.0)", -3194506032951434905),
+    ("GroundKinematics", lambda cfg: GroundKinematics(231.5, 185.0),
+     "GroundKinematics(ground_speed_mps=231.5, track_angle_deg=185.0, vertical_rate_mps=0.0)",
+     -6449349850221385329),
+    ("config channel", lambda cfg: cfg.channel, CHANNEL_TEXT, -2245147252205248467),
+    ("config ges", lambda cfg: cfg.channel.ges_position, GES_TEXT, 7605093571147727929),
+    ("config slot", lambda cfg: cfg.slot, SLOT_TEXT, 8040551998519626620),
+    ("config noise", lambda cfg: cfg.noise, NOISE_TEXT, -7429955809684300355),
+    ("config arc crossing", lambda cfg: cfg.arc_crossing, CROSSING_TEXT, -4703726388020714196),
+    ("config tarmac", lambda cfg: cfg.tarmac, TARMAC_TEXT, -4500351880867647939),
+    ("state at the crossing", lambda cfg: AircraftState(cfg.arc_crossing, KINEMATICS, 1394238569.0),
+     f"AircraftState(position={CROSSING_TEXT}, kinematics=GroundKinematics(ground_speed_mps=231.5, "
+     "track_angle_deg=185.0, vertical_rate_mps=-2.5), timestamp=1394238569.0)", -6444393545176767993),
+    ("state on the tarmac", lambda cfg: AircraftState(cfg.tarmac, GroundKinematics(0.0, 0.0, 0.0), 0.0),
+     f"AircraftState(position={TARMAC_TEXT}, kinematics=GroundKinematics(ground_speed_mps=0.0, "
+     "track_angle_deg=0.0, vertical_rate_mps=0.0), timestamp=0.0)", -6189267137358318849),
+]
+
+
+class TestModelInputTypes:
+    def test_covers_every_type_once(self):
+        assert [type(v) for v in model_inputs()] == list(INPUT_FIELDS)
+
+    @pytest.mark.parametrize("value", model_inputs(), ids=type_name)
+    def test_field_names_and_order(self, value):
+        assert value._fields == INPUT_FIELDS[type(value)]
+        assert type(value).__name__ == type(value).__qualname__
+
+    def test_defaults(self):
+        assert GeodeticPosition(1.0, 2.0) == (1.0, 2.0, 0.0)
+        assert GroundKinematics(231.5, 185.0) == (231.5, 185.0, 0.0)
+        assert ChannelConfig() == (1646.6525e6, 3615.0e6, (-31.8044, 115.8872, 22.0))
+        assert ChannelConfig(downlink_hz=3.6e9) == (1646.6525e6, 3.6e9, (-31.8044, 115.8872, 22.0))
+        assert NominalSlot() == (64.5, 0.0, GEO_RADIUS_M)
+        assert NominalSlot(radius_m=4.2e7) == (64.5, 0.0, 4.2e7)
+
+    @pytest.mark.parametrize("value", model_inputs(), ids=type_name)
+    def test_keyword_construction_matches_positional(self, value):
+        by_keyword = type(value)(**dict(reversed(value._asdict().items())))
+        assert type(by_keyword) is type(value) and by_keyword == value
+        assert type(value)(*value) == value
+
+    @pytest.mark.parametrize("value", model_inputs(), ids=type_name)
+    def test_missing_or_extra_argument_is_a_type_error(self, value):
+        if type(value) not in (ChannelConfig, NominalSlot):  # every field of these has a default
+            with pytest.raises(TypeError):
+                type(value)()
+        with pytest.raises(TypeError):
+            type(value)(*value, 0.0)
+        with pytest.raises(TypeError):
+            type(value)(*value, extra=0.0)
+
+    @pytest.mark.parametrize("make, text", INPUT_CHECKS)
+    def test_checks_keep_their_texts_and_order(self, make, text):
+        with pytest.raises(DomainError, match=f"^{text}$"):
+            make()
+
+    @pytest.mark.parametrize("value, changes, text", INPUT_REPLACES)
+    def test_replace_runs_the_checks(self, value, changes, text):
+        with pytest.raises(DomainError, match=f"^{text}$"):
+            value._replace(**changes)
+
+    @pytest.mark.parametrize("value", model_inputs(), ids=type_name)
+    def test_replace_keeps_the_type_and_the_other_fields(self, value):
+        name = value._fields[-1]
+        copy = value._replace(**{name: value[-1]})
+        assert type(copy) is type(value) and copy == value and copy is not value
+
+    @pytest.mark.parametrize("value", model_inputs(), ids=type_name)
+    def test_assigning_a_field_raises(self, value):
+        for name in value._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, 0.0)
+        with pytest.raises(AttributeError):
+            value.extra = 1.0
+        # only the two types with a held position have an instance dict
+        assert hasattr(value, "__dict__") == (type(value) in (ChannelConfig, NominalSlot))
+
+    @pytest.mark.parametrize("value", model_inputs(), ids=type_name)
+    def test_pickles_by_value(self, value):
+        twin = pickle.loads(pickle.dumps(value))
+        assert twin is not value and type(twin) is type(value) and twin == value
+        assert hash(twin) == hash(value) == hash(tuple(value))
+
+    def test_held_positions_survive_a_pickle(self):
+        cfg, slot = ChannelConfig(), NominalSlot()
+        held = cfg.ges_ecef, slot.ecef
+        twins = pickle.loads(pickle.dumps((cfg, slot)))
+        assert (twins[0].ges_ecef, twins[1].ecef) == held
+
+    @pytest.mark.parametrize("make, text, hashed", [c[1:] for c in PARENT_TEXTS], ids=[c[0] for c in PARENT_TEXTS])
+    def test_repr_and_hash_are_the_dataclass_ones(self, analysis_config, make, text, hashed):
+        value = make(analysis_config)
+        assert repr(value) == text
+        assert hash(value) == hashed
