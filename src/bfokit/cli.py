@@ -24,7 +24,7 @@ from itertools import chain
 from pathlib import Path
 
 from .bfo_model import AircraftState, descent_sensitivity, predict_bfo, calibrate_bias
-from .config import load_config
+from .config import load_config, parse_window
 from .descent import MESSAGES, Hypothesis, analyze, final_logon_pair
 from .errors import ConfigError, DomainError, ParseError
 from .geodesy import GeodeticPosition, GroundKinematics, elevation_angle
@@ -94,14 +94,11 @@ def _load_log(cfg):
 
 
 def _window(cfg, text: str, flag: str) -> tuple[float, float]:
-    """The ``START..END`` value of ``flag`` as two UTC seconds; an END before START is refused."""
+    """The ``START..END`` value of ``flag`` as two UTC seconds, by :func:`parse_window`."""
     start_text, _, end_text = text.partition("..")
     if not end_text:
         raise ConfigError(f"{flag} must look like START..END")
-    start, end = cfg.parse_time(start_text), cfg.parse_time(end_text)
-    if end < start:
-        raise ConfigError(f"{flag} out of order")
-    return start, end
+    return parse_window((start_text, end_text), cfg.reference_date, flag)
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,17 @@ def _file(value, name, base) -> Path:
     return p
 
 
+def parse_window(texts, reference, name) -> tuple[float, float]:
+    """Two time texts as a window of UTC seconds; a bad time, or an end not after the start, is refused by name."""
+    try:
+        start, end = (parse_time_utc(text, reference) for text in texts)
+    except DomainError as e:
+        raise ConfigError(f"{name}: {e}") from e
+    if end <= start:
+        raise ConfigError(f"{name} out of order")
+    return start, end
+
+
 def _window(value, name, base) -> list[str]:
     """``value``, a list of two time texts; they are parsed once the reference date is known."""
     if not isinstance(value, list) or len(value) != 2:
@@ -195,9 +206,7 @@ def load_config(path=None) -> AnalysisConfig:
     try:
         v = _read(raw, SCHEMA, "", path.parent)
         reference, channel, expected = v["reference_date"], v["channel"], v["expected_bfo"]
-        window = tuple(parse_time_utc(w, reference) for w in v["fit_window"])
-        if window[0] >= window[1]:
-            raise ConfigError("fit_window out of order")
+        window = parse_window(v["fit_window"], reference, "fit_window")
         return AnalysisConfig(
             log_csv=v["log_csv"],
             ephemeris_csv=v["ephemeris_csv"],

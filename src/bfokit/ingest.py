@@ -16,7 +16,7 @@ import csv
 import json
 import math
 import sys
-from itertools import chain, islice
+from itertools import chain, compress, islice
 from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -57,7 +57,7 @@ def _optional(text: str) -> float | None:
 # Each Enum column's lookup, {value: member}; a cell it misses is read by the Enum, which raises.
 _MEMBERS = {cls: {m.value: m for m in cls} for cls in (Channel, MessageType, CompensationMode)}
 # Each parser's inverse: how a writer formats the values it reads.
-_FORMATS = {parse_time_utc: format_time_utc, _float: _fmt, _optional: _fmt, str: str,
+_FORMATS = {parse_time_utc: format_time_utc, _float: _fmt, _optional: _fmt, float: repr, str: str,
             **dict.fromkeys(_MEMBERS, attrgetter("value"))}
 # Columns in BfoMeasurement's field order, so a parsed row is its arguments.
 LOG_SCHEMA = {
@@ -74,6 +74,7 @@ LOGON_SCHEMA = {
     "ber": _float, "cn0_dbhz": _float, "comp_mode": CompensationMode,
 }
 ERROR_SCHEMA = {"bfo_error_hz": _float}
+CURVE_SCHEMA = {"track_deg": _float, "bfo_error_hz": float}
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +187,16 @@ def _load_table(path, schema, make):
 
 
 def _format_column(write, column) -> list[str]:
-    """``[write(v) for v in column]``, a time column by :func:`format_time_column`."""
-    return format_time_column(column) if write is format_time_utc else list(map(write, column))
+    """``[write(v) for v in column]``, in C-level passes for a time column and an ``_fmt`` column of finite floats."""
+    if write is format_time_utc:
+        return format_time_column(column)
+    if write is not _fmt or {*map(type, column)} != {float} or not math.isfinite(sum(column)):
+        return list(map(write, column))  # not floats alone, or an inf or a nan, which _fmt refuses
+    values = list(column)
+    for i in compress(range(len(values)), map(float.is_integer, values)):
+        if abs(values[i]) < 1e15:  # _fmt writes these as ints, and repr(int) is str(int)
+            values[i] = int(values[i])
+    return list(map(repr, values))
 
 
 def _write_table(path, provenance, schema, rows) -> None:
@@ -368,8 +377,9 @@ def write_logon_csv(path, sequences, provenance=()) -> None:
 # sweep curves and error samples, written with repr, which keeps the .0 of -28.0
 
 def write_curve_csv(path, curve, provenance=()) -> None:
-    lines = (f"{_fmt(a)},{float(e)!r}" for a, e in curve)
-    _write_csv(path, provenance, ("track_deg", "bfo_error_hz"), lines)
+    """``curve`` is ``(tracks, errors)``, two sequences of numbers, such as a track sweep's arrays."""
+    tracks, errors = (c.tolist() if hasattr(c, "tolist") else c for c in curve)
+    _write_table(path, provenance, CURVE_SCHEMA, zip(tracks, map(float, errors), strict=True))
 
 
 def load_error_samples_csv(path) -> tuple[list[float], tuple[str, ...]]:

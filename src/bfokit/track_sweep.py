@@ -35,9 +35,9 @@ def bfo_error_vs_track(
     cfg: ChannelConfig,
     slot: NominalSlot = NominalSlot(),
     step_deg: float = 1.0,
-) -> list[tuple[float, float]]:
-    """BFO error (predicted minus measured, Hz) for level flight at the
-    crossing point, swept over track angles 0..360 inclusive.
+) -> tuple[np.ndarray, np.ndarray]:
+    """BFO error (predicted minus measured, Hz) for level flight at the crossing
+    point, as columns ``(track_deg, error_hz)`` over track angles 0..360 inclusive.
 
     ``step_deg`` must divide 360 and be no finer than 0.001 deg. Both
     endpoints are emitted so the curve's periodicity is visible in the output.
@@ -66,31 +66,27 @@ def bfo_error_vs_track(
         cfg,
         slot,
     )
-    return list(zip(tracks.tolist(), (terms.total_hz - measured_bfo_hz).tolist()))
+    return tracks, terms.total_hz - measured_bfo_hz
 
 
 def peak_to_peak(curve) -> float:
-    errors = [e for _, e in curve]
-    if not errors:
+    errors = np.asarray(curve[1], dtype=float)
+    if not errors.size:
         raise DomainError("empty curve")
-    return max(errors) - min(errors)
+    return float(errors[errors.argmax()]) - float(errors[errors.argmin()])  # the first of ties, as max() and min()
 
 
 def track_offset(curve, sector: TrackSector) -> float:
-    """Offset (Hz) at the curve's extremum within a track sector.
+    """Offset (Hz) at the extremum of the curve ``(tracks, errors)`` within a track sector.
 
     South tracks (90..270 deg) take the minimum-BFO point, north tracks
     (270..360 and 0..90) the maximum.
     """
-    points = list(curve)
-    if not points:
+    tracks, errors = (np.asarray(c, dtype=float) for c in curve)
+    if not tracks.size:
         raise DomainError("empty curve")
-    if sector is TrackSector.SOUTH:
-        sel = [e for a, e in points if 90.0 <= a % 360.0 <= 270.0]
-        if not sel:
-            raise DomainError("curve has no south-sector points")
-        return min(sel)
-    sel = [e for a, e in points if a % 360.0 <= 90.0 or a % 360.0 >= 270.0]
-    if not sel:
-        raise DomainError("curve has no north-sector points")
-    return max(sel)
+    a, south = tracks % 360.0, sector is TrackSector.SOUTH
+    sel = errors[(90.0 <= a) & (a <= 270.0) if south else (a <= 90.0) | (a >= 270.0)]
+    if not sel.size:
+        raise DomainError(f"curve has no {sector.value}-sector points")
+    return float(sel[sel.argmin() if south else sel.argmax()])

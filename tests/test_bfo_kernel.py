@@ -147,8 +147,9 @@ def test_track_sweep_is_the_scalar_model_per_angle(analysis_config, ephemeris, c
         cfg.arc_crossing, t, 240.0, 252.0, ephemeris, corrections, cfg.bias_hz, cfg.channel, cfg.slot, 0.5
     )
     sat = satellite_state_at(t, ephemeris)
-    assert len(curve) == 721
-    for track, error in curve:
+    tracks, errors = curve
+    assert len(tracks) == len(errors) == 721
+    for track, error in zip(tracks.tolist(), errors.tolist()):
         state = AircraftState(cfg.arc_crossing, GroundKinematics(240.0, track % 360.0, 0.0), t)
         want = sum(oracle_terms(state, sat, corrections, cfg.bias_hz, cfg.channel, cfg.slot).values())
         assert abs(error - (want - 252.0)) <= TOL_HZ

@@ -308,10 +308,24 @@ class TestOtherCommands:
         assert (code, out) == (2, "")
         assert err == f"bfokit: parse/config error: {flag} out of order\n"
 
-    def test_window_of_equal_bounds_is_left_to_the_trend_fit(self, capsys):
-        code, out, err = run(capsys, "trend", "--window", "00:11Z..00:11Z", "--config", CONFIG)
-        assert (code, out) == (3, "")
-        assert err == "bfokit: domain error: fit window must have t_start < t_end\n"
+    # an empty window holds no fit and no calibration: refused as it is parsed, as the config's fit_window is
+    @pytest.mark.parametrize("argv, flag", [
+        (["trend", "--window", "00:11Z..00:11Z"], "--window"),
+        (["calibrate-bias", "--tarmac-window", "15:55Z..15:55:00Z"], "--tarmac-window"),
+    ])
+    def test_window_of_equal_bounds_is_exit_2(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv, "--config", CONFIG)
+        assert (code, out) == (2, "")
+        assert err == f"bfokit: parse/config error: {flag} out of order\n"
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["trend", "--window", "19:41..00:11Z"], "--window"),
+        (["calibrate-bias", "--tarmac-window", "15:55Z..16:75Z"], "--tarmac-window"),
+    ])
+    def test_window_time_that_does_not_parse_is_exit_2_naming_the_flag(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv, "--config", CONFIG)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"bfokit: parse/config error: {flag}: ")
 
     @pytest.mark.parametrize("argv", [
         ["predict-bfo", "--time", "00:11Z", "--lat", "0", "--lon", "85"],
@@ -821,6 +835,9 @@ class TestConfigText:
         ("reference date as a week", "reference_date", "2014-W10-5",
          "reference_date: '2014-W10-5' is not a YYYY-MM-DD date"),
         ("window out of order", "fit_window", ["00:11Z", "19:41Z"], "fit_window out of order"),
+        ("window of equal bounds", "fit_window", ["00:11Z", "00:11:00Z"], "fit_window out of order"),
+        ("window time without its Z", "fit_window", ["19:41", "00:11Z"],
+         "fit_window: timestamp '19:41' must be UTC ('Z' suffix)"),
     ]
 
     @pytest.mark.parametrize(("key", "value", "message"), [c[1:] for c in CASES], ids=[c[0] for c in CASES])

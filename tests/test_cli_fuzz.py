@@ -15,7 +15,7 @@ import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bfokit.cli import main
@@ -179,3 +179,28 @@ TARMAC = ["calibrate-bias", "--tarmac-window", "15:55Z..16:15Z"]
 @example(edits=_bfos("logon_sequence_csv", {2: b"1.5e308", 3: b"-1.5e308"}), argv=["logon-drift"])
 def test_damaged_input_files_exit_cleanly(edits, argv):
     _check(*_run(_damaged([]), [*argv, "--format", "json"], _damaged_files(edits)), "json")
+
+
+# Window times: shorthands and full forms inside and either side of the bundled log, and junk.
+WINDOW_TIMES = ["00:11Z", "00:11:00Z", "19:41Z", "16:00Z", "11:59Z", "12:00Z", "2014-03-07T19:41:00Z",
+                "2014-03-08T00:11:00.5Z", " 19:41Z ", "19:41", "24:00Z", ""]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    start=st.sampled_from(WINDOW_TIMES) | st.text("0123456789:TZ-", max_size=12),
+    end=st.sampled_from(WINDOW_TIMES) | st.text("0123456789:TZ-", max_size=12),
+    equal=st.booleans(),
+)
+@example(start="00:11Z", end="00:11Z", equal=False)
+@example(start="00:11Z", end="19:41Z", equal=False)
+@example(start="19:41Z", end="00:11Z", equal=False)
+@example(start="19:41", end="00:11Z", equal=False)
+def test_window_flag_and_config_key_share_one_rule(start, end, equal):
+    """``trend --window S..E`` and a config whose fit_window is ``[S, E]`` give the same result, exit code
+    and error text, but for the name of the flag or the key."""
+    end = start if equal else end
+    assume(end and f"{start}..{end}".partition("..") == (start, "..", end))
+    code, out, err = _run(_damaged([]), ["trend", f"--window={start}..{end}"])
+    by_key = _run(_damaged([(("fit_window",), [start, end])]), ["trend"])
+    assert (code, out, err.replace("--window", "fit_window")) == by_key

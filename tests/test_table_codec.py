@@ -20,6 +20,7 @@ from bfokit.errors import DomainError, ParseError
 from bfokit.fixtures import fixture_path
 from bfokit.ingest import (
     CORRECTION_SCHEMA,
+    CURVE_SCHEMA,
     EPHEMERIS_SCHEMA,
     ERROR_SCHEMA,
     LOG_SCHEMA,
@@ -27,6 +28,7 @@ from bfokit.ingest import (
     _FORMATS,
     _float,
     _fmt,
+    _format_column,
     _load_table,
     _optional,
     format_time_utc,
@@ -43,6 +45,7 @@ from bfokit.ingest import (
 )
 from bfokit.satellite import GEO_RADIUS_M, CorrectionTable, EphemerisTable
 from bfokit.stats import BfoMeasurement, Channel, MessageType
+from bfokit.track_sweep import KNOTS_TO_MPS, bfo_error_vs_track
 from bfokit.warmup import CompensationMode, LogonSequence
 
 SETTINGS = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -396,6 +399,16 @@ def test_fmt_agrees_with_the_oracle(v):
     assert outcome(_fmt, v) == outcome(oracle_fmt, v)
 
 
+# Columns of floats alone take the writer's C-level path; any other column, a cell at a time.
+cells = st.none() | st.floats() | st.integers(-10**20, 10**20) | numbers
+
+
+@given(column=st.lists(st.floats() | numbers, min_size=1, max_size=12) | st.lists(cells, min_size=1, max_size=12))
+def test_fmt_column_agrees_with_fmt_a_cell_at_a_time(column):
+    column = tuple(column)  # as the writer's blocks hold them
+    assert outcome(_format_column, _fmt, column) == outcome(lambda c: list(map(_fmt, c)), column)
+
+
 @pytest.mark.parametrize("v", [math.inf, -math.inf, math.nan])
 def test_fmt_raises_for_non_finite_as_int_does(v):
     assert outcome(_fmt, v) == outcome(int, v)
@@ -457,10 +470,17 @@ def test_correction_writer_matches_the_oracle_on_generated_tables(tmp_path, time
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
+def columns(curve):
+    """A list of ``(track, error)`` pairs as the writer's ``(tracks, errors)``."""
+    return [a for a, _ in curve], [e for _, e in curve]
+
+
+# ints too: the writer takes any two sequences of numbers
 @SETTINGS
-@given(curve=st.lists(st.tuples(numbers, numbers), max_size=8), prov=provenance)
+@given(curve=st.lists(st.tuples(numbers | st.integers(-2**60, 2**60), numbers | st.integers(-2**60, 2**60)),
+                      max_size=8), prov=provenance)
 def test_curve_writer_matches_the_oracle(tmp_path, curve, prov):
-    write_curve_csv(tmp_path / "new.csv", curve, prov)
+    write_curve_csv(tmp_path / "new.csv", columns(curve), prov)
     oracle_write_curve_csv(tmp_path / "old.csv", curve, prov)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
@@ -470,10 +490,26 @@ def test_writers_match_the_oracle_past_one_write_block(tmp_path):
     curve = [(i / 100, math.sin(i)) for i in range(2100)]
     write_log_csv(tmp_path / "log_new.csv", ms, ["# two blocks"])
     oracle_write_log_csv(tmp_path / "log_old.csv", ms, ["# two blocks"])
-    write_curve_csv(tmp_path / "curve_new.csv", curve)
+    write_curve_csv(tmp_path / "curve_new.csv", columns(curve))
     oracle_write_curve_csv(tmp_path / "curve_old.csv", curve)
     assert (tmp_path / "log_new.csv").read_bytes() == (tmp_path / "log_old.csv").read_bytes()
     assert (tmp_path / "curve_new.csv").read_bytes() == (tmp_path / "curve_old.csv").read_bytes()
+
+
+def test_curve_writer_refuses_columns_of_two_lengths(tmp_path):
+    with pytest.raises(ValueError, match="zip"):
+        write_curve_csv(tmp_path / "new.csv", ([0.0, 1.0], [2.0]))
+
+
+def test_curve_writer_matches_the_oracle_on_a_dense_sweep(tmp_path, analysis_config, ephemeris, corrections):
+    # a 0.01 deg sweep: 36,001 rows, 141 write blocks, whole angles every 100th row
+    cfg = analysis_config
+    curve = bfo_error_vs_track(cfg.arc_crossing, cfg.parse_time("00:11Z"), 450.0 * KNOTS_TO_MPS, 252.0, ephemeris,
+                               corrections, cfg.bias_hz, cfg.channel, cfg.slot, step_deg=0.01)
+    assert len(curve[0]) == 36_001
+    write_curve_csv(tmp_path / "new.csv", curve, ["# dense"])
+    oracle_write_curve_csv(tmp_path / "old.csv", list(zip(*(c.tolist() for c in curve))), ["# dense"])
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 # --- the schema writers across write blocks -----------------------------------------
@@ -649,12 +685,12 @@ def test_schema_writers_match_the_oracles_on_fixtures(tmp_path):
 
 # A canonical cell of each parser's column: its format must give the same text back.
 CANONICAL = {parse_time_utc: ["2014-03-07T16:42:00.25Z", "2014-03-07T16:42:00Z"], _float: ["-41.5", "16413", "1e+16"],
-             _optional: ["", "0.125"], str: ["7", "seq-1"]}
+             _optional: ["", "0.125"], str: ["7", "seq-1"], float: ["-28.0", "0.1", "1e+16", "5e-324"]}
 
 
 @pytest.mark.parametrize(
-    "schema", [LOG_SCHEMA, EPHEMERIS_SCHEMA, CORRECTION_SCHEMA, LOGON_SCHEMA, ERROR_SCHEMA],
-    ids=["log", "ephemeris", "corrections", "logons", "error samples"],
+    "schema", [LOG_SCHEMA, EPHEMERIS_SCHEMA, CORRECTION_SCHEMA, LOGON_SCHEMA, ERROR_SCHEMA, CURVE_SCHEMA],
+    ids=["log", "ephemeris", "corrections", "logons", "error samples", "curve"],
 )
 def test_every_schema_parser_has_a_format_that_writes_its_cells_back(schema):
     for column, parse in schema.items():

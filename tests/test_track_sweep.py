@@ -1,4 +1,7 @@
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from bfokit.bfo_model import ChannelConfig
 from bfokit.errors import DomainError
@@ -61,13 +64,13 @@ class TestCurveShape:
             CFG,
             SLOT,
         )
-        errors = [e for _, e in curve]
+        _, errors = curve
         assert max(errors) - min(errors) < 1e-9
 
     def test_periodic(self, analysis_config, ephemeris, corrections):
-        curve = sweep_fixture(analysis_config, ephemeris, corrections)
-        assert curve[0][0] == 0.0 and curve[-1][0] == 360.0
-        assert curve[0][1] == pytest.approx(curve[-1][1], abs=1e-12)
+        tracks, errors = sweep_fixture(analysis_config, ephemeris, corrections)
+        assert tracks[0] == 0.0 and tracks[-1] == 360.0
+        assert errors[0] == pytest.approx(errors[-1], abs=1e-12)
 
     def test_satellite_at_nominal_slot_gives_constant_curve(self):
         curve = bfo_error_vs_track(
@@ -81,7 +84,7 @@ class TestCurveShape:
             CFG,
             SLOT,
         )
-        errors = [e for _, e in curve]
+        _, errors = curve
         assert max(errors) - min(errors) < 1e-9
 
     def test_crossing_point_insensitivity(self, analysis_config, ephemeris, corrections):
@@ -97,7 +100,7 @@ class TestCurveShape:
                     analysis_config.arc_crossing.altitude_m,
                 ),
             )
-            worst = max(abs(a[1] - b[1]) for a, b in zip(base, shifted))
+            worst = max(abs(a - b) for a, b in zip(base[1], shifted[1]))
             assert worst < 3.0
 
     def test_step_must_divide_360(self, analysis_config, ephemeris, corrections):
@@ -128,14 +131,14 @@ class TestFixtureSweep:
         assert 0.85 <= ratio <= 1.15
 
     def test_minimum_sits_on_a_southerly_track(self, analysis_config, ephemeris, corrections):
-        curve = sweep_fixture(analysis_config, ephemeris, corrections)
-        angle = min(curve, key=lambda p: p[1])[0]
+        tracks, errors = sweep_fixture(analysis_config, ephemeris, corrections)
+        angle = min(zip(tracks, errors), key=lambda p: p[1])[0]
         assert 135.0 <= angle <= 225.0
 
 
 class TestTrackOffset:
     def test_sector_extrema_on_monotone_curve(self):
-        curve = [(a, float(a)) for a in range(0, 361)]
+        curve = (list(range(0, 361)), [float(a) for a in range(0, 361)])
         assert track_offset(curve, TrackSector.SOUTH) == 90.0
         assert track_offset(curve, TrackSector.NORTH) == 360.0
 
@@ -156,11 +159,64 @@ class TestTrackOffset:
         )
         south = track_offset(curve, TrackSector.SOUTH)
         north = track_offset(curve, TrackSector.NORTH)
-        mean = sum(e for a, e in curve[:-1]) / (len(curve) - 1)
+        mean = sum(curve[1][:-1]) / (len(curve[1]) - 1)
         spread = north - south
         assert spread > 1.0
         assert (north - mean) + (south - mean) == pytest.approx(0.0, abs=0.02 * spread)
 
     def test_empty_curve_rejected(self):
         with pytest.raises(DomainError):
-            track_offset([], TrackSector.SOUTH)
+            track_offset(([], []), TrackSector.SOUTH)
+
+
+# --- the column extrema against the list-based code they replaced -------------------
+
+def oracle_peak_to_peak(curve):
+    errors = [e for _, e in curve]
+    if not errors:
+        raise DomainError("empty curve")
+    return max(errors) - min(errors)
+
+
+def oracle_track_offset(curve, sector):
+    points = list(curve)
+    if not points:
+        raise DomainError("empty curve")
+    if sector is TrackSector.SOUTH:
+        sel = [e for a, e in points if 90.0 <= a % 360.0 <= 270.0]
+        if not sel:
+            raise DomainError("curve has no south-sector points")
+        return min(sel)
+    sel = [e for a, e in points if a % 360.0 <= 90.0 or a % 360.0 >= 270.0]
+    if not sel:
+        raise DomainError("curve has no north-sector points")
+    return max(sel)
+
+
+def outcome(f, *args):
+    """The repr of the value, which tells -0.0 from 0.0, or the type and text of a DomainError."""
+    try:
+        return repr(f(*args))
+    except DomainError as e:
+        return DomainError, str(e)
+
+
+# The sector edges, exactly and a rounding away, whole turns either side, and angles that % 360 rounds to 360.
+EDGES = [0.0, -0.0, 90.0, 270.0, 360.0, -90.0, -270.0, -360.0, 450.0, 630.0, 720.0, 89.99999999999999,
+         270.00000000000006, -1e-14, -5e-324, 1e300]
+angles = st.sampled_from(EDGES) | st.floats(-1e4, 1e4) | st.floats(allow_nan=False, allow_infinity=False)
+errors = st.sampled_from([0.0, -0.0, 1.0]) | st.floats(-1e300, 1e300)
+
+
+@given(curve=st.lists(st.tuples(angles, errors), max_size=40), as_arrays=st.booleans())
+@example(curve=[], as_arrays=False)
+@example(curve=[(180.0, 1.0), (-180.0, 2.0)], as_arrays=False)  # south only
+@example(curve=[(0.0, 1.0), (-0.0, 2.0), (300.0, 3.0)], as_arrays=True)  # north only
+@example(curve=[(90.0, 0.0), (270.0, -0.0), (360.0, -0.0), (0.0, 0.0)], as_arrays=False)  # signed-zero ties
+def test_column_extrema_match_the_list_based_oracle(curve, as_arrays):
+    columns = ([a for a, _ in curve], [e for _, e in curve])
+    if as_arrays:
+        columns = tuple(map(np.array, columns))
+    for sector in TrackSector:
+        assert outcome(track_offset, columns, sector) == outcome(oracle_track_offset, curve, sector)
+    assert outcome(peak_to_peak, columns) == outcome(oracle_peak_to_peak, curve)
