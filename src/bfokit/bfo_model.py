@@ -19,8 +19,6 @@ the state (latitude for a batch, ground speed) and on the total's
 finiteness; the kernel checks only that no line of sight is degenerate.
 """
 
-from __future__ import annotations
-
 import math
 from functools import cached_property
 from typing import NamedTuple
@@ -101,9 +99,6 @@ class BfoTerms(NamedTuple):
             + self.sat_plus_afc_hz
             + self.bias_hz
         )
-
-    def as_dict(self) -> dict[str, float]:
-        return self._asdict()
 
 
 def _any(mask) -> bool:

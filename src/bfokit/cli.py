@@ -12,8 +12,6 @@ hold NaN or an infinity.
 ``--format json`` switches both results and errors to JSON.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import math
@@ -118,7 +116,7 @@ def _cmd_predict_bfo(cfg, args) -> dict:
     )
     sat = satellite_state_at(t, cfg.load_ephemeris())
     predicted, terms = predict_bfo(state, sat, cfg.load_corrections(), cfg.bias_hz, cfg.channel, cfg.slot)
-    return {"time_utc": format_time_utc(t), "predicted_bfo_hz": predicted, **terms.as_dict()}
+    return {"time_utc": format_time_utc(t), "predicted_bfo_hz": predicted, **terms._asdict()}
 
 
 def _measured_bfo_at(cfg, t: float) -> float:
@@ -276,7 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="analysis config JSON (default: $BFOKIT_CONFIG)")
-    common.add_argument("--format", choices=["text", "json", "pretty"], default="text")
+    common.add_argument("--format", choices=["text", "json", "pretty"], default="text",
+                        help="json: results and errors as JSON; pretty: the output of text, but descent-bounds"
+                        ' --out-dir writes fpm cells of 1,000 or more with separators, quoted as "2,900"')
 
     p = sub.add_parser("predict-bfo", parents=[common], help="predict one burst's BFO and its term decomposition")
     p.set_defaults(run=_cmd_predict_bfo)

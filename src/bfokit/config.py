@@ -5,8 +5,6 @@ directory, so the bundled fixture config works from anywhere. The
 ``BFOKIT_CONFIG`` environment variable supplies the default config path.
 """
 
-from __future__ import annotations
-
 import json
 import os
 from datetime import date
@@ -53,9 +51,6 @@ class AnalysisConfig(NamedTuple):
 
     def load_logon_sequences(self):
         return load_logon_csv(self.logon_sequence_csv, self.logon_meta_json)
-
-    def parse_time(self, text: str) -> float:
-        return parse_time_utc(text, self.reference_date)
 
 
 def _number(value, name, base) -> float:

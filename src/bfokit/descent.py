@@ -11,8 +11,6 @@ differencing across the two final messages estimates the downward
 acceleration.
 """
 
-from __future__ import annotations
-
 import math
 from enum import Enum
 from typing import NamedTuple

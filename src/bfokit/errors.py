@@ -4,8 +4,6 @@ The CLI maps these onto exit codes: ParseError/ConfigError -> 2,
 DomainError -> 3. Anything else is a bug.
 """
 
-from __future__ import annotations
-
 import math
 
 

@@ -1,7 +1,5 @@
 """Access to the bundled synthetic fixture files."""
 
-from __future__ import annotations
-
 from importlib.resources import files
 from pathlib import Path
 

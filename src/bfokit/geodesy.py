@@ -11,8 +11,6 @@ the scalar functions at the end of this module and the forward-model
 kernel, over floats or numpy arrays, build one frame per call on them.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 
@@ -44,39 +42,14 @@ class GeodeticPosition(CheckedTuple, NamedTuple("_GeodeticFields", [
 
 
 class EcefVector(CheckedTuple, NamedTuple("_EcefFields", [("x", float), ("y", float), ("z", float)])):
-    """An ECEF position (m) or velocity (m/s): an immutable ``(x, y, z)`` tuple.
-
-    ``+``, ``-`` and ``*`` are vector operations, not tuple concatenation
-    or repetition.
-    """
+    """An ECEF position (m) or velocity (m/s): an immutable, finite ``(x, y, z)`` tuple."""
 
     __slots__ = ()
-    __array_ufunc__ = None  # so a numpy scalar times a vector is this type's ``__rmul__``
 
     def __new__(cls, x: float, y: float, z: float):
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
             raise DomainError("ECEF components must be finite")
         return tuple.__new__(cls, (x, y, z))
-
-    def __add__(self, other: "EcefVector") -> "EcefVector":
-        return EcefVector(self.x + other.x, self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other: "EcefVector") -> "EcefVector":
-        return EcefVector(self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def __mul__(self, k: float) -> "EcefVector":
-        return EcefVector(self.x * k, self.y * k, self.z * k)
-
-    __rmul__ = __mul__
-
-    def dot(self, other: "EcefVector") -> float:
-        return self.x * other.x + self.y * other.y + self.z * other.z
-
-    def norm(self) -> float:
-        return math.sqrt(self.dot(self))
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return tuple(self)
 
 
 class GroundKinematics(CheckedTuple, NamedTuple("_KinematicsFields", [
@@ -156,8 +129,9 @@ def elevation_angle(aircraft: GeodeticPosition, satellite_pos: EcefVector) -> fl
     local horizontal plane, which is tangent to the ellipsoid (not normal to
     the geocentric radial). Negative values mean below the horizon."""
     frame = _frame(math, aircraft.latitude_deg, aircraft.longitude_deg)
-    lx, ly, lz = los = satellite_pos - EcefVector(*_ecef_position(frame, aircraft.altitude_m))
-    if los.norm() < 1e-6:
+    (sx, sy, sz), (px, py, pz) = satellite_pos, _ecef_position(frame, aircraft.altitude_m)
+    lx, ly, lz = EcefVector(sx - px, sy - py, sz - pz)
+    if math.sqrt(lx * lx + ly * ly + lz * lz) < 1e-6:
         raise DomainError("aircraft and satellite positions coincide")
     (ex, ey, ez), (nx, ny, nz), (ux, uy, uz) = _enu_axes(frame)
     e, n = lx * ex + ly * ey + lz * ez, lx * nx + ly * ny + lz * nz

@@ -10,8 +10,6 @@ One writer, :func:`_write_table`, writes the schema's order, each cell by its
 parser's inverse (``_FORMATS``), 256 rows at a time, a column at a time.
 """
 
-from __future__ import annotations
-
 import csv
 import json
 import math
@@ -350,7 +348,6 @@ def load_logon_csv(path, meta=None) -> list[LogonSequence]:
         sequences.append(
             LogonSequence(
                 id=seq_id,
-                logon_time=ms[0].timestamp,
                 measurements=tuple(ms),
                 compensation_mode=modes[seq_id],
                 outage_bounds_min=tuple(outage) if outage else None,

@@ -7,8 +7,6 @@ linearly interpolated. A small analytic inclined-geosynchronous model is
 included to generate synthetic tables for tests and fixtures.
 """
 
-from __future__ import annotations
-
 import math
 from array import array
 from bisect import bisect_right
@@ -47,7 +45,7 @@ class NominalSlot(CheckedTuple, NamedTuple("_SlotFields", [
     @cached_property
     def ecef(self) -> tuple[float, float, float]:
         """ECEF (x, y, z) of the slot, from :func:`nominal_satellite_position`."""
-        return nominal_satellite_position(self).as_tuple()
+        return tuple(nominal_satellite_position(self))
 
 
 def _flat_floats(values):

@@ -7,8 +7,6 @@ show both a non-zero bit error rate and a clear carrier-to-noise drop
 relative to neighboring bursts.
 """
 
-from __future__ import annotations
-
 import math
 from enum import Enum
 from typing import NamedTuple

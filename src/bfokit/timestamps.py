@@ -2,8 +2,6 @@
 column at a time (:func:`parse_time_column`, :func:`format_time_column`), every other form
 and every error through ``strptime``."""
 
-from __future__ import annotations
-
 import math
 from datetime import date, datetime, timezone
 from functools import lru_cache

@@ -6,8 +6,6 @@ measured BFO. The curve's sector extrema give the track-dependent
 offsets used to build expected BFOs for south and north tracks.
 """
 
-from __future__ import annotations
-
 from enum import Enum
 
 import numpy as np

@@ -7,8 +7,6 @@ from the track sweep turn the extrapolated value into an expected BFO
 for a given track sector.
 """
 
-from __future__ import annotations
-
 import math
 import warnings
 from typing import NamedTuple

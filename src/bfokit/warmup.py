@@ -11,13 +11,11 @@ below log-on. Ranges of those statistics over a set of historical
 sequences bound the warm-up contribution to a later log-on's BFO.
 """
 
-from __future__ import annotations
-
 from enum import Enum
 from typing import NamedTuple
 
 from .errors import CheckedTuple, DomainError
-from .stats import DEFAULT_CN0_DROP_DB, BfoMeasurement, MessageType, flag_outliers
+from .stats import BfoMeasurement, MessageType, flag_outliers
 
 SETTLE_TOLERANCE_HZ = 3.0
 SETTLE_MIN_ELAPSED_S = 120.0
@@ -30,7 +28,6 @@ class CompensationMode(str, Enum):
 
 class _LogonFields(NamedTuple):
     id: str
-    logon_time: float
     measurements: tuple[BfoMeasurement, ...]
     compensation_mode: CompensationMode
     outage_bounds_min: tuple[float, float] | None  # minutes (min, max)
@@ -43,8 +40,7 @@ class LogonSequence(CheckedTuple, _LogonFields):
 
     __slots__ = ()
 
-    def __new__(cls, id, logon_time, measurements, compensation_mode, outage_bounds_min=None, notes="",
-                settled_proxy=False):
+    def __new__(cls, id, measurements, compensation_mode, outage_bounds_min=None, notes="", settled_proxy=False):
         if not measurements:
             raise DomainError(f"log-on {id}: empty sequence")
         times = [m.timestamp for m in measurements]
@@ -56,9 +52,12 @@ class LogonSequence(CheckedTuple, _LogonFields):
             lo, hi = outage_bounds_min
             if lo > hi:
                 raise DomainError(f"log-on {id}: outage bounds out of order")
-        return tuple.__new__(
-            cls, (id, logon_time, measurements, compensation_mode, outage_bounds_min, notes, settled_proxy)
-        )
+        return tuple.__new__(cls, (id, measurements, compensation_mode, outage_bounds_min, notes, settled_proxy))
+
+    @property
+    def logon_time(self) -> float:
+        """UTC seconds of the log-on request, the first measurement."""
+        return self.measurements[0].timestamp
 
 
 class DriftBounds(CheckedTuple, NamedTuple("_DriftFields", [
@@ -78,16 +77,14 @@ class DriftBounds(CheckedTuple, NamedTuple("_DriftFields", [
         return {f"{name}_hz": list(bounds) for name, bounds in zip(self._fields, self)}
 
 
-def normalize_to_ack(
-    seq: LogonSequence, cn0_drop_threshold_db: float = DEFAULT_CN0_DROP_DB
-) -> list[tuple[float, float]]:
+def normalize_to_ack(seq: LogonSequence) -> list[tuple[float, float]]:
     """Relative BFO curve for one sequence: (seconds since log-on,
     BFO minus acknowledgment BFO).
 
     Bursts flagged untrustworthy are dropped first; the acknowledgment
     itself therefore maps to exactly 0 Hz.
     """
-    flags = flag_outliers(seq.measurements, cn0_drop_threshold_db)
+    flags = flag_outliers(seq.measurements)
     kept = [m for m, bad in zip(seq.measurements, flags) if not bad]
     acks = [m for m in kept if m.message_type is MessageType.LOGON_ACK]
     if not acks:

@@ -8,27 +8,14 @@ import time
 
 import numpy as np
 
-from bfokit.bfo_model import ChannelConfig, descent_sensitivity, predict_bfo
-from bfokit.descent import (
-    DescentBoundsTable,
-    Hypothesis,
-    adjusted_bfo_range,
-    combine_hypotheses,
-    descent_rate_bounds,
-    drift_removed_range,
-    estimate_downward_acceleration,
-)
+from bfokit.bfo_model import AircraftState, ChannelConfig, descent_sensitivity, predict_bfo
+from bfokit.descent import MESSAGES, Hypothesis, adjusted_bfo_range, analyze, descent_rate_bounds, final_logon_pair
 from bfokit.fixtures import fixture_path
-from bfokit.geodesy import (
-    GeodeticPosition,
-    GroundKinematics,
-    geodetic_to_ecef,
-)
+from bfokit.geodesy import EcefVector, GeodeticPosition, GroundKinematics, geodetic_to_ecef
 from bfokit.ingest import load_error_samples_csv
-from bfokit.satellite import CorrectionTable, NominalSlot, nominal_satellite_position, SatelliteState
-from bfokit.geodesy import EcefVector
-from bfokit.bfo_model import AircraftState
-from bfokit.stats import NoiseBounds, compute_error_stats
+from bfokit.satellite import CorrectionTable, NominalSlot, SatelliteState, nominal_satellite_position
+from bfokit.stats import BfoMeasurement, Channel, MessageType, NoiseBounds, compute_error_stats
+from bfokit.timestamps import parse_time_utc
 from bfokit.track_sweep import TrackSector, bfo_error_vs_track, peak_to_peak, track_offset
 from bfokit.trend import extrapolate, fit_linear_trend
 from bfokit.units import KNOTS_TO_MPS
@@ -41,12 +28,24 @@ def report(criterion: str, ok: bool, detail: str):
     assert ok, f"{criterion}: {detail}"
 
 
+# The paper's final log-on: a 182 Hz request and a -2 Hz acknowledgment 8 s later.
+FINAL_LOGON = [
+    BfoMeasurement(0.0, Channel.R, MessageType.LOGON_REQUEST, 182.0),
+    BfoMeasurement(8.0, Channel.R, MessageType.LOGON_ACK, -2.0),
+]
+
+
+def paper_descent():
+    """The descent pipeline the CLI ships, on the final log-on with the paper's drift and noise bounds,
+    expected BFOs (260 Hz south, 280 Hz north) and sensitivity (1.7 Hz per 100 fpm)."""
+    drift = DriftBounds((17.0, 136.0), (17.0, 130.0), (0.0, 6.0))
+    return analyze(final_logon_pair(FINAL_LOGON), drift, NoiseBounds(-28.0, 18.0), 260.0, 280.0, 1.7,
+                   list(Hypothesis))
+
+
 def test_criterion_1_table_exact_reproduction():
     started = time.perf_counter()
-    drift = DriftBounds((17.0, 136.0), (17.0, 130.0), (0.0, 6.0))
-    noise = NoiseBounds(-28.0, 18.0)
-    recorded = {"logon": 182.0, "ack": -2.0}
-    times = (0.0, 8.0)
+    result = paper_descent()
 
     expected_cells = {
         Hypothesis.POWER_OUTAGE: {
@@ -68,26 +67,23 @@ def test_criterion_1_table_exact_reproduction():
     expected_combined = {0.0: (2900.0, 14800.0), 8.0: (13800.0, 25300.0)}
 
     mismatches = []
-    tables = {}
     for hyp, want in expected_cells.items():
-        rates = []
-        for message in ("logon", "ack"):
-            if hyp is Hypothesis.POWER_OUTAGE:
-                rem = drift_removed_range(recorded[message], message, drift)
-                if (rem.lower_hz, rem.upper_hz) != want["drift_removed"][message]:
-                    mismatches.append(f"{hyp} drift-removed {message}")
-            adj = adjusted_bfo_range(recorded[message], message, hyp, drift, noise)
-            if (adj.lower_hz, adj.upper_hz) != want["adjusted"][message]:
+        bounds = result.hypotheses[hyp]
+        if (bounds.drift_removed is None) != ("drift_removed" not in want):
+            mismatches.append(f"{hyp} drift-removed ranges")
+        for i, message in enumerate(MESSAGES):
+            if "drift_removed" in want and bounds.drift_removed[i] != want["drift_removed"][message]:
+                mismatches.append(f"{hyp} drift-removed {message}")
+            if bounds.noise_extended[i] != want["adjusted"][message]:
                 mismatches.append(f"{hyp} adjusted {message}")
-            r = descent_rate_bounds(260.0, 280.0, adj, 1.7)
+            r = bounds.table.rates[i]
             if (r.south_fpm, r.north_fpm) != want["rates"][message]:
                 mismatches.append(f"{hyp} rates {message}")
-            rates.append(r)
-        tables[hyp] = DescentBoundsTable(times, tuple(rates))
 
-    combined = combine_hypotheses(tables[Hypothesis.POWER_OUTAGE], tables[Hypothesis.OTHER_CAUSE])
+    if result.times != tuple(expected_combined):
+        mismatches.append(f"times {result.times}")
     for t, want in expected_combined.items():
-        if combined.row(t).outer_fpm != want:
+        if result.combined.row(t).outer_fpm != want:
             mismatches.append(f"combined at {t}")
     elapsed = time.perf_counter() - started
 
@@ -102,20 +98,7 @@ def test_criterion_1_table_exact_reproduction():
 
 
 def test_criterion_2_acceleration():
-    drift = DriftBounds((17.0, 136.0), (17.0, 130.0), (0.0, 6.0))
-    noise = NoiseBounds(-28.0, 18.0)
-    times = (0.0, 8.0)
-    tables = {}
-    for hyp in (Hypothesis.POWER_OUTAGE, Hypothesis.OTHER_CAUSE):
-        rates = tuple(
-            descent_rate_bounds(
-                260.0, 280.0, adjusted_bfo_range(rec, msg, hyp, drift, noise), 1.7
-            )
-            for msg, rec in (("logon", 182.0), ("ack", -2.0))
-        )
-        tables[hyp] = DescentBoundsTable(times, rates)
-    combined = combine_hypotheses(*tables.values())
-    est = estimate_downward_acceleration(combined, 0.0, 8.0)
+    est = paper_descent().acceleration
     ok = abs(est.fpm_per_s - 1300.0) <= 50.0 and abs(est.g - 0.68) <= 0.03
     report(
         "criterion 2 (midpoint acceleration)",
@@ -153,11 +136,11 @@ def test_criterion_4_warmup_ranges(logon_sequences):
 
 def test_criterion_5_trend(analysis_config, log_records, ephemeris, corrections):
     model = fit_linear_trend(log_records.measurements, analysis_config.fit_window)
-    t = analysis_config.parse_time("00:19:29Z")
+    t = parse_time_utc("00:19:29Z", analysis_config.reference_date)
     value = extrapolate(model, t)
     curve = bfo_error_vs_track(
         crossing=analysis_config.arc_crossing,
-        t=analysis_config.parse_time("00:11Z"),
+        t=parse_time_utc("00:11Z", analysis_config.reference_date),
         ground_speed_mps=450.0 * KNOTS_TO_MPS,
         measured_bfo_hz=252.0,
         ephemeris=ephemeris,
@@ -179,7 +162,7 @@ def test_criterion_6_track_sweep(analysis_config, ephemeris, corrections):
     def curve(speed):
         return bfo_error_vs_track(
             crossing=analysis_config.arc_crossing,
-            t=analysis_config.parse_time("00:11Z"),
+            t=parse_time_utc("00:11Z", analysis_config.reference_date),
             ground_speed_mps=speed * KNOTS_TO_MPS,
             measured_bfo_hz=252.0,
             ephemeris=ephemeris,
@@ -233,8 +216,6 @@ def test_criterion_7_property_suites():
         worst_alt = max(worst_alt, abs(q.altitude_m - p.altitude_m))
 
     # OLS vs explicit normal equations
-    from bfokit.stats import BfoMeasurement, Channel, MessageType
-
     worst_rel = 0.0
     for _ in range(200):
         n = int(rng.integers(3, 50))

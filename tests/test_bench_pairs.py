@@ -85,3 +85,16 @@ def test_both_trees_sit_in_one_directory_and_the_change_holds_untracked_files(tm
     assert contents(swapped["base"]) == files and contents(swapped["change"]) == changed
     assert bench_pairs.swap_places(swapped) == trees
     assert sorted(p.name for p in (tmp_path / "work").iterdir()) == sorted(t.name for t in trees.values())
+
+
+def test_each_side_runs_first_once_from_each_place_in_any_four_consecutive_pairs():
+    plan = bench_pairs.schedule(10)
+    assert plan[:4] == [(False, ("base", "change")), (False, ("change", "base")),
+                        (True, ("base", "change")), (False, ("change", "base"))]
+    places, firsts = dict(zip(("base", "change"), bench_pairs.PLACES)), []
+    for swap, order in plan:
+        if swap:
+            places = {"base": places["change"], "change": places["base"]}
+        firsts.append((order[0], places[order[0]]))
+    every = {(side, place) for side in ("base", "change") for place in bench_pairs.PLACES}
+    assert all(set(firsts[k:k + 4]) == every for k in range(len(plan) - 3))

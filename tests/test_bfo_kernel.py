@@ -1,11 +1,13 @@
 """The forward-model kernel against an independent scalar oracle.
 
-The oracle is the vector-object formulation of the five-term BFO model
+The oracle is the vector formulation of the five-term BFO model
 (uplink Doppler, downlink Doppler, terminal compensation, correction,
-bias) written with ``EcefVector`` arithmetic. ``predict_bfo`` (floats)
-and ``predict_bfo_batch`` (arrays) must agree with it term by term.
+bias), built from the ECEF points of ``geodesy`` with ``math.dist`` and
+sums of products. ``predict_bfo`` (floats) and ``predict_bfo_batch``
+(arrays) must agree with it term by term.
 """
 
+import math
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from bfokit.satellite import (
     nominal_satellite_position,
     satellite_state_at,
 )
+from bfokit.timestamps import parse_time_utc
 from bfokit.track_sweep import bfo_error_vs_track
 from bfokit.units import SPEED_OF_LIGHT_MPS
 
@@ -42,18 +45,17 @@ TERMS = ("uplink_doppler_hz", "downlink_doppler_hz", "aes_compensation_hz", "sat
 # --- oracle -----------------------------------------------------------------
 
 def _los_projection(velocity, from_pos, to_pos):
-    los = to_pos - from_pos
-    r = los.norm()
+    r = math.dist(from_pos, to_pos)
     if r < 1e-6:
         raise DomainError("line-of-sight endpoints coincide")
-    return velocity.dot(los) / r
+    return sum(v * (b - a) for v, a, b in zip(velocity, from_pos, to_pos)) / r
 
 
 def oracle_terms(aircraft, sat, corrections, bias_hz, cfg, slot) -> dict[str, float]:
     f_up = cfg.uplink_hz / SPEED_OF_LIGHT_MPS
     p_x = geodetic_to_ecef(aircraft.position)
     v_x = kinematics_to_ecef_velocity(aircraft.position, aircraft.kinematics)
-    uplink = f_up * _los_projection(sat.velocity - v_x, sat.position, p_x)
+    uplink = f_up * _los_projection([s - x for s, x in zip(sat.velocity, v_x)], sat.position, p_x)
 
     v_hat = kinematics_to_ecef_velocity(
         aircraft.position, aircraft.kinematics._replace(vertical_rate_mps=0.0)
@@ -101,7 +103,7 @@ def test_scalar_and_batch_agree_with_oracle(analysis_config, ephemeris, correcti
         s = random_states(rng, PER_TIME)
         batch_terms = predict_bfo_batch(
             s["lat"], s["lon"], s["alt"], s["gs"], s["track"], s["vz"], t, sat, corrections, bias, cfg, slot
-        ).as_dict()
+        )._asdict()
         for i in range(PER_TIME):
             state = AircraftState(
                 GeodeticPosition(float(s["lat"][i]), float(s["lon"][i]), float(s["alt"][i])),
@@ -110,7 +112,7 @@ def test_scalar_and_batch_agree_with_oracle(analysis_config, ephemeris, correcti
             )
             want = oracle_terms(state, sat, corrections, bias, cfg, slot)
             total, terms = predict_bfo(state, sat, corrections, bias, cfg, slot)
-            got = terms.as_dict()
+            got = terms._asdict()
             assert total == terms.total_hz
             for name in TERMS:
                 worst_scalar = max(worst_scalar, abs(got[name] - want[name]))
@@ -142,7 +144,7 @@ def test_term_functions_match_oracle(analysis_config, ephemeris, corrections):
 
 def test_track_sweep_is_the_scalar_model_per_angle(analysis_config, ephemeris, corrections):
     cfg = analysis_config
-    t = cfg.parse_time("00:11Z")
+    t = parse_time_utc("00:11Z", cfg.reference_date)
     curve = bfo_error_vs_track(
         cfg.arc_crossing, t, 240.0, 252.0, ephemeris, corrections, cfg.bias_hz, cfg.channel, cfg.slot, 0.5
     )

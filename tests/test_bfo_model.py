@@ -47,6 +47,11 @@ def aircraft(lat=0.0, lon=0.0, alt=0.0, gs=0.0, track=0.0, vz=0.0, t=0.0):
     )
 
 
+def unit(start, end) -> EcefVector:
+    """The unit vector from ``start`` to ``end``."""
+    return EcefVector(*(np.subtract(end, start) * (1.0 / math.dist(start, end))))
+
+
 def terms(state, sat, cfg=CFG) -> BfoTerms:
     """The terms of ``state``'s predicted BFO, with zero correction and bias."""
     return predict_bfo(state, sat, flat_corrections(), 0.0, cfg, SLOT)[1]
@@ -65,16 +70,14 @@ class TestUplinkDoppler:
         state = aircraft()
         p_x = geodetic_to_ecef(state.position)
         p_s = nominal_satellite_position(SLOT)
-        away = (p_s - p_x) * (1.0 / (p_s - p_x).norm())
-        sat = SatelliteState(p_s, away)
+        sat = SatelliteState(p_s, unit(p_x, p_s))
         assert terms(state, sat).uplink_doppler_hz == pytest.approx(-F_OVER_C, rel=1e-12)
 
     def test_approaching_satellite_one_mps(self):
         state = aircraft()
         p_x = geodetic_to_ecef(state.position)
         p_s = nominal_satellite_position(SLOT)
-        toward = (p_x - p_s) * (1.0 / (p_x - p_s).norm())
-        sat = SatelliteState(p_s, toward)
+        sat = SatelliteState(p_s, unit(p_s, p_x))
         assert terms(state, sat).uplink_doppler_hz == pytest.approx(F_OVER_C, rel=1e-12)
 
     def test_climb_directly_beneath_satellite(self):
@@ -97,10 +100,10 @@ class TestUplinkDoppler:
                 vz=rng.uniform(-50, 50),
             )
             v_x = kinematics_to_ecef_velocity(state.position, state.kinematics)
-            v_s = EcefVector(*rng.uniform(-80, 80, 3))
-            plus = terms(state, SatelliteState(p_s, v_s)).uplink_doppler_hz
+            v_s = rng.uniform(-80, 80, 3)
+            plus = terms(state, SatelliteState(p_s, EcefVector(*v_s))).uplink_doppler_hz
             # same aircraft with v_s' = 2 v_x - v_s gives v_s' - v_x = -(v_s - v_x)
-            v_s_mirror = 2.0 * v_x - v_s
+            v_s_mirror = EcefVector(*(2.0 * np.array(v_x) - v_s))
             minus = terms(state, SatelliteState(p_s, v_s_mirror)).uplink_doppler_hz
             assert minus == pytest.approx(-plus, abs=1e-9)
 
@@ -150,8 +153,7 @@ class TestDownlinkDoppler:
         cfg = ChannelConfig(downlink_hz=1.5e9)
         p_ges = geodetic_to_ecef(cfg.ges_position)
         p_s = nominal_satellite_position(SLOT)
-        away = (p_s - p_ges) * (1.0 / (p_s - p_ges).norm())
-        sat = SatelliteState(p_s, away)
+        sat = SatelliteState(p_s, unit(p_ges, p_s))
         downlink = terms(aircraft(), sat, cfg).downlink_doppler_hz
         assert downlink == pytest.approx(-5.0029, abs=0.01)
         assert downlink == pytest.approx(-1.5e9 / SPEED_OF_LIGHT_MPS, rel=1e-12)
@@ -160,9 +162,9 @@ class TestDownlinkDoppler:
         rng = np.random.default_rng(4)
         p_s = nominal_satellite_position(SLOT)
         for _ in range(50):
-            v = EcefVector(*rng.uniform(-90, 90, 3))
-            plus = terms(aircraft(), SatelliteState(p_s, v)).downlink_doppler_hz
-            minus = terms(aircraft(), SatelliteState(p_s, -1.0 * v)).downlink_doppler_hz
+            v = rng.uniform(-90, 90, 3)
+            plus = terms(aircraft(), SatelliteState(p_s, EcefVector(*v))).downlink_doppler_hz
+            minus = terms(aircraft(), SatelliteState(p_s, EcefVector(*(-1.0 * v)))).downlink_doppler_hz
             assert minus == pytest.approx(-plus, abs=1e-12)
 
 
@@ -175,7 +177,7 @@ class TestPredictBfo:
         sat = SatelliteState(nominal_satellite_position(SLOT), EcefVector(0, 0, 0))
         total, terms = predict_bfo(aircraft(), sat, flat_corrections(0.0), 0.0, CFG, SLOT)
         assert total == 0.0
-        assert terms.as_dict() == {k: 0.0 for k in terms.as_dict()}
+        assert terms._asdict() == {k: 0.0 for k in terms._fields}
 
     def test_terms_sum(self):
         terms = BfoTerms(10.0, 5.0, -3.0, 2.0, 150.0)
@@ -183,7 +185,7 @@ class TestPredictBfo:
 
     def test_total_equals_term_sum_exactly(self):
         sat = SatelliteState(
-            nominal_satellite_position(SLOT) + EcefVector(5e5, -3e5, 8e5),
+            EcefVector(*np.add(nominal_satellite_position(SLOT), (5e5, -3e5, 8e5))),
             EcefVector(12.0, -7.0, 55.0),
         )
         state = aircraft(lat=-35.0, lon=92.0, alt=10700.0, gs=240.0, track=190.0, vz=-20.0, t=100.0)
@@ -192,7 +194,7 @@ class TestPredictBfo:
 
     def test_linear_in_bias_with_unit_slope(self):
         sat = SatelliteState(
-            nominal_satellite_position(SLOT) + EcefVector(2e5, 1e5, 9e5),
+            EcefVector(*np.add(nominal_satellite_position(SLOT), (2e5, 1e5, 9e5))),
             EcefVector(3.0, 1.0, -40.0),
         )
         state = aircraft(lat=10.0, lon=80.0, alt=11000.0, gs=200.0, track=70.0, t=0.0)
@@ -272,7 +274,7 @@ class TestPredictBfo:
                 vz=rng.uniform(-60, 60),
                 t=0.0,
             )
-            sat_pos = np.array(nominal_satellite_position(SLOT).as_tuple()) + rng.uniform(
+            sat_pos = np.array(nominal_satellite_position(SLOT)) + rng.uniform(
                 -8e5, 8e5, 3
             )
             sat_vel = rng.uniform(-90, 90, 3)
@@ -400,7 +402,7 @@ class TestDescentSensitivity:
 
 def static_geo_table(t0=-3600.0, t1=86400.0):
     p = nominal_satellite_position(SLOT)
-    return EphemerisTable([t0, t1], [p.as_tuple(), p.as_tuple()], [[0, 0, 0], [0, 0, 0]])
+    return EphemerisTable([t0, t1], [p, p], [[0, 0, 0], [0, 0, 0]])
 
 
 def measurement(t, bfo):

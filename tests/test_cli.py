@@ -94,6 +94,18 @@ class TestDescentBounds:
                 golden = list(csv.reader(f))
             assert [header] + [[c.replace(",", "") for c in row] for row in rows] == golden, name
 
+    @pytest.mark.parametrize("argv", [
+        ["descent-bounds"],
+        ["logon-drift"],
+        ["trend", "--extrapolate", "00:19:29Z", "--extrapolate", "2014-03-09T00:00:00Z"],  # a warning on stderr
+        ["track-sweep", "--speed-kts", "450,500"],
+        ["calibrate-bias", "--tarmac-window", "15:55Z..16:15Z"],
+        ["predict-bfo", "--time", "00:11Z", "--lat", "0", "--lon", "0", "--speed-kts", "inf"],  # exit 3
+    ], ids=lambda argv: argv[0])
+    def test_pretty_prints_what_text_prints(self, capsys, argv):
+        text, pretty = (run(capsys, *argv, "--config", CONFIG, "--format", fmt) for fmt in ("text", "pretty"))
+        assert pretty == text
+
     def test_exact_sensitivity_flag(self, capsys):
         code, payload, _ = run_json(
             capsys, "descent-bounds", "--config", CONFIG, "--exact-sensitivity"
@@ -429,7 +441,7 @@ def _static_world_config(tmp_path):
 
     t0 = 1394150400.0  # 2014-03-07T00:00:00Z
     t1 = t0 + 2 * 86400.0
-    p = nominal_satellite_position(NominalSlot()).as_tuple()
+    p = tuple(nominal_satellite_position(NominalSlot()))
     write_ephemeris_csv(
         tmp_path / "eph.csv",
         EphemerisTable([t0, t1], [p, p], [[0, 0, 0], [0, 0, 0]]),

@@ -23,6 +23,7 @@ from bfokit.errors import DomainError
 from bfokit.geodesy import GeodeticPosition, GroundKinematics, elevation_angle
 from bfokit.satellite import satellite_state_at
 from bfokit.stats import BfoMeasurement, Channel, MessageType, NoiseBounds
+from bfokit.timestamps import parse_time_utc
 from bfokit.warmup import DriftBounds
 
 NOISE = NoiseBounds(-28.0, 18.0)
@@ -385,7 +386,7 @@ class TestPlantedDescent:
     ):
         cfg = analysis_config
         w2, w1 = rates
-        times = cfg.parse_time("00:19:29Z"), cfg.parse_time("00:19:37Z")
+        times = parse_time_utc("00:19:29Z", cfg.reference_date), parse_time_utc("00:19:37Z", cfg.reference_date)
         position = GeodeticPosition(lat, lon, alt)
 
         def bfo(track, w_fpm, t):

@@ -63,7 +63,7 @@ def oracle_compensation(xp, frame, ve, vn, slot, cfg):
     return cfg.uplink_hz / SPEED_OF_LIGHT_MPS * _los_rate(
         xp,
         oracle_ecef_velocity(frame, ve, vn, 0.0),
-        nominal_satellite_position(slot).as_tuple(),
+        tuple(nominal_satellite_position(slot)),
         _ecef_position(frame, 0.0),
     )
 
@@ -72,7 +72,7 @@ def oracle_downlink(sat, cfg):
     g = cfg.ges_position
     p_ges = _ecef_position(_frame(math, g.latitude_deg, g.longitude_deg), g.altitude_m)
     return cfg.downlink_hz / SPEED_OF_LIGHT_MPS * _los_rate(
-        math, sat.velocity.as_tuple(), sat.position.as_tuple(), p_ges
+        math, tuple(sat.velocity), tuple(sat.position), p_ges
     )
 
 
@@ -124,8 +124,8 @@ def test_scalar_and_batch_equal_the_unhoisted_kernel(analysis_config, ephemeris,
             sat = satellite_state_at(t, ephemeris)
             state = random_states(rng, PER_TIME)
             with np.errstate(invalid="ignore", over="ignore"):
-                want_batch = oracle_terms(np, *state, t, sat, corrections, bias, cfg, slot).as_dict()
-            got_batch = predict_bfo_batch(*state, t, sat, corrections, bias, cfg, slot).as_dict()
+                want_batch = oracle_terms(np, *state, t, sat, corrections, bias, cfg, slot)._asdict()
+            got_batch = predict_bfo_batch(*state, t, sat, corrections, bias, cfg, slot)._asdict()
             for name in TERMS:
                 assert np.array_equal(got_batch[name], want_batch[name]), name
             for lat, lon, alt, gs, track, vz in zip(*(column.tolist() for column in state)):
@@ -146,7 +146,7 @@ def test_each_instance_holds_its_own_positions(analysis_config):
     assert moved.ges_ecef != cached[0]
     assert cfg._replace(uplink_hz=1.6e9).ges_ecef == cached[0]
     for other in [*OTHER_SLOTS, slot._replace(radius_m=slot.radius_m + 1e3)]:
-        assert other.ecef == nominal_satellite_position(other).as_tuple()
+        assert other.ecef == tuple(nominal_satellite_position(other))
         assert other.ecef != cached[1]
     assert (cfg.ges_ecef, slot.ecef) == cached
 

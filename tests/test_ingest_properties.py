@@ -127,7 +127,7 @@ class TestWriteReadRoundTrip:
                 BfoMeasurement(float(start + i), Channel.R, msg, bfo, ber=abs(ber), cn0_dbhz=cn0)
                 for i, (msg, bfo, ber, cn0) in enumerate(shape)
             )
-            sequences.append(LogonSequence(str(k), ms[0].timestamp, ms, mode))
+            sequences.append(LogonSequence(str(k), ms, mode))
         first, second = rewritten(tmp_path, "logon", lambda p: write_logon_csv(p, sequences, prov))
         assert first == second
 

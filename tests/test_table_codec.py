@@ -504,7 +504,8 @@ def test_curve_writer_refuses_columns_of_two_lengths(tmp_path):
 def test_curve_writer_matches_the_oracle_on_a_dense_sweep(tmp_path, analysis_config, ephemeris, corrections):
     # a 0.01 deg sweep: 36,001 rows, 141 write blocks, whole angles every 100th row
     cfg = analysis_config
-    curve = bfo_error_vs_track(cfg.arc_crossing, cfg.parse_time("00:11Z"), 450.0 * KNOTS_TO_MPS, 252.0, ephemeris,
+    t = parse_time_utc("00:11Z", cfg.reference_date)
+    curve = bfo_error_vs_track(cfg.arc_crossing, t, 450.0 * KNOTS_TO_MPS, 252.0, ephemeris,
                                corrections, cfg.bias_hz, cfg.channel, cfg.slot, step_deg=0.01)
     assert len(curve[0]) == 36_001
     write_curve_csv(tmp_path / "new.csv", curve, ["# dense"])
@@ -544,7 +545,6 @@ def logon_sequences(ms, cuts, ids, modes):
     return [
         LogonSequence(
             id=seq_id,
-            logon_time=ms[a].timestamp,
             measurements=(ms[a]._replace(message_type=MessageType.LOGON_REQUEST), *ms[a + 1:b]),
             compensation_mode=mode,
         )

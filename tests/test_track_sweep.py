@@ -5,13 +5,14 @@ from hypothesis import strategies as st
 
 from bfokit.bfo_model import ChannelConfig
 from bfokit.errors import DomainError
-from bfokit.geodesy import EcefVector, GeodeticPosition
+from bfokit.geodesy import GeodeticPosition
 from bfokit.satellite import (
     CorrectionTable,
     EphemerisTable,
     NominalSlot,
     nominal_satellite_position,
 )
+from bfokit.timestamps import parse_time_utc
 from bfokit.track_sweep import (
     TrackSector,
     bfo_error_vs_track,
@@ -26,10 +27,9 @@ T0011 = "00:11Z"
 
 
 def static_nominal_ephemeris(z_offset_m=0.0):
-    p = nominal_satellite_position(SLOT) + EcefVector(0.0, 0.0, z_offset_m)
-    return EphemerisTable(
-        [-86400.0, 86400.0], [p.as_tuple(), p.as_tuple()], [[0, 0, 0], [0, 0, 0]]
-    )
+    x, y, z = nominal_satellite_position(SLOT)
+    p = (x, y, z + z_offset_m)
+    return EphemerisTable([-86400.0, 86400.0], [p, p], [[0, 0, 0], [0, 0, 0]])
 
 
 def flat_corrections(value=0.0):
@@ -39,7 +39,7 @@ def flat_corrections(value=0.0):
 def sweep_fixture(analysis_config, ephemeris, corrections, speed_kts=450.0, **kw):
     return bfo_error_vs_track(
         crossing=kw.pop("crossing", analysis_config.arc_crossing),
-        t=analysis_config.parse_time(T0011),
+        t=parse_time_utc(T0011, analysis_config.reference_date),
         ground_speed_mps=speed_kts * KNOTS_TO_MPS,
         measured_bfo_hz=252.0,
         ephemeris=ephemeris,

@@ -157,13 +157,13 @@ def model(analysis_config, log_records):
 class TestCruiseFixture:
 
     def test_forward_extrapolation_to_final_logon(self, analysis_config, model):
-        t = analysis_config.parse_time("00:19:29Z")
+        t = parse_time_utc("00:19:29Z", analysis_config.reference_date)
         assert 252.0 <= extrapolate(model, t) <= 256.0
 
     def test_expected_south_track_bfo(self, analysis_config, model, ephemeris, corrections):
         curve = bfo_error_vs_track(
             crossing=analysis_config.arc_crossing,
-            t=analysis_config.parse_time("00:11Z"),
+            t=parse_time_utc("00:11Z", analysis_config.reference_date),
             ground_speed_mps=450.0 * KNOTS_TO_MPS,
             measured_bfo_hz=252.0,
             ephemeris=ephemeris,
@@ -173,7 +173,7 @@ class TestCruiseFixture:
             slot=analysis_config.slot,
         )
         south = track_offset(curve, TrackSector.SOUTH)
-        expected = extrapolate(model, analysis_config.parse_time("00:19:29Z")) + south
+        expected = extrapolate(model, parse_time_utc("00:19:29Z", analysis_config.reference_date)) + south
         assert expected == pytest.approx(260.0, abs=2.0)
 
     def test_north_track_uses_canonical_expected_value(self, analysis_config):

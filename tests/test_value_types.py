@@ -9,8 +9,10 @@ once per run (``AnalysisConfig``, ``LogRecords``, ``ErrorStats``,
 tests pin what they keep from the frozen dataclasses they replace (field
 names and order, defaults, keyword construction, every check and its text,
 checks on ``_replace``, immutability, equality and hash by value, the
-``repr`` text, vector arithmetic) and what a tuple type adds: equality with
-a plain tuple of the same items.
+``repr`` text) and what a tuple type adds: equality with a plain tuple of
+the same items. ``EcefVector`` is a checked ``(x, y, z)`` and nothing more:
+``+`` and ``*`` are the tuple operations. No field annotation of any of
+these types is a string, which ``NamedTuple`` would compile at import.
 
 The six types of the forward model's inputs and the noise bounds
 (``GeodeticPosition``, ``GroundKinematics``, ``AircraftState``,
@@ -19,14 +21,18 @@ dataclasses too, and get the same pins. ``ChannelConfig``, ``NoiseBounds``
 and ``NominalSlot`` refuse a non-finite field when built, naming the field.
 """
 
+import importlib
 import math
 import pickle
+import pkgutil
 from datetime import date
 from pathlib import PurePosixPath
+from typing import ForwardRef
 
 import numpy as np
 import pytest
 
+import bfokit
 from bfokit.bfo_model import AircraftState, BfoTerms, ChannelConfig, predict_bfo_batch
 from bfokit.config import AnalysisConfig
 from bfokit.descent import (
@@ -51,6 +57,7 @@ from bfokit.satellite import (
     satellite_state_at,
 )
 from bfokit.stats import BfoMeasurement, Channel, ErrorStats, MessageType, NoiseBounds
+from bfokit.timestamps import parse_time_utc
 from bfokit.trend import TrendModel
 from bfokit.warmup import CompensationMode, DriftBounds, LogonSequence
 
@@ -202,36 +209,15 @@ class TestEqualityAndHash:
         assert GeodeticPosition(1.0, 2.0, 3.0) == EcefVector(1.0, 2.0, 3.0)
 
 
-class TestVectorArithmetic:
-    def test_add_sub_mul_are_vector_operations(self):
+class TestEcefVectorIsAPlainTuple:
+    def test_plus_and_times_are_the_tuple_operations(self):
         v, w = EcefVector(1.0, 2.0, 3.0), EcefVector(10.0, 20.0, 30.0)
-        for result, want in [
-            (v + w, (11.0, 22.0, 33.0)),
-            (w - v, (9.0, 18.0, 27.0)),
-            (v * 2, (2.0, 4.0, 6.0)),
-            (2 * v, (2.0, 4.0, 6.0)),
-            (v * 0.5, (0.5, 1.0, 1.5)),
-            (-1.0 * v, (-1.0, -2.0, -3.0)),
-            (np.float64(2.0) * v, (2.0, 4.0, 6.0)),
-            (v * np.float64(2.0), (2.0, 4.0, 6.0)),
-        ]:
-            assert type(result) is EcefVector
-            assert result == want
-
-    def test_arithmetic_result_is_checked(self):
-        with pytest.raises(DomainError, match="ECEF components must be finite"):
-            EcefVector(1e308, 0.0, 0.0) * 10.0
-
-    def test_dot_norm_as_tuple(self):
-        v = EcefVector(3.0, 4.0, 12.0)
-        assert v.dot(EcefVector(1.0, 1.0, 1.0)) == 19.0
-        assert v.norm() == 13.0
-        assert type(v.as_tuple()) is tuple and v.as_tuple() == (3.0, 4.0, 12.0)
-
-    def test_plain_tuple_on_the_left_concatenates(self):
-        # The one tuple operation a vector cannot take over: a plain tuple's
-        # own + runs first.
-        assert (0.0,) + EcefVector(1.0, 2.0, 3.0) == (0.0, 1.0, 2.0, 3.0)
+        assert type(v + w) is tuple and v + w == (1.0, 2.0, 3.0, 10.0, 20.0, 30.0)
+        assert type(v * 2) is tuple and v * 2 == 2 * v == (1.0, 2.0, 3.0) * 2
+        assert (0.0,) + v == (0.0, 1.0, 2.0, 3.0)
+        with pytest.raises(TypeError):
+            w - v
+        assert not any(hasattr(v, name) for name in ("dot", "norm", "as_tuple"))
 
     def test_unpacks_as_x_y_z(self):
         x, y, z = EcefVector(1.0, 2.0, 3.0)
@@ -244,12 +230,12 @@ class TestBfoTerms:
     def test_total_and_dict(self):
         terms = BfoTerms(10.0, 5.0, -3.0, 2.0, 150.0)
         assert terms.total_hz == 164.0
-        assert list(terms.as_dict().items()) == list(zip(BfoTerms._fields, terms))
-        assert type(terms.as_dict()) is dict
+        assert list(terms._asdict().items()) == list(zip(BfoTerms._fields, terms))
+        assert type(terms._asdict()) is dict
 
     def test_batch_terms_hold_arrays(self, analysis_config, ephemeris, corrections):
         cfg = analysis_config
-        t = cfg.parse_time("00:11Z")
+        t = parse_time_utc("00:11Z", cfg.reference_date)
         p = cfg.arc_crossing
         tracks = np.array([0.0, 90.0, 185.0])
         terms = predict_bfo_batch(
@@ -260,7 +246,7 @@ class TestBfoTerms:
         assert isinstance(terms.uplink_doppler_hz, np.ndarray) and terms.uplink_doppler_hz.shape == (3,)
         assert isinstance(terms.downlink_doppler_hz, float)
         assert terms.total_hz.shape == (3,)
-        assert np.array_equal(terms.as_dict()["aes_compensation_hz"], terms.aes_compensation_hz)
+        assert np.array_equal(terms._asdict()["aes_compensation_hz"], terms.aes_compensation_hz)
 
 
 class TestNonFiniteDataclassFields:
@@ -304,7 +290,7 @@ def once_per_run():
         LogRecords((REQUEST,), ("# log",), ((3, "bad row"),)),
         ErrorStats(0.5, 4.3, -7.0, 7.0, 12),
         TrendModel(2.0, 252.0, (0.0, 3600.0), 0.5),
-        LogonSequence("7", 0.0, (REQUEST, ACK), CompensationMode.CLOSED_LOOP, (1.0, 2.5), "note", True),
+        LogonSequence("7", (REQUEST, ACK), CompensationMode.CLOSED_LOOP, (1.0, 2.5), "note", True),
         DriftBounds((17.0, 136.0), (17.0, 130.0), (0.0, 6.0)),
         BfoRange(-1.5, 2.0),
         RATES,
@@ -330,7 +316,7 @@ FIELDS = {
     ErrorStats: ("mean_hz", "std_hz", "min_hz", "max_hz", "count"),
     TrendModel: ("slope_hz_per_hour", "intercept_hz", "fit_window", "residual_rms_hz"),
     LogonSequence: (
-        "id", "logon_time", "measurements", "compensation_mode", "outage_bounds_min", "notes", "settled_proxy"
+        "id", "measurements", "compensation_mode", "outage_bounds_min", "notes", "settled_proxy"
     ),
     DriftBounds: ("logon_minus_settled", "ack_minus_settled", "ack_below_logon"),
     BfoRange: ("lower_hz", "upper_hz"),
@@ -342,7 +328,8 @@ FIELDS = {
     SyntheticGeoModel: ("longitude_deg", "inclination_deg", "node_time", "eccentricity", "perigee_time", "radius_m"),
 }
 
-# The parent's dataclass repr of each value of once_per_run(), as it was printed.
+# The dataclass repr of each value of once_per_run(), as the dataclasses these types replace printed it;
+# LogonSequence's text has since lost its logon_time field, now read from the first measurement.
 BURST = ("BfoMeasurement(timestamp={}, channel=<Channel.R: 'R'>, message_type=<MessageType.{}>, bfo_hz={}, "
          "bto_us=None, ber=0.0, cn0_dbhz=0.0, signal_db=None)")
 REQUEST_TEXT = BURST.format(0.0, "LOGON_REQUEST: 'logon_request'", 142.0)
@@ -362,7 +349,7 @@ REPRS = [
     f"LogRecords(measurements=({REQUEST_TEXT},), provenance=('# log',), rejected=((3, 'bad row'),))",
     "ErrorStats(mean_hz=0.5, std_hz=4.3, min_hz=-7.0, max_hz=7.0, count=12)",
     "TrendModel(slope_hz_per_hour=2.0, intercept_hz=252.0, fit_window=(0.0, 3600.0), residual_rms_hz=0.5)",
-    f"LogonSequence(id='7', logon_time=0.0, measurements=({REQUEST_TEXT}, {ACK_TEXT}), "
+    f"LogonSequence(id='7', measurements=({REQUEST_TEXT}, {ACK_TEXT}), "
     "compensation_mode=<CompensationMode.CLOSED_LOOP: 'closed_loop'>, outage_bounds_min=(1.0, 2.5), "
     "notes='note', settled_proxy=True)",
     "DriftBounds(logon_minus_settled=(17.0, 136.0), ack_minus_settled=(17.0, 130.0), ack_below_logon=(0.0, 6.0))",
@@ -380,7 +367,7 @@ REPRS = [
 
 
 def logon(**kw):
-    fields = {"id": "7", "logon_time": 0.0, "measurements": (REQUEST, ACK),
+    fields = {"id": "7", "measurements": (REQUEST, ACK),
               "compensation_mode": CompensationMode.OPEN_LOOP, **kw}
     return LogonSequence(**fields)
 
@@ -422,7 +409,7 @@ class TestOncePerRunTypes:
         assert type(value).__name__ == type(value).__qualname__
 
     def test_defaults(self):
-        seq = LogonSequence("7", 0.0, (REQUEST,), CompensationMode.OPEN_LOOP)
+        seq = LogonSequence("7", (REQUEST,), CompensationMode.OPEN_LOOP)
         assert (seq.outage_bounds_min, seq.notes, seq.settled_proxy) == (None, "", False)
         assert tuple(SyntheticGeoModel()) == (64.5, 1.65, 0.0, 0.0, 0.0, GEO_RADIUS_M)
         assert SyntheticGeoModel(node_time=5.0) == (64.5, 1.65, 5.0, 0.0, 0.0, GEO_RADIUS_M)
@@ -481,8 +468,9 @@ class TestOncePerRunTypes:
             assert hash(twin) == hash(value) == hash(tuple(value))
 
     def test_methods_work_on_the_tuple_types(self):
-        cfg, _, _, trend, _, drift, _, rates, table, *_, model = once_per_run()
-        assert cfg.parse_time("16:42Z") == 1394210520.0
+        _, _, _, trend, seq, drift, _, rates, table, *_, model = once_per_run()
+        assert seq.logon_time == REQUEST.timestamp
+        assert seq._replace(measurements=(ACK._replace(message_type=MessageType.LOGON_REQUEST),)).logon_time == 8.0
         assert trend.value_at(1800.0) == 253.0
         assert drift.as_dict() == {"logon_minus_settled_hz": [17.0, 136.0], "ack_minus_settled_hz": [17.0, 130.0],
                                    "ack_below_logon_hz": [0.0, 6.0]}
@@ -653,3 +641,20 @@ class TestModelInputTypes:
         value = make(analysis_config)
         assert repr(value) == text
         assert hash(value) == hashed
+
+
+# ---------------------------------------------------------------------------
+# every tuple type of the package
+
+def test_no_tuple_type_holds_a_string_annotation():
+    # NamedTuple compiles a string annotation into a ForwardRef when the class is made, on every cold import.
+    types = {}  # qualified name: each NamedTuple type the package defines, and each fields base
+    for info in pkgutil.iter_modules(bfokit.__path__):
+        for value in vars(importlib.import_module(f"bfokit.{info.name}")).values():
+            if isinstance(value, type) and issubclass(value, tuple) and hasattr(value, "_fields"):
+                types.update((f"{c.__module__}.{c.__qualname__}", c) for c in value.__mro__
+                             if c.__module__.startswith("bfokit."))
+    assert {"bfokit.config.AnalysisConfig", "bfokit.warmup._LogonFields", "bfokit.geodesy._EcefFields"} <= set(types)
+    strings = {name: [field for field, annotation in vars(cls).get("__annotations__", {}).items()
+                      if isinstance(annotation, (str, ForwardRef))] for name, cls in types.items()}
+    assert {name: fields for name, fields in strings.items() if fields} == {}

@@ -22,8 +22,7 @@ def burst(t, msg, bfo, ber=0.0, cn0=41.7):
 def make_sequence(points, mode=CompensationMode.OPEN_LOOP, seq_id="x", **kw):
     ms = tuple(burst(*p) for p in points)
     return LogonSequence(
-        id=seq_id, logon_time=ms[0].timestamp, measurements=ms,
-        compensation_mode=mode, **kw,
+        id=seq_id, measurements=ms, compensation_mode=mode, **kw,
     )
 
 
@@ -43,6 +42,15 @@ class TestNormalizeToAck:
         assert curve[1] == (8.0, 0.0)
         assert curve[0] == (0.0, 4.0)
         assert curve[-1] == (200.0, -59.0)
+
+    def test_times_count_from_the_logon_request(self, logon_sequences):
+        later = make_sequence([(t + 1000.0, msg, bfo) for t, msg, bfo in DECAYING])
+        assert later.logon_time == 1000.0
+        assert normalize_to_ack(later) == normalize_to_ack(make_sequence(DECAYING))
+        # the request is the log-on time even when it is flagged and dropped from the curve
+        seq7 = next(s for s in logon_sequences if s.id == "7")
+        assert seq7.logon_time == seq7.measurements[0].timestamp
+        assert normalize_to_ack(seq7)[0][0] == seq7.measurements[1].timestamp - seq7.logon_time > 0.0
 
     def test_constant_sequence_all_zeros(self):
         points = [(0.0, "logon_request", 100.0), (8.0, "logon_ack", 100.0), (60.0, "data", 100.0)]
@@ -97,7 +105,7 @@ class TestCompensationScaling:
             for m in seq.measurements
         )
         pre_scaled = LogonSequence(
-            id="h", logon_time=seq.logon_time, measurements=half,
+            id="h", measurements=half,
             compensation_mode=CompensationMode.OPEN_LOOP,
         )
         other = normalize_to_ack(pre_scaled)
@@ -143,7 +151,7 @@ class TestDriftBounds:
             )
             shifted_seqs.append(
                 LogonSequence(
-                    id=seq.id, logon_time=seq.logon_time, measurements=ms,
+                    id=seq.id, measurements=ms,
                     compensation_mode=seq.compensation_mode,
                     outage_bounds_min=seq.outage_bounds_min,
                     notes=seq.notes, settled_proxy=seq.settled_proxy,
@@ -213,6 +221,6 @@ class TestSequenceValidation:
         ms = (burst(10.0, "logon_request", 1.0), burst(5.0, "logon_ack", 1.0))
         with pytest.raises(DomainError):
             LogonSequence(
-                id="bad", logon_time=10.0, measurements=ms,
+                id="bad", measurements=ms,
                 compensation_mode=CompensationMode.OPEN_LOOP,
             )

@@ -5,15 +5,17 @@
         --seeds 931-940 [--seconds 30] [--workload cold_cli ...]
 
 Both trees sit side by side in one temporary directory, at paths of one
-length, and they trade paths by rename before every pair after the
-first, so that neither runs from a faster place than the other. Both
+length. The side that runs first alternates every pair, and the trees
+trade paths by rename before every second pair (:func:`schedule`), so
+that over any four consecutive pairs each tree runs first once from each
+path: neither the run order nor the place favours one side. Both
 are unpacked by ``tar -x``, so that neither is written differently: the
 base revision from ``git archive``, and the change from a ``tar -c`` of
 the working tree as it stands, its tracked files and the untracked ones
 that are not ignored (``git ls-files --cached --others
 --exclude-standard``), less the tracked files it has deleted. For each
 seed and workload, ``perfbench/run.py --trace 0`` runs once in each
-tree, and the side that runs first alternates from seed to seed. The runs get
+tree. The runs get
 ``PYTHONDONTWRITEBYTECODE=1``, so neither tree gains ``__pycache__``
 directories; nothing else is written in either tree except what
 ``perfbench/run.py`` itself makes and removes.
@@ -82,6 +84,13 @@ def make_trees(rev: str, into: Path, repo: Path = REPO) -> dict[str, Path]:
     return trees
 
 
+def schedule(pairs: int) -> list[tuple[bool, tuple[str, str]]]:
+    """For each of ``pairs`` pairs: whether the trees trade places before it, and the order the sides run in.
+    The order alternates every pair and the places every second pair, so that over any four consecutive
+    pairs each side runs first once from each place."""
+    return [(k > 0 and k % 2 == 0, ("base", "change") if k % 2 == 0 else ("change", "base")) for k in range(pairs)]
+
+
 def swap_places(trees: dict[str, Path]) -> dict[str, Path]:
     """``trees`` after the two directories trade paths by rename, so that each side runs from the other's."""
     base, change = trees["base"], trees["change"]
@@ -132,10 +141,9 @@ def main(argv=None) -> int:
     results = {w: {"base": [], "change": [], "failed": [0, 0]} for w in args.workload}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = make_trees(args.base, Path(tmp))
-        for k, seed in enumerate(args.seeds):
-            if k:
+        for seed, (swap, order) in zip(args.seeds, schedule(len(args.seeds))):
+            if swap:
                 trees = swap_places(trees)
-            order = ["base", "change"] if k % 2 == 0 else ["change", "base"]
             for w in args.workload:
                 for side in order:
                     out = run_once(trees[side], w, seed, seconds)
@@ -145,7 +153,7 @@ def main(argv=None) -> int:
                           + " ".join(f"{n}={v:.6g}" for n, v in results[w][side][-1].items()), flush=True)
     code = 0
     print(f"\nbase {args.base} vs working tree; {len(args.seeds)} pairs, seeds {args.seeds[0]}–{args.seeds[-1]}, "
-          f"{seconds:g} s per run, first side and places alternating")
+          f"{seconds:g} s per run, first side alternating every pair and places every second pair")
     for w, r in results.items():
         print(f"\n{w} (failed requests: base {r['failed'][0]}, change {r['failed'][1]})\n")
         print("| metric | base median (quartiles) | change median (quartiles) | change | wins | within bound | gain rule |")

@@ -327,7 +327,6 @@ def build_logon_sequences():
         sequences.append(
             LogonSequence(
                 id=seq_id,
-                logon_time=start,
                 measurements=ms,
                 compensation_mode=CompensationMode(shape["mode"]),
                 outage_bounds_min=tuple(meta["outage_minutes"]),
