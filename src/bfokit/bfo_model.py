@@ -178,14 +178,10 @@ def predict_bfo(
     slot: NominalSlot = NominalSlot(),
 ) -> tuple[float, BfoTerms]:
     """Predicted BFO (Hz) and its exact additive decomposition."""
-    p, k = aircraft.position, aircraft.kinematics
-    if k.ground_speed_mps < 0:
+    (lat, lon, alt), (speed, track, vrate), t = aircraft
+    if speed < 0:
         raise DomainError("ground speed must be >= 0")
-    terms = _bfo_terms(
-        math, p.latitude_deg, p.longitude_deg, p.altitude_m,
-        k.ground_speed_mps, k.track_angle_deg, k.vertical_rate_mps,
-        aircraft.timestamp, sat, corrections, bias_hz, cfg, slot,
-    )
+    terms = _bfo_terms(math, lat, lon, alt, speed, track, vrate, t, sat, corrections, bias_hz, cfg, slot)
     total = terms.total_hz
     if not math.isfinite(total):
         raise DomainError("predicted BFO is not finite")

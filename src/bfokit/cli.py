@@ -26,7 +26,7 @@ from .config import load_config, parse_named_time, parse_window
 from .descent import MESSAGES, Hypothesis, analyze, final_logon_pair
 from .errors import ConfigError, DomainError, ParseError
 from .geodesy import GeodeticPosition, GroundKinematics, elevation_angle
-from .ingest import _fmt, _write_csv, write_curve_csv
+from .ingest import _fmt, _write_table, write_curve_csv
 from .satellite import satellite_state_at
 from .timestamps import format_time_utc
 from .track_sweep import TrackSector, bfo_error_vs_track, peak_to_peak, track_offset
@@ -77,11 +77,19 @@ def _fmt_cell(v: float) -> str:
     return _fmt(v)
 
 
-def _speed_list(text: str) -> list[float]:
-    try:
-        return [float(s) for s in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of speeds") from None
+def _speed_list(text: str) -> dict[str, float]:
+    """``{curve key: speed}`` in list order. A speed whose key an earlier speed has is refused."""
+    curves = {}
+    for entry in text.split(","):
+        try:
+            speed = float(entry)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a comma-separated list of speeds") from None
+        key = f"{speed:g}kts"
+        if key in curves:
+            raise argparse.ArgumentTypeError(f"{text!r} names the curve {key} more than once")
+        curves[key] = speed
+    return curves
 
 
 def _load_log(cfg):
@@ -109,7 +117,7 @@ def _cmd_predict_bfo(cfg, args) -> dict:
         position=GeodeticPosition(args.lat, args.lon, args.alt),
         kinematics=GroundKinematics(
             ground_speed_mps=args.speed_kts * KNOTS_TO_MPS,
-            track_angle_deg=args.track_deg % 360.0,
+            track_angle_deg=args.track_deg % 360.0 if math.isfinite(args.track_deg) else args.track_deg,
             vertical_rate_mps=args.vrate_fpm * FPM_TO_MPS,
         ),
         timestamp=t,
@@ -135,7 +143,7 @@ def _cmd_track_sweep(cfg, args) -> dict:
     corrections = cfg.load_corrections()
 
     out: dict = {"time_utc": format_time_utc(t), "measured_bfo_hz": measured, "curves": {}}
-    for speed in args.speed_kts:
+    for key, speed in args.speed_kts.items():
         curve = bfo_error_vs_track(
             crossing=cfg.arc_crossing,
             t=t,
@@ -148,7 +156,6 @@ def _cmd_track_sweep(cfg, args) -> dict:
             slot=cfg.slot,
             step_deg=args.step_deg,
         )
-        key = f"{speed:g}kts"
         out["curves"][key] = {
             "south_offset_hz": track_offset(curve, TrackSector.SOUTH),
             "north_offset_hz": track_offset(curve, TrackSector.NORTH),
@@ -245,7 +252,7 @@ def _cmd_descent_bounds(cfg, args) -> dict:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, (header, rows) in tables.items():
-            _write_csv(out_dir / name, (), header, map(",".join, rows))
+            _write_table(out_dir / name, (), dict.fromkeys(header, str), rows)
         if "acceleration" in out:
             (out_dir / "acceleration.json").write_text(
                 json.dumps(out["acceleration"], indent=2, sort_keys=True) + "\n", encoding="utf-8"

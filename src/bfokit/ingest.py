@@ -14,7 +14,7 @@ import csv
 import json
 import math
 import sys
-from itertools import chain, compress, islice
+from itertools import compress, islice
 from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -131,11 +131,14 @@ def _load_table(path, schema, make):
     cell its parser rejects (the message starts with the column name) or
     a ``make`` that raises :class:`DomainError`. A header with unknown,
     missing or repeated columns raises :class:`ParseError` at its line.
+    So does a file that starts with a UTF-8 byte-order mark, at line 1.
     A file without a header is an empty table. A line holding a quote or a
     NUL, or longer than the csv field limit, is split by :mod:`csv`; any
     other line is split on commas, which is the same split.
     """
     data = Path(path).read_bytes()
+    if data.startswith(b"\xef\xbb\xbf"):  # a writer would drop it, so no read skips it
+        raise ParseError(path, [(1, "starts with a UTF-8 byte-order mark")])
     try:
         lines = data.decode("utf-8").splitlines()
     except UnicodeDecodeError as e:
@@ -198,20 +201,15 @@ def _format_column(write, column) -> list[str]:
 
 
 def _write_table(path, provenance, schema, rows) -> None:
-    """Write ``rows``, tuples in ``schema`` order, formatting 256 rows at a time, a column at a time."""
+    """Write the provenance, the header and ``rows``, tuples in ``schema`` order: 256 rows a block, each
+    formatted a column at a time and written at once, so a large table is never held as one string."""
     formats = [_FORMATS[parse] for parse in schema.values()]
     rows = iter(rows)
-    blocks = iter(lambda: list(islice(rows, 256)), [])
-    lines = (zip(*[_format_column(f, column) for f, column in zip(formats, zip(*block))]) for block in blocks)
-    _write_csv(path, provenance, schema, map(",".join, chain.from_iterable(lines)))
-
-
-def _write_csv(path, provenance, header, lines) -> None:
-    """Write finished lines in blocks, so a large table is never held as one string."""
-    lines = chain(provenance, [",".join(header)], lines)
     with open(path, "w", encoding="utf-8") as f:
-        while block := list(islice(lines, 1024)):
-            f.write("\n".join(block) + "\n")
+        f.write("\n".join([*provenance, ",".join(schema)]) + "\n")
+        while block := list(islice(rows, 256)):
+            columns = [_format_column(fmt, column) for fmt, column in zip(formats, zip(*block))]
+            f.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -388,4 +386,4 @@ def load_error_samples_csv(path) -> tuple[list[float], tuple[str, ...]]:
 
 
 def write_error_samples_csv(path, values, provenance=()) -> None:
-    _write_csv(path, provenance, ERROR_SCHEMA, (repr(float(v)) for v in values))
+    _write_table(path, provenance, dict.fromkeys(ERROR_SCHEMA, float), zip(map(float, values)))

@@ -169,13 +169,23 @@ class TestTrackSweep:
         ratio = payload["curves"]["500kts"]["peak_to_peak_hz"] / payload["curves"]["450kts"]["peak_to_peak_hz"]
         assert 0.85 <= ratio <= 1.15
 
-    @pytest.mark.parametrize("speeds", ["abc", "450,,500"])
-    def test_bad_speed_list_is_a_usage_error(self, capsys, speeds):
+    BAD_SPEEDS = {
+        "abc": "is not a comma-separated list of speeds",
+        "450,,500": "is not a comma-separated list of speeds",
+        # two speeds that name one curve, which would be computed twice and written once
+        "450,450.0000001": "names the curve 450kts more than once",
+        "450,450": "names the curve 450kts more than once",
+    }
+
+    @pytest.mark.parametrize("speeds", list(BAD_SPEEDS))
+    def test_bad_speed_list_is_a_usage_error(self, capsys, tmp_path, speeds):
+        out_dir = tmp_path / "curves"
         with pytest.raises(SystemExit) as info:
-            main(["track-sweep", "--config", CONFIG, "--speed-kts", speeds])
+            main(["track-sweep", "--config", CONFIG, "--speed-kts", speeds, "--out-dir", str(out_dir)])
         err = capsys.readouterr().err
         assert info.value.code == 1
-        assert "argument --speed-kts" in err and "Traceback" not in err
+        assert f"argument --speed-kts: {speeds!r} {self.BAD_SPEEDS[speeds]}" in err and "Traceback" not in err
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("flag, value, name", [
         ("--step-deg", "nan", "step_deg"),
@@ -293,6 +303,10 @@ class TestOtherCommands:
         ("--speed-kts", "inf", "ground_speed_mps inf is not finite"),
         ("--vrate-fpm", "inf", "vertical_rate_mps inf is not finite"),
         ("--vrate-fpm", "-inf", "vertical_rate_mps -inf is not finite"),
+        # only a finite track is reduced into [0, 360), so the error names the angle given
+        ("--track-deg", "inf", "track angle inf outside [0, 360)"),
+        ("--track-deg", "-inf", "track angle -inf outside [0, 360)"),
+        ("--track-deg", "nan", "track angle nan outside [0, 360)"),
     ])
     def test_predict_bfo_names_a_non_finite_speed_or_rate(self, capsys, flag, value, message):
         code, out, err = run(
@@ -301,6 +315,11 @@ class TestOtherCommands:
         )
         assert (code, out) == (3, "")
         assert err == f"bfokit: domain error: {message}\n"
+
+    def test_predict_bfo_reduces_a_finite_track_into_a_turn(self, capsys):
+        argv = ["predict-bfo", "--config", CONFIG, "--time", "00:11Z", "--lat", "-38.67", "--lon", "85.11",
+                "--speed-kts", "450", "--format", "json"]
+        assert run(capsys, *argv, "--track-deg=-10") == run(capsys, *argv, "--track-deg", "350")
 
     @pytest.mark.parametrize("argv, flag", [
         (["trend", "--window", "19:41Z"], "--window"),

@@ -247,6 +247,17 @@ class TestSchemaReader:
         lineno, message = info.value.problems[0]
         assert lineno == 5 and "fields" in message
 
+    @pytest.mark.parametrize("load, text", [
+        (load_log_csv, fixture_path("mh370_bfo_log.csv").read_text()),  # a provenance line, then the header
+        (load_correction_csv, "time_utc,delta_f_hz\n2014-03-07T15:30:00Z,1.5\n"),  # the header on line 1
+    ], ids=["log", "corrections"])
+    def test_byte_order_mark_is_parse_error_at_line_1(self, load, text, tmp_path):
+        p = tmp_path / "table.csv"
+        p.write_text(text, encoding="utf-8-sig")  # text behind a byte-order mark
+        with pytest.raises(ParseError) as info:
+            load(p)
+        assert info.value.problems == [(1, "starts with a UTF-8 byte-order mark")]
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
     def test_non_finite_correction_is_parse_error(self, value, tmp_path):
         p = tmp_path / "corr.csv"

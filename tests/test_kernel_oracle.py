@@ -94,12 +94,8 @@ def oracle_bfo_terms(xp, lat, lon, alt, gs, track, vz, t, sat, corrections, bias
 
 
 def oracle_predict_bfo(aircraft, sat, corrections, bias_hz, cfg, slot):
-    p, k = aircraft.position, aircraft.kinematics
-    terms = oracle_bfo_terms(
-        math, p.latitude_deg, p.longitude_deg, p.altitude_m,
-        k.ground_speed_mps, k.track_angle_deg, k.vertical_rate_mps,
-        aircraft.timestamp, sat, corrections, bias_hz, cfg, slot,
-    )
+    (lat, lon, alt), (gs, track, vz), t = aircraft
+    terms = oracle_bfo_terms(math, lat, lon, alt, gs, track, vz, t, sat, corrections, bias_hz, cfg, slot)
     return terms.total_hz, terms
 
 
@@ -201,10 +197,8 @@ def duck_aircraft(state, t):
     """An ``AircraftState`` whose position and kinematics skip their own checks,
     so that what the kernel's entry point checks is reached."""
     return AircraftState(
-        SimpleNamespace(latitude_deg=state["latitude"], longitude_deg=state["longitude"],
-                        altitude_m=state["altitude"]),
-        SimpleNamespace(ground_speed_mps=state["ground_speed"], track_angle_deg=state["track"],
-                        vertical_rate_mps=state["vertical_rate"]),
+        (state["latitude"], state["longitude"], state["altitude"]),
+        (state["ground_speed"], state["track"], state["vertical_rate"]),
         t,
     )
 
