@@ -42,6 +42,7 @@ from .satellite import (
     deterministic_correction_at,
     satellite_state_at,
 )
+from .stats import ordered_sum
 from .units import FPM_TO_MPS, SPEED_OF_LIGHT_MPS
 
 class ChannelConfig(CheckedTuple, NamedTuple("_ChannelFields", [
@@ -261,4 +262,4 @@ def calibrate_bias(
         residuals.append(measurement.bfo_hz - predicted)
     if not residuals:
         raise DomainError("bias calibration needs at least one measurement")
-    return sum(residuals) / len(residuals)
+    return ordered_sum(residuals) / len(residuals)

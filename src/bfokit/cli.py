@@ -6,9 +6,9 @@ line, log-on warm-up drift bounds, the two-hypothesis descent-rate
 tables with the downward-acceleration estimate, and tarmac bias
 calibration.
 
-Exit codes: 0 success, 1 usage or a closed stdout, 2 parse/config error or a path
-the system refuses, 3 numerical-domain error, which includes a result that would
-hold NaN or an infinity.
+Exit codes: 0 success, 1 usage or a closed stdout, 2 parse/config error, a path the
+system refuses or a full stdout, 3 numerical-domain error, which includes a result
+that would hold NaN or an infinity. Files are written only once the result passes its checks.
 ``--format json`` switches both results and errors to JSON.
 """
 
@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import warnings
+from functools import partial
 from itertools import chain
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from .config import load_config, parse_named_time, parse_window
 from .descent import MESSAGES, Hypothesis, analyze, final_logon_pair
 from .errors import ConfigError, DomainError, ParseError
 from .geodesy import GeodeticPosition, GroundKinematics, elevation_angle
-from .ingest import _fmt, _write_table, write_curve_csv
+from .ingest import _fmt, _write_table, _write_whole, write_curve_csv
 from .satellite import satellite_state_at
 from .timestamps import format_time_utc
 from .track_sweep import TrackSector, bfo_error_vs_track, peak_to_peak, track_offset
@@ -109,9 +110,9 @@ def _window(cfg, text: str, flag: str) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each takes the loaded config and the parsed arguments
+# subcommands: each takes the loaded config and the parsed arguments and returns (result, {output path: writer})
 
-def _cmd_predict_bfo(cfg, args) -> dict:
+def _cmd_predict_bfo(cfg, args) -> tuple[dict, dict]:
     t = parse_named_time(args.time, cfg.reference_date, "--time")
     state = AircraftState(
         position=GeodeticPosition(args.lat, args.lon, args.alt),
@@ -124,25 +125,24 @@ def _cmd_predict_bfo(cfg, args) -> dict:
     )
     sat = satellite_state_at(t, cfg.load_ephemeris())
     predicted, terms = predict_bfo(state, sat, cfg.load_corrections(), cfg.bias_hz, cfg.channel, cfg.slot)
-    return {"time_utc": format_time_utc(t), "predicted_bfo_hz": predicted, **terms._asdict()}
+    return {"time_utc": format_time_utc(t), "predicted_bfo_hz": predicted, **terms._asdict()}, {}
 
 
 def _measured_bfo_at(cfg, t: float) -> float:
     hits = [m for m in _load_log(cfg) if m.timestamp == t]
     if not hits:
-        raise DomainError(
-            f"no logged measurement at {format_time_utc(t)}; pass --measured-bfo"
-        )
+        raise DomainError(f"no logged measurement at {format_time_utc(t)}; pass --measured-bfo")
     return hits[0].bfo_hz
 
 
-def _cmd_track_sweep(cfg, args) -> dict:
+def _cmd_track_sweep(cfg, args) -> tuple[dict, dict]:
     t = parse_named_time(args.time, cfg.reference_date, "--time")
     measured = args.measured_bfo if args.measured_bfo is not None else _measured_bfo_at(cfg, t)
     ephemeris = cfg.load_ephemeris()
     corrections = cfg.load_corrections()
 
     out: dict = {"time_utc": format_time_utc(t), "measured_bfo_hz": measured, "curves": {}}
+    files = {}
     for key, speed in args.speed_kts.items():
         curve = bfo_error_vs_track(
             crossing=cfg.arc_crossing,
@@ -163,13 +163,13 @@ def _cmd_track_sweep(cfg, args) -> dict:
         }
         if args.out_dir:
             path = Path(args.out_dir) / f"track_sweep_{key}.csv"
-            path.parent.mkdir(parents=True, exist_ok=True)
-            write_curve_csv(path, curve, provenance=[f"# bfo error vs track angle at {format_time_utc(t)}, {key}"])
+            provenance = [f"# bfo error vs track angle at {format_time_utc(t)}, {key}"]
+            files[path] = partial(write_curve_csv, curve=curve, provenance=provenance)
             out["curves"][key]["csv"] = str(path)
-    return out
+    return out, files
 
 
-def _cmd_trend(cfg, args) -> dict:
+def _cmd_trend(cfg, args) -> tuple[dict, dict]:
     window = _window(cfg, args.window, "--window") if args.window else cfg.fit_window
     model = fit_linear_trend(_load_log(cfg), window)
     out = {
@@ -186,14 +186,14 @@ def _cmd_trend(cfg, args) -> dict:
             out["extrapolations"][format_time_utc(t)] = extrapolate(model, t)
         for record in caught:
             print(f"bfokit: warning: {record.message}", file=sys.stderr)
-    return out
+    return out, {}
 
 
-def _cmd_logon_drift(cfg, args) -> dict:
-    return extract_drift_bounds(cfg.load_logon_sequences()).as_dict()
+def _cmd_logon_drift(cfg, args) -> tuple[dict, dict]:
+    return extract_drift_bounds(cfg.load_logon_sequences()).as_dict(), {}
 
 
-def _cmd_descent_bounds(cfg, args) -> dict:
+def _cmd_descent_bounds(cfg, args) -> tuple[dict, dict]:
     pair = final_logon_pair(_load_log(cfg))
     if args.exact_sensitivity:
         sat = satellite_state_at(pair[0].timestamp, cfg.load_ephemeris())
@@ -248,19 +248,15 @@ def _cmd_descent_bounds(cfg, args) -> dict:
             ["time_utc", "min_fpm", "max_fpm"],
             [[t, *map(cell, outer)] for t, outer in out["combined_outer_fpm"].items()],
         )
-    if args.out_dir:
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name, (header, rows) in tables.items():
-            _write_table(out_dir / name, (), dict.fromkeys(header, str), rows)
-        if "acceleration" in out:
-            (out_dir / "acceleration.json").write_text(
-                json.dumps(out["acceleration"], indent=2, sort_keys=True) + "\n", encoding="utf-8"
-            )
-    return out
+    files = {Path(args.out_dir, name): partial(_write_table, provenance=(), schema=dict.fromkeys(head, str), rows=rows)
+             for name, (head, rows) in tables.items()} if args.out_dir else {}
+    if args.out_dir and "acceleration" in out:
+        text = json.dumps(out["acceleration"], indent=2, sort_keys=True) + "\n"
+        files[Path(args.out_dir, "acceleration.json")] = partial(_write_whole, chunks=[text])
+    return out, files
 
 
-def _cmd_calibrate_bias(cfg, args) -> dict:
+def _cmd_calibrate_bias(cfg, args) -> tuple[dict, dict]:
     if cfg.tarmac is None:
         raise ConfigError("config has no tarmac position")
     t0, t1 = _window(cfg, args.tarmac_window, "--tarmac-window")
@@ -271,7 +267,7 @@ def _cmd_calibrate_bias(cfg, args) -> dict:
         if t0 <= m.timestamp <= t1
     ]
     bias = calibrate_bias(pairs, cfg.load_ephemeris(), cfg.load_corrections(), cfg.channel, cfg.slot)
-    return {"bias_hz": bias, "measurements_used": len(pairs)}
+    return {"bias_hz": bias, "measurements_used": len(pairs)}, {}
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_descent_bounds)
     p.add_argument("--hypothesis", choices=["1", "2", "both"], default="both")
     p.add_argument("--out-dir", default=None, help="write the result tables as CSV/JSON")
-    p.add_argument(
-        "--exact-sensitivity",
-        action="store_true",
-        help="use the unrounded vertical-Doppler sensitivity at the arc crossing",
-    )
+    p.add_argument("--exact-sensitivity", action="store_true",
+                   help="use the unrounded vertical-Doppler sensitivity at the arc crossing")
 
     p = sub.add_parser("calibrate-bias", parents=[common], help="oscillator bias from tarmac measurements")
     p.set_defaults(run=_cmd_calibrate_bias)
@@ -331,8 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        payload = args.run(load_config(args.config), args)
+        payload, files = args.run(load_config(args.config), args)
         _check_finite(payload)
+        for path, write in files.items():  # only a result that passed its checks is written
+            path.parent.mkdir(parents=True, exist_ok=True)
+            write(path)
     except (ParseError, ConfigError, OSError) as e:  # OSError: a path the system refuses to read or write
         _fail(e, args.format, kind="parse/config")
         return 2
@@ -342,17 +338,20 @@ def main(argv=None) -> int:
     try:
         _emit(payload, args.format)
         sys.stdout.flush()
-    except BrokenPipeError:  # the reader closed stdout: say nothing more, and let no exit flush raise again
+    except OSError as e:  # a closed stdout (exit 1, silent) or a full one (exit 2): no exit flush may raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
+        if isinstance(e, BrokenPipeError):
+            return 1
+        _fail(f"stdout: {e}", args.format, kind="parse/config")
+        return 2
     return 0
 
 
-def _fail(exc: Exception, fmt: str, kind: str) -> None:
+def _fail(message, fmt: str, kind: str) -> None:
     if fmt == "json":
-        print(json.dumps({"error": {"kind": kind, "message": str(exc)}}), file=sys.stderr)
+        print(json.dumps({"error": {"kind": kind, "message": str(message)}}), file=sys.stderr)
     else:
-        print(f"bfokit: {kind} error: {exc}", file=sys.stderr)
+        print(f"bfokit: {kind} error: {message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

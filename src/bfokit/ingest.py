@@ -13,6 +13,7 @@ parser's inverse (``_FORMATS``), 256 rows at a time, a column at a time.
 import csv
 import json
 import math
+import os
 import sys
 from itertools import compress, islice
 from operator import attrgetter
@@ -200,16 +201,62 @@ def _format_column(write, column) -> list[str]:
     return list(map(repr, values))
 
 
+def _write_whole(path, chunks) -> None:
+    """Write the strings ``chunks`` to a new file beside ``path`` and move it onto ``path`` once it is whole, so
+    ``path`` keeps its old bytes, or stays absent, until then; a symlink at ``path`` is replaced, not written
+    through. Any error removes the new file, and an ``OSError`` names ``path``."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    created = False
+    try:
+        with open(tmp, "x", encoding="utf-8") as f:
+            created = True
+            f.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException as e:
+        if created:
+            tmp.unlink(missing_ok=True)
+        if isinstance(e, OSError) and e.errno is not None:
+            raise OSError(e.errno, e.strerror, str(path)) from e
+        raise
+
+
+# What a cell format raises for a value it cannot write: _fmt for an inf, a nan or a non-number, an Enum
+# column's format for a value that is no member
+_REFUSED = (ArithmeticError, AttributeError, TypeError, ValueError)
+
+
+def _refused_cell(path, schema, formats, block, first_row):
+    """The :class:`DomainError` naming the first cell of ``block`` (rows ``first_row`` on) that its format refuses."""
+    for row, values in enumerate(block, first_row):
+        for column, write, value in zip(schema, formats, values):
+            try:
+                write(value)
+            except _REFUSED as e:
+                return DomainError(f"{path}: {column}, row {row}: cannot write {value!r} ({e})")
+    return None
+
+
 def _write_table(path, provenance, schema, rows) -> None:
     """Write the provenance, the header and ``rows``, tuples in ``schema`` order: 256 rows a block, each
-    formatted a column at a time and written at once, so a large table is never held as one string."""
+    formatted a column at a time and written at once, so a large table is never held as one string. The file
+    is whole or absent (:func:`_write_whole`); a cell its format refuses raises :class:`DomainError` naming
+    ``path``, the column and the 1-based row."""
     formats = [_FORMATS[parse] for parse in schema.values()]
-    rows = iter(rows)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join([*provenance, ",".join(schema)]) + "\n")
-        while block := list(islice(rows, 256)):
-            columns = [_format_column(fmt, column) for fmt, column in zip(formats, zip(*block))]
-            f.write("\n".join(map(",".join, zip(*columns))) + "\n")
+
+    def chunks():
+        yield "\n".join([*provenance, ",".join(schema)]) + "\n"
+        blocks = iter(rows)
+        first_row = 1
+        while block := list(islice(blocks, 256)):
+            try:
+                columns = [_format_column(fmt, column) for fmt, column in zip(formats, zip(*block))]
+            except _REFUSED as e:
+                raise _refused_cell(path, schema, formats, block, first_row) or e
+            yield "\n".join(map(",".join, zip(*columns))) + "\n"
+            first_row += len(block)
+
+    _write_whole(path, chunks())
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +321,8 @@ def _finite_number(x) -> bool:
 # The sidecar's per-sequence keys: {key: (what it must be, check)}.
 LOGON_META_SCHEMA = {
     "outage_minutes": (
-        "a list of two finite numbers",
-        lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_finite_number, v)),
+        "a list of two finite numbers, the lower first",
+        lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_finite_number, v)) and v[0] <= v[1],
     ),
     "settled_proxy": ("true or false", lambda v: isinstance(v, bool)),
     "notes": ("a string", lambda v: isinstance(v, str)),
@@ -322,6 +369,8 @@ def load_logon_csv(path, meta=None) -> list[LogonSequence]:
     per-sequence outage bounds, notes and the settled-proxy
     annotation, which the CSV schema itself does not hold. The CSV is read
     first; every sequence id in the sidecar must name one of its sequences.
+    A sequence whose rows are out of time order or do not start with a log-on
+    request raises :class:`ParseError` naming the CSV and the sequence.
     """
     modes: dict[str, CompensationMode] = {}
 
@@ -343,16 +392,15 @@ def load_logon_csv(path, meta=None) -> list[LogonSequence]:
     for seq_id, ms in by_seq.items():
         info = meta.get(seq_id, {})
         outage = info.get("outage_minutes")
-        sequences.append(
-            LogonSequence(
-                id=seq_id,
-                measurements=tuple(ms),
-                compensation_mode=modes[seq_id],
+        try:
+            sequence = LogonSequence(
+                id=seq_id, measurements=tuple(ms), compensation_mode=modes[seq_id],
                 outage_bounds_min=tuple(outage) if outage else None,
-                notes=info.get("notes", ""),
-                settled_proxy=info.get("settled_proxy", False),
+                notes=info.get("notes", ""), settled_proxy=info.get("settled_proxy", False),
             )
-        )
+        except DomainError as e:  # the sidecar's checks hold its outage order, so the CSV is at fault
+            raise ParseError(path, [(None, str(e))]) from None
+        sequences.append(sequence)
     return sequences
 
 

@@ -85,6 +85,15 @@ def bfo_error(predicted_hz: float, measured_hz: float) -> float:
     return predicted_hz - measured_hz
 
 
+def ordered_sum(values) -> float:
+    """The sum of ``values`` added left to right from 0.0, in the order that Python 3.10 and 3.11's ``sum``
+    adds floats; 3.12 made ``sum`` compensated, which moves the last digit of some sums."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def compute_error_stats(errors) -> ErrorStats:
     """Sample mean/std (n-1 denominator), min and max of BFO errors."""
     import statistics  # no subcommand calls this, so its imports stay off the cold path

@@ -12,6 +12,7 @@ import warnings
 from typing import NamedTuple
 
 from .errors import DomainError
+from .stats import ordered_sum
 
 EXTRAPOLATION_WARN_HOURS = 2.0
 
@@ -41,11 +42,11 @@ def fit_linear_trend(measurements, window: tuple[float, float]) -> TrendModel:
     bfos = [m.bfo_hz for m in in_window]
     if len(set(hours)) < 2:
         raise DomainError("trend fit needs at least 2 in-window measurements with distinct times")
-    mean_h, mean_y = sum(hours) / len(hours), sum(bfos) / len(bfos)
+    mean_h, mean_y = ordered_sum(hours) / len(hours), ordered_sum(bfos) / len(bfos)
     dh = [h - mean_h for h in hours]
-    slope = sum(d * (y - mean_y) for d, y in zip(dh, bfos)) / sum(d * d for d in dh)
+    slope = ordered_sum(d * (y - mean_y) for d, y in zip(dh, bfos)) / ordered_sum(d * d for d in dh)
     try:
-        rms = math.sqrt(sum((y - mean_y - slope * d) ** 2 for d, y in zip(dh, bfos)) / len(dh))
+        rms = math.sqrt(ordered_sum((y - mean_y - slope * d) ** 2 for d, y in zip(dh, bfos)) / len(dh))
     except OverflowError:
         raise DomainError("trend residuals overflow") from None
     return TrendModel(slope, mean_y - slope * mean_h, (float(t0), float(t1)), rms)

@@ -1,3 +1,4 @@
+import builtins
 import csv
 import itertools
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import bfokit
-from bfokit.cli import main
+from bfokit.cli import build_parser, main
 from bfokit.config import REQUIRED, SCHEMA, load_config
 from bfokit.fixtures import bundled_config_path
 
@@ -135,6 +136,26 @@ class TestForwardModelGolden:
             assert (code, err) == (0, "")
             assert out == (GOLDEN_FORWARD / name).read_text(encoding="utf-8"), name
 
+    def test_trend_and_bias_goldens_hold_under_a_compensated_sum(self, capsys, monkeypatch):
+        # Python 3.12 made the builtin sum of floats compensated (Neumaier), so no output may rest on its order
+        def neumaier(values, start=0):
+            total, compensation = float(start), 0.0
+            for x in values:
+                t = total + x
+                compensation += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+                total = t
+            return total + compensation
+
+        assert neumaier([0.1] * 10) == 1.0 != builtins.sum([0.1] * 10)
+        monkeypatch.setattr(builtins, "sum", neumaier)
+        for name, argv in [
+            ("trend.json", ["trend", "--extrapolate", "00:19:29Z"]),
+            ("calibrate_bias.json", ["calibrate-bias", "--tarmac-window", "15:55Z..16:15Z"]),
+        ]:
+            code, out, err = run(capsys, *argv, "--config", CONFIG, "--format", "json")
+            assert (code, err) == (0, "")
+            assert out == (GOLDEN_FORWARD / name).read_text(encoding="utf-8"), name
+
     def test_track_sweep_curves_byte_identical(self, capsys, tmp_path):
         code, _, _ = run(capsys, "track-sweep", "--config", CONFIG, "--speed-kts", "450,500", "--out-dir", str(tmp_path))
         assert code == 0
@@ -208,6 +229,17 @@ class TestTrackSweep:
         code, out, err = run(capsys, "track-sweep", "--config", CONFIG, "--step-deg", step)
         assert (code, out) == (3, "")
         assert err.startswith(f"bfokit: domain error: step_deg {step} gives more than 360,001 points")
+
+    # the first curve is computed before the second is refused, and neither is written
+    @pytest.mark.parametrize("speeds, message", [
+        ("450,-5", "ground speed must be >= 0"),
+        ("450,inf", "ground_speed_mps inf is not finite"),
+    ])
+    def test_a_refused_sweep_writes_no_file(self, capsys, tmp_path, speeds, message):
+        out_dir = tmp_path / "curves"
+        code, out, err = run(capsys, "track-sweep", "--config", CONFIG, "--speed-kts", speeds, "--out-dir", str(out_dir))
+        assert (code, out, err) == (3, "", f"bfokit: domain error: {message}\n")
+        assert not out_dir.exists()
 
 
 class TestTrend:
@@ -397,6 +429,21 @@ class TestDeterminism:
         assert outputs[0] == outputs[1]
 
 
+class TestOutputFiles:
+    """A subcommand returns its ``--out-dir`` files as writers; only ``main`` makes the directory and writes."""
+
+    @pytest.mark.parametrize(("argv", "names"), [
+        (["descent-bounds"], GOLDEN_FILES),
+        (["track-sweep", "--speed-kts", "450,500"], ["track_sweep_450kts.csv", "track_sweep_500kts.csv"]),
+    ])
+    def test_a_subcommand_writes_nothing_itself(self, tmp_path, argv, names):
+        out_dir = tmp_path / "out"
+        args = build_parser().parse_args([*argv, "--config", CONFIG, "--out-dir", str(out_dir)])
+        _, files = args.run(load_config(args.config), args)
+        assert not out_dir.exists()
+        assert sorted(files) == sorted(out_dir / name for name in names)
+
+
 class TestErrorHandling:
     def test_missing_config_is_exit_2(self, capsys, monkeypatch):
         monkeypatch.delenv("BFOKIT_CONFIG", raising=False)
@@ -451,6 +498,23 @@ class TestErrorHandling:
             os.close(write_end)
         outcomes = {fmt: (child.communicate()[1], child.returncode) for fmt, child in children.items()}
         assert outcomes == dict.fromkeys(children, ("", 1))
+
+    @pytest.mark.parametrize("command", ["logon-drift", "descent-bounds"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_full_stdout_is_exit_2_with_one_error_line(self, command, fmt):
+        env = {**os.environ, "PYTHONPATH": str(Path(bfokit.__file__).parent.parent)}
+        with open("/dev/full", "w") as full:  # every write to it fails with ENOSPC
+            child = subprocess.run(
+                [sys.executable, "-c", "import sys; from bfokit.cli import main; sys.exit(main())",
+                 command, "--config", CONFIG, "--format", fmt],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+            )
+        message = "stdout: [Errno 28] No space left on device"
+        assert child.returncode == 2
+        if fmt == "json":
+            assert json.loads(child.stderr) == {"error": {"kind": "parse/config", "message": message}}
+        else:
+            assert child.stderr == f"bfokit: parse/config error: {message}\n"
 
 def _static_world_config(tmp_path):
     """A minimal config: satellite frozen at the nominal slot, zero
@@ -618,6 +682,7 @@ class TestLogonSidecar:
         "outage of one number": '{"1": {"outage_minutes": [1]}}',
         "outage not finite": '{"1": {"outage_minutes": [1, NaN]}}',
         "outage of bools": '{"1": {"outage_minutes": [true, 2]}}',
+        "outage out of order": '{"3": {"outage_minutes": [95, 35]}}',
         "sequence not an object": '{"1": 3}',
         "top level a list": "[1]",
         "bad JSON": '{"1": {"notes": "unterminated}',
@@ -644,12 +709,44 @@ class TestLogonSidecar:
         assert code == 2
         assert err.rstrip().endswith("sequence 1: settled_proxy must be true or false, got 'no'")
 
+    def test_outage_out_of_order_is_named(self, capsys, tmp_path):
+        config, _ = _edited_fixtures(tmp_path, lambda lines: lines)
+        sidecar = config.parent / "logon_sequences_meta.json"
+        sidecar.write_text(TestLogonSidecar.CASES["outage out of order"])
+        code, _, err = run(capsys, "logon-drift", "--config", str(config))
+        assert code == 2
+        assert err == (f"bfokit: parse/config error: {sidecar}: sequence 3: outage_minutes must be a list of two "
+                       "finite numbers, the lower first, got [95, 35]\n")
+
     def test_ids_naming_no_sequence_are_named(self, capsys, tmp_path):
         config, _ = _edited_fixtures(tmp_path, lambda lines: lines)
         (config.parent / "logon_sequences_meta.json").write_text(TestLogonSidecar.CASES["ids naming no sequence"])
         code, _, err = run(capsys, "descent-bounds", "--config", str(config))
         assert code == 2
         assert err.rstrip().endswith("logon_sequences.csv: '8', ' 1'")
+
+
+class TestLogonCsv:
+    """A log-on sequence that its rows leave invalid is a parse error (exit 2) naming the CSV and the sequence."""
+
+    CASES = {
+        "starts with its acknowledgment": (
+            lambda lines: [l for l in lines if not l.startswith("1,2014-02-23T23:57:00Z,logon_request,")],
+            "log-on 1: first message must be a log-on request",
+        ),
+        "rows out of time order": (
+            lambda lines: [l.replace("1,2014-02-23T23:57:50Z,", "1,2014-02-23T23:57:30Z,") for l in lines],
+            "log-on 1: measurements not time-ordered",
+        ),
+    }
+
+    @pytest.mark.parametrize("command", ["logon-drift", "descent-bounds"])
+    @pytest.mark.parametrize(("edit", "message"), CASES.values(), ids=CASES.keys())
+    def test_bad_sequence_is_exit_2_naming_the_file(self, capsys, tmp_path, command, edit, message):
+        config, logons = _edited_fixtures(tmp_path, edit, "logon_sequences.csv")
+        code, out, err = run(capsys, command, "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err == f"bfokit: parse/config error: {logons}: {message}\n"
 
 
 class TestRejectedRows:
@@ -702,6 +799,27 @@ class TestRefusedPaths:
     def test_sweep_out_dir_inside_a_file(self, capsys, a_file):
         err = self.refused(capsys, "track-sweep", "--config", CONFIG, "--out-dir", str(a_file / "x"))
         assert str(a_file / "x") in err
+
+    def test_output_path_naming_a_directory(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        (out_dir / "acceleration.json").mkdir(parents=True)
+        err = self.refused(capsys, "descent-bounds", "--config", CONFIG, "--out-dir", str(out_dir))
+        assert err == f"bfokit: parse/config error: [Errno 21] Is a directory: '{out_dir / 'acceleration.json'}'\n"
+        # the five tables before it are whole, and no temporary file is left beside them
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(GOLDEN_FILES)
+        for name in GOLDEN_FILES[:-1]:
+            assert (out_dir / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+    def test_output_path_that_is_a_symlink_is_replaced(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        (out_dir / "descent_rates_combined.csv").symlink_to("/dev/full")  # writing through it would fail
+        code, _, err = run(capsys, "descent-bounds", "--config", CONFIG, "--out-dir", str(out_dir))
+        assert (code, err) == (0, "")
+        assert not (out_dir / "descent_rates_combined.csv").is_symlink()
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(GOLDEN_FILES)
+        for name in GOLDEN_FILES:
+            assert (out_dir / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
     def test_json_error_payload(self, capsys, a_file):
         code, out, err = run(capsys, "descent-bounds", "--config", CONFIG, "--out-dir", str(a_file), "--format", "json")

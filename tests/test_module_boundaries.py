@@ -17,9 +17,10 @@ ALLOWED = {
     ("bfo_model", "geodesy", "_ecef_position"): "a point's ECEF position from its frame",
     ("bfo_model", "geodesy", "_enu_axes"): "the local east, north and up axes from a frame",
     ("bfo_model", "geodesy", "_east_north"): "a ground velocity's east and north components",
-    # the CLI writes its own tables with the table writer's cell format and the table writer
+    # the CLI writes its own tables and its JSON file with the table writer's cell format and file writers
     ("cli", "ingest", "_fmt"): "a number cell as every table writes it",
     ("cli", "ingest", "_write_table"): "the one table writer",
+    ("cli", "ingest", "_write_whole"): "a file whole or absent, as every writer writes it",
     # the config and the log-on sidecar read a JSON number by one rule
     ("config", "ingest", "_finite_number"): "a finite JSON number, no bool",
 }

@@ -1,6 +1,8 @@
 import json
 import math
 import statistics
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from bfokit.stats import (
     bfo_error,
     compute_error_stats,
     flag_outliers,
+    ordered_sum,
 )
 
 
@@ -183,3 +186,13 @@ class TestNoiseBounds:
         bundled = json.loads(bundled_config_path().read_text(encoding="utf-8"))
         assert SCHEMA["noise_bounds"][1] == extremes
         assert bundled["noise_bounds"] == extremes
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False)))
+def test_ordered_sum_adds_left_to_right(values):
+    expected = reduce(add, values, 0.0)
+    assert ordered_sum(iter(values)) == expected or math.isnan(expected)  # nan: partial sums overflowed both ways
+
+
+def test_ordered_sum_is_not_compensated():
+    assert ordered_sum([0.1] * 10) == 0.9999999999999999  # a compensated sum, as sum() from 3.12, gives 1.0

@@ -55,6 +55,8 @@ SETTINGS = settings(max_examples=40, deadline=None, suppress_health_check=[Healt
 
 def oracle_load_table(path, schema, make):
     data = Path(path).read_bytes()
+    if data.startswith(b"\xef\xbb\xbf"):
+        raise ParseError(path, [(1, "starts with a UTF-8 byte-order mark")])
     try:
         lines = data.decode("utf-8").splitlines()
     except UnicodeDecodeError as e:
@@ -499,6 +501,38 @@ def test_writers_match_the_oracle_past_one_write_block(tmp_path):
 def test_curve_writer_refuses_columns_of_two_lengths(tmp_path):
     with pytest.raises(ValueError, match="zip"):
         write_curve_csv(tmp_path / "new.csv", ([0.0, 1.0], [2.0]))
+
+
+@pytest.mark.parametrize("old", [None, b"an older file\n"])
+def test_a_refused_cell_leaves_the_older_file_or_none(tmp_path, old):
+    path = tmp_path / "curve.csv"
+    if old is not None:
+        path.write_bytes(old)
+    # the bad cell is in the second block of 256 rows, so the first block was formatted and written
+    with pytest.raises(DomainError, match=f"^{path}: track_deg, row 301: cannot write inf "):
+        write_curve_csv(path, ([0.0] * 300 + [math.inf], [1.0] * 301))
+    assert (path.read_bytes() if path.exists() else None) == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if old is None else ["curve.csv"])
+
+
+def test_a_write_the_system_refuses_names_the_path(tmp_path):
+    (tmp_path / "a_directory").mkdir()
+    for path, error in [(tmp_path / "missing" / "curve.csv", FileNotFoundError),
+                        (tmp_path / "a_directory", IsADirectoryError)]:
+        with pytest.raises(error) as info:
+            write_curve_csv(path, ([0.0], [1.0]))
+        assert info.value.filename == str(path)
+    assert [p.name for p in tmp_path.iterdir()] == ["a_directory"] and not any((tmp_path / "a_directory").iterdir())
+
+
+def test_a_symlinked_output_is_replaced_not_written_through(tmp_path):
+    target = tmp_path / "target.csv"
+    target.write_bytes(b"kept\n")
+    (tmp_path / "curve.csv").symlink_to(target)
+    write_curve_csv(tmp_path / "curve.csv", ([0.0], [1.0]))
+    assert not (tmp_path / "curve.csv").is_symlink()
+    assert (tmp_path / "curve.csv").read_text() == "track_deg,bfo_error_hz\n0,1.0\n"
+    assert target.read_bytes() == b"kept\n"
 
 
 def test_curve_writer_matches_the_oracle_on_a_dense_sweep(tmp_path, analysis_config, ephemeris, corrections):
